@@ -436,10 +436,6 @@ class BenchmarkResult:
     failures: int
 
 
-def _execute_one(problem: Problem, kind: str, config: OptimizerConfig, seed: int) -> RunResult:
-    return run(kind, problem, config, seed)
-
-
 def _worker_count(n_jobs: int) -> int:
     cap = os.environ.get(WORKERS_ENV_VAR)
     if cap is not None:
@@ -480,14 +476,14 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     results: dict[tuple[int, str, int], RunResult] = {}
     if workers <= 1:
         for size, entry, seed in jobs:
-            results[(size, entry.label, seed)] = _execute_one(
-                problems[size], entry.kind, configs[entry.label], seed
+            results[(size, entry.label, seed)] = run(
+                entry.kind, problems[size], configs[entry.label], seed
             )
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 (size, entry.label, seed): pool.submit(
-                    _execute_one, problems[size], entry.kind, configs[entry.label], seed
+                    run, entry.kind, problems[size], configs[entry.label], seed
                 )
                 for size, entry, seed in jobs
             }

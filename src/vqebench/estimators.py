@@ -202,14 +202,9 @@ def stein_metric_2eval(fid, theta, params: SmoothingParams, rng: np.random.Gener
 
     Raw cost N + 1 overlap queries; charged cost 2 per sample.
     """
-    theta = _as_theta(theta)
-    u = rng.standard_normal((params.samples, len(theta)))
-    c = params.c
-    f0 = fid(np.zeros(len(theta)))
-    vals = np.array([fid(c * ui) - f0 for ui in u])
-    matrix = _symmetrize(_weighted_outer_mean(-vals / (2.0 * c * c), u))
+    hess = stein_hessian_2eval(fid, np.zeros(len(theta)), params.c, params.samples, rng)
     return MetricEstimate(
-        matrix=matrix,
+        matrix=-0.5 * hess,
         kind="stein2",
         smoothing=params,
         raw_evals=params.samples + 1,
@@ -224,14 +219,9 @@ def stein_metric_3eval(fid, theta, params: SmoothingParams, rng: np.random.Gener
 
     Raw cost 2N + 1 overlap queries; charged cost 3 per sample.
     """
-    theta = _as_theta(theta)
-    u = rng.standard_normal((params.samples, len(theta)))
-    c = params.c
-    f0 = fid(np.zeros(len(theta)))
-    vals = np.array([fid(c * ui) + fid(-c * ui) - 2.0 * f0 for ui in u])
-    matrix = _symmetrize(_weighted_outer_mean(-vals / (4.0 * c * c), u))
+    hess = stein_hessian_3eval(fid, np.zeros(len(theta)), params.c, params.samples, rng)
     return MetricEstimate(
-        matrix=matrix,
+        matrix=-0.5 * hess,
         kind="stein3",
         smoothing=params,
         raw_evals=2 * params.samples + 1,
@@ -245,11 +235,9 @@ def spsa_metric(fid, theta, c: float, samples: int, rng: np.random.Generator) ->
     -1/2 times the four-point Hessian estimate of the overlap at zero
     displacement; 4 overlap queries per sample, two Rademacher vectors.
     """
-    theta = _as_theta(theta)
-    zero = np.zeros(len(theta))
-    hess = spsa2_hessian(fid, zero, c, samples, rng)
+    hess = spsa2_hessian(fid, np.zeros(len(theta)), c, samples, rng)
     return MetricEstimate(
-        matrix=_symmetrize(-0.5 * hess),
+        matrix=-0.5 * hess,
         kind="spsa",
         smoothing=SmoothingParams(c=c, b=c, samples=samples),
         raw_evals=4 * samples,

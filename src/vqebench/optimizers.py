@@ -87,23 +87,23 @@ class Problem:
 
 @dataclass
 class EvalCounters:
-    """Cumulative circuit-evaluation counts, split by query type and convention."""
+    """Cumulative circuit-evaluation counts, split by query type and convention.
 
-    loss_raw: int = 0
-    loss_charged: int = 0
+    A loss query costs one circuit under both conventions; only overlap
+    queries are counted differently.
+    """
+
+    loss: int = 0
     overlap_raw: int = 0
     overlap_charged: int = 0
 
     @property
     def total_raw(self) -> int:
-        return self.loss_raw + self.overlap_raw
+        return self.loss + self.overlap_raw
 
     @property
     def total_charged(self) -> int:
-        return self.loss_charged + self.overlap_charged
-
-    def copy(self) -> "EvalCounters":
-        return EvalCounters(self.loss_raw, self.loss_charged, self.overlap_raw, self.overlap_charged)
+        return self.loss + self.overlap_charged
 
 
 @dataclass(frozen=True)
@@ -222,16 +222,14 @@ def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
     d = problem.circuit.param_count
     if kind in ("GD", "QNG"):
         grad = exact_parameter_shift_gradient(problem, state.theta)
-        state.counters.loss_raw += 2 * d
-        state.counters.loss_charged += 2 * d
+        state.counters.loss += 2 * d
         return grad
     oracle = _loss_oracle(problem, config, rng)
     if kind in ("SPSA", "QNSPSA"):
         grad = spsa_gradient(oracle, state.theta, config.c, config.samples, rng)
     else:
         grad = stein_gradient_2eval(oracle, state.theta, config.c, config.samples, rng)
-    state.counters.loss_raw += oracle.calls
-    state.counters.loss_charged += oracle.calls
+    state.counters.loss += oracle.calls
     return grad
 
 
@@ -240,14 +238,32 @@ def _estimate_metric(kind, state, problem, config, rng) -> MetricEstimate:
         return exact_metric(problem.circuit, state.theta)
     fid = displacement_fidelity_oracle(problem.circuit, state.theta, shots=config.shots, rng=rng)
     if kind == "QNSPSA":
-        est = spsa_metric(fid, state.theta, config.c, config.samples, rng)
-    elif kind == "QNSTEIN2":
-        params = SmoothingParams(c=config.c, b=config.b, samples=config.samples)
-        est = stein_metric_2eval(fid, state.theta, params, rng)
-    else:  # QNSTEIN3
-        params = SmoothingParams(c=config.c, b=config.b, samples=config.samples)
-        est = stein_metric_3eval(fid, state.theta, params, rng)
-    return est
+        return spsa_metric(fid, state.theta, config.c, config.samples, rng)
+    params = SmoothingParams(c=config.c, b=config.b, samples=config.samples)
+    if kind == "QNSTEIN2":
+        return stein_metric_2eval(fid, state.theta, params, rng)
+    return stein_metric_3eval(fid, state.theta, params, rng)
+
+
+def _record(state, problem, config, blocked: bool, started: float) -> None:
+    """Append the trace row for the current state: exact energy plus cumulative costs."""
+    energy = loss(problem.circuit, problem.hamiltonian, state.theta)
+    state.trace.append(
+        RunRecord(
+            step=state.k,
+            loss=state.loss_current if config.blocking_active else energy,
+            energy=energy,
+            energy_error=energy - problem.ground_energy,
+            circuits_charged=state.counters.total_charged,
+            circuits_raw=state.counters.total_raw,
+            blocked=blocked,
+            wall_time=time.perf_counter() - started,
+        )
+    )
+
+
+def _finite(record: RunRecord) -> bool:
+    return math.isfinite(record.energy) and math.isfinite(record.loss)
 
 
 def step(
@@ -280,8 +296,7 @@ def step(
         candidate_loss = loss(
             problem.circuit, problem.hamiltonian, candidate, shots=config.shots, rng=rng
         )
-        state.counters.loss_raw += 1
-        state.counters.loss_charged += 1
+        state.counters.loss += 1
         tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
         if blocking_check(candidate_loss, state.loss_current, tol):
             state.theta = candidate
@@ -298,20 +313,7 @@ def step(
         state.metric_count += 1
 
     state.k += 1
-    energy = loss(problem.circuit, problem.hamiltonian, state.theta)
-    loss_estimate = state.loss_current if config.blocking_active else energy
-    state.trace.append(
-        RunRecord(
-            step=state.k,
-            loss=loss_estimate,
-            energy=energy,
-            energy_error=energy - problem.ground_energy,
-            circuits_charged=state.counters.total_charged,
-            circuits_raw=state.counters.total_raw,
-            blocked=blocked,
-            wall_time=time.perf_counter() - started,
-        )
-    )
+    _record(state, problem, config, blocked, started)
     return state
 
 
@@ -335,34 +337,14 @@ def run(kind: str, problem: Problem, config: OptimizerConfig, seed: int) -> RunR
         counters=EvalCounters(),
         trace=[],
     )
-    energy0 = loss(problem.circuit, problem.hamiltonian, theta0)
     if config.blocking_active:
         state.loss_current = loss(
             problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng
         )
-        state.counters.loss_raw += 1
-        state.counters.loss_charged += 1
-        loss_estimate = state.loss_current
-    else:
-        loss_estimate = energy0
-    state.trace.append(
-        RunRecord(
-            step=0,
-            loss=loss_estimate,
-            energy=energy0,
-            energy_error=energy0 - problem.ground_energy,
-            circuits_charged=state.counters.total_charged,
-            circuits_raw=state.counters.total_raw,
-            blocked=False,
-            wall_time=time.perf_counter() - started,
-        )
+        state.counters.loss += 1
+    _record(state, problem, config, False, started)
+    while _finite(state.trace[-1]) and state.k < config.max_steps:
+        step(kind, state, problem, config, rng)
+    return RunResult(
+        kind=kind, seed=seed, records=tuple(state.trace), failed=not _finite(state.trace[-1])
     )
-    failed = not (math.isfinite(energy0) and math.isfinite(loss_estimate))
-    if not failed:
-        for _ in range(config.max_steps):
-            step(kind, state, problem, config, rng)
-            last = state.trace[-1]
-            if not (math.isfinite(last.energy) and math.isfinite(last.loss)):
-                failed = True
-                break
-    return RunResult(kind=kind, seed=seed, records=tuple(state.trace), failed=failed)

@@ -6,6 +6,7 @@ criteria execute on a process pool; cap it with VQEBENCH_WORKERS.
 """
 
 import os
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -70,7 +71,7 @@ def test_criterion_1_hessian_estimators_unbiased():
         "stein3": stein_hessian_3eval,
     }
     for name, estimator in estimators.items():
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         f = ScalarOracle(lambda th: 0.5 * th @ a @ th)
         stack = np.array(
             [estimator(f, theta0, c, batch_size, rng) for _ in range(batches)]

@@ -271,6 +271,32 @@ def test_stein_metrics_agree_on_two_qubit_circuit():
     assert np.max(np.abs(m2.matrix - m3.matrix)) < 0.1
 
 
+@pytest.mark.parametrize("shots", [None, 1024])
+def test_metric_estimators_are_minus_half_their_overlap_hessian(shots):
+    # Each stochastic metric is -1/2 times its Hessian estimator of the overlap
+    # at zero displacement, bit for bit, given the same oracle and draw streams.
+    circuit = hardware_efficient(3, 1)
+    theta = np.random.default_rng(29).uniform(-np.pi, np.pi, circuit.param_count)
+    zero = np.zeros(circuit.param_count)
+    c, samples = 0.1, 20
+    params = SmoothingParams(c=c, b=1.0, samples=samples)
+
+    def fid():
+        return displacement_fidelity_oracle(circuit, theta, shots=shots, rng=np.random.default_rng(30))
+
+    def rng():
+        return np.random.default_rng(31)
+
+    pairs = (
+        (spsa_metric(fid(), theta, c, samples, rng()), spsa2_hessian),
+        (stein_metric_2eval(fid(), theta, params, rng()), stein_hessian_2eval),
+        (stein_metric_3eval(fid(), theta, params, rng()), stein_hessian_3eval),
+    )
+    for metric, hessian in pairs:
+        hess = hessian(fid(), zero, c, samples, rng())
+        assert np.array_equal(metric.matrix, -0.5 * hess), metric.kind
+
+
 def test_parameter_shift_single_qubit():
     m = parameter_shift_metric(single_qubit_ry(), np.array([0.7]))
     assert m.matrix[0, 0] == pytest.approx(0.25, abs=1e-10)
