@@ -17,7 +17,6 @@ from .pauli import PauliSum
 from .simulator import (
     Circuit,
     Gate,
-    Statevector,
     _apply_gates,
     apply_adjoint_circuit,
     apply_circuit,
@@ -130,15 +129,10 @@ def so4_gate(alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape != (6,):
         raise ValueError(f"SO(4) gate takes 6 parameters, got shape {alpha.shape}")
-    gates = so4_block_gates(0, 1, range(6))
-    cols = []
-    for j in range(4):
-        amps = np.zeros(4, dtype=complex)
-        amps[j] = 1.0
-        state = Statevector(amps, 2)
-        _apply_gates(state, gates, alpha)
-        cols.append(state.amplitudes)
-    return np.column_stack(cols)
+    # Row j of the block starts as basis state j and ends as column j of U.
+    block = np.eye(4, dtype=complex)
+    _apply_gates(block, 2, so4_block_gates(0, 1, range(6)), alpha)
+    return block.T
 
 
 def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Circuit:

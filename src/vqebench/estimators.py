@@ -2,8 +2,8 @@
 
 Simultaneous-perturbation (Rademacher) gradient and Hessian estimators,
 Gaussian-smoothing Stein-identity gradient/Hessian estimators, the metric
-estimators built from them, the parameter-shift metric, and an exact
-finite-difference metric oracle.
+estimators built from them, the parameter-shift metric, and the exact metric
+from analytic derivative states, exact to rounding.
 
 All stochastic Hessian-family estimators draw standard-normal perturbation
 vectors u and displace parameters by c*u, so their target is the Hessian of
@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import FidelityQuery, fidelity
-from .simulator import Circuit, apply_circuit
+# Nothing here calls apply_circuit; the binding is kept because the traced
+# benchmark run (benchmarks/spans.py) wraps estimators.apply_circuit.
+from .simulator import (  # noqa: F401
+    Circuit,
+    apply_circuit,
+    derivative_states,
+    require_one_gate_per_parameter,
+)
 
 
 @dataclass(frozen=True)
@@ -271,7 +278,8 @@ def parameter_shift_metric(
 ) -> MetricEstimate:
     """Metric tensor from overlap evaluations at +-pi/2 parameter shifts.
 
-    Valid when every parameterized gate is a Pauli rotation. For each index
+    Valid when every parameterized gate is a Pauli rotation and each parameter
+    index drives one gate; a shared index raises ValueError. For each index
     pair (j1, j2) with j1 <= j2, the four-point combination
 
       1/4 [ fid((e1+e2) pi/2) - fid((e1-e2) pi/2)
@@ -281,6 +289,7 @@ def parameter_shift_metric(
     entry is -1/2 of it. Total cost 4 * d(d+1)/2 = 2 d(d+1) overlap
     evaluations, exploiting symmetry.
     """
+    require_one_gate_per_parameter(circuit)
     theta = _as_theta(theta)
     d = len(theta)
     fid = displacement_fidelity_oracle(circuit, theta, shots=shots, rng=rng)
@@ -307,26 +316,15 @@ def parameter_shift_metric(
     )
 
 
-EXACT_METRIC_STEP = 1e-5  # central-difference step balancing truncation vs rounding
-
-
 def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
-    """Exact metric tensor from finite-difference state derivatives.
+    """Exact metric tensor from analytic derivative states, exact to rounding.
 
     F_ij = Re[ <d_i psi | d_j psi> - <d_i psi | psi><psi | d_j psi> ]
-    with the derivative states computed by central differences on the
-    amplitudes; consumes no measured circuits.
+    with psi and every d_i psi from one `derivative_states` pass; also exact
+    when a parameter drives several gates. Consumes no measured circuits.
     """
-    theta = _as_theta(theta)
-    d = len(theta)
-    psi = apply_circuit(circuit, theta).amplitudes
-    derivs = np.empty((d, psi.size), dtype=complex)
-    for i in range(d):
-        shift = np.zeros(d)
-        shift[i] = EXACT_METRIC_STEP
-        plus = apply_circuit(circuit, theta + shift).amplitudes
-        minus = apply_circuit(circuit, theta - shift).amplitudes
-        derivs[i] = (plus - minus) / (2.0 * EXACT_METRIC_STEP)
+    block = derivative_states(circuit, theta)
+    psi, derivs = block[0], block[1:]
     gram = derivs.conj() @ derivs.T
     berry = derivs.conj() @ psi
     matrix = np.real(gram - np.outer(berry, berry.conj()))

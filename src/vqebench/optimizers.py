@@ -28,7 +28,7 @@ from .estimators import (
     stein_metric_3eval,
 )
 from .pauli import PauliSum
-from .simulator import Circuit
+from .simulator import Circuit, require_one_gate_per_parameter
 
 OPTIMIZER_KINDS = ("GD", "QNG", "SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3")
 NATURAL_KINDS = frozenset({"QNG", "QNSPSA", "QNSTEIN2", "QNSTEIN3"})
@@ -200,7 +200,12 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
 
 
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
-    """Analytic loss gradient from exact evaluations at +-pi/2 shifts."""
+    """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
+
+    Raises ValueError if a parameter index drives more than one gate, where
+    the shift rule does not hold.
+    """
+    require_one_gate_per_parameter(problem.circuit)
     d = len(theta)
     grad = np.empty(d)
     for i in range(d):

@@ -28,6 +28,12 @@ _FIXED_MATRICES = {
 }
 # Self-inverse kinds map to themselves; S and Sdg swap.
 _INVERSE_KIND = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT"}
+# d/dtheta R_P(theta) = (-i/2) P R_P(theta); these are the (-i/2) P factors.
+_GENERATORS = {
+    "RX": -0.5j * _FIXED_MATRICES["X"],
+    "RY": -0.5j * np.array([[0.0, -1.0j], [1.0j, 0.0]]),
+    "RZ": -0.5j * np.diag([1.0 + 0j, -1.0]),
+}
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -117,23 +123,20 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_single(state: Statevector, matrix: np.ndarray, site: int) -> None:
-    # View the register as (pre, 2, post) with the target site in the middle;
-    # contiguous reshape keeps this in place.
-    n = state.qubit_count
-    view = state.amplitudes.reshape(2**site, 2, 2 ** (n - site - 1))
+def _apply_single(amps: np.ndarray, n: int, matrix: np.ndarray, site: int) -> None:
+    # View the register as (pre, 2, post) with the target site in the middle,
+    # folding any leading block axis into pre; contiguous reshape keeps this
+    # in place, and a single state takes the same arithmetic as a block row.
+    view = amps.reshape(-1, 2, 2 ** (n - site - 1))
     v0 = view[:, 0, :].copy()
     v1 = view[:, 1, :]
     view[:, 0, :] = matrix[0, 0] * v0 + matrix[0, 1] * v1
     view[:, 1, :] = matrix[1, 0] * v0 + matrix[1, 1] * v1
 
 
-def _apply_cnot(state: Statevector, control: int, target: int) -> None:
-    n = state.qubit_count
+def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
     a, b = sorted((control, target))
-    view = state.amplitudes.reshape(
-        2**a, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1)
-    )
+    view = amps.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
     if control < target:
         sub = view[:, 1, :, :, :]
         sub[:, :, [0, 1], :] = sub[:, :, [1, 0], :]
@@ -150,13 +153,14 @@ def _gate_matrix(gate: Gate, theta: np.ndarray, adjoint: bool = False):
     return None if kind == "CNOT" else _FIXED_MATRICES[kind]
 
 
-def _apply_gates(state: Statevector, gates, theta: np.ndarray, adjoint: bool = False) -> None:
+def _apply_gates(amps: np.ndarray, n: int, gates, theta: np.ndarray, adjoint: bool = False) -> None:
+    """Apply `gates` in place to a length-2**n state or a (B, 2**n) block of them."""
     seq = reversed(gates) if adjoint else gates
     for g in seq:
         if g.kind == "CNOT":
-            _apply_cnot(state, g.sites[0], g.sites[1])
+            _apply_cnot(amps, n, g.sites[0], g.sites[1])
         else:
-            _apply_single(state, _gate_matrix(g, theta, adjoint), g.sites[0])
+            _apply_single(amps, n, _gate_matrix(g, theta, adjoint), g.sites[0])
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -170,7 +174,7 @@ def apply_circuit(c: Circuit, theta) -> Statevector:
     """Return U(theta)|0...0>."""
     theta = _check_theta(c, theta)
     state = zero_state(c.qubit_count)
-    _apply_gates(state, c.gates, theta)
+    _apply_gates(state.amplitudes, c.qubit_count, c.gates, theta)
     return state
 
 
@@ -180,8 +184,47 @@ def apply_adjoint_circuit(c: Circuit, theta, state: Statevector) -> Statevector:
     if state.qubit_count != c.qubit_count:
         raise ValueError("statevector and circuit qubit counts differ")
     out = state.copy()
-    _apply_gates(out, c.gates, theta, adjoint=True)
+    _apply_gates(out.amplitudes, c.qubit_count, c.gates, theta, adjoint=True)
     return out
+
+
+def derivative_states(c: Circuit, theta) -> np.ndarray:
+    """Block [psi, d_1 psi, ..., d_d psi] of psi = U(theta)|0...0>, shape (d + 1, 2**n).
+
+    One pass of the block through the gate list: every gate acts on all rows
+    (the chain rule's U d psi part), and after a rotation on parameter i, row
+    i + 1 gains (-i/2) P psi for that gate's Pauli P. A parameter shared by
+    several gates accumulates one such term per gate. Exact to rounding.
+    """
+    theta = _check_theta(c, theta)
+    n = c.qubit_count
+    block = np.zeros((c.param_count + 1, 2**n), dtype=complex)
+    block[0, 0] = 1.0
+    for g in c.gates:
+        _apply_gates(block, n, (g,), theta)
+        if g.param_index is not None:
+            term = block[0].copy()
+            _apply_single(term, n, _GENERATORS[g.kind], g.sites[0])
+            block[g.param_index + 1] += term
+    return block
+
+
+def require_one_gate_per_parameter(c: Circuit) -> None:
+    """Raise ValueError if a parameter index drives more than one gate.
+
+    The +-pi/2 parameter-shift rule is exact only for a parameter that enters
+    through a single Pauli rotation; with a shared index it returns a wrong
+    derivative without any sign of it.
+    """
+    seen = set()
+    for g in c.gates:
+        if g.param_index in seen:
+            raise ValueError(
+                f"parameter index {g.param_index} drives more than one gate; "
+                "the parameter-shift rule needs one gate per parameter"
+            )
+        if g.param_index is not None:
+            seen.add(g.param_index)
 
 
 def _pauli_apply(amps: np.ndarray, n: int, axes: str) -> np.ndarray:
@@ -256,15 +299,15 @@ def sampled_expectation(state: Statevector, h: PauliSum, shots: int, rng: np.ran
         if t.is_identity:
             total += t.coefficient
             continue
-        rotated = state.copy()
+        rotated = state.amplitudes.copy()
         for site, axis in enumerate(t.axes):
             if axis == "X":
-                _apply_single(rotated, _FIXED_MATRICES["H"], site)
+                _apply_single(rotated, n, _FIXED_MATRICES["H"], site)
             elif axis == "Y":
                 # V = H S^dagger maps the Y eigenbasis onto the Z basis.
-                _apply_single(rotated, _FIXED_MATRICES["Sdg"], site)
-                _apply_single(rotated, _FIXED_MATRICES["H"], site)
-        counts = rng.multinomial(shots, _outcome_probabilities(rotated.amplitudes))
+                _apply_single(rotated, n, _FIXED_MATRICES["Sdg"], site)
+                _apply_single(rotated, n, _FIXED_MATRICES["H"], site)
+        counts = rng.multinomial(shots, _outcome_probabilities(rotated))
         signs = _eigenvalue_signs(n, t.axes)
         total += t.coefficient * float(counts @ signs) / shots
     return total

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vqebench.ansatz import hardware_efficient, single_qubit_ry
+from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
     MetricEstimate,
     ScalarOracle,
@@ -305,15 +305,31 @@ def test_parameter_shift_single_qubit():
 
 def test_parameter_shift_matches_exact_metric():
     rng = np.random.default_rng(26)
-    circuit = hardware_efficient(2, 2)  # d = 4
-    for _ in range(5):
-        theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
-        shift = parameter_shift_metric(circuit, theta).matrix
-        exact = exact_metric(circuit, theta).matrix
-        assert np.max(np.abs(shift - exact)) < 1e-8
-        assert np.all(np.diag(shift) >= -1e-12)
+    # The SO(4) circuits add RX/RZ generators and the S, Sdg, H, X and CNOT gates.
+    for circuit, draws in (
+        (hardware_efficient(2, 2), 5),
+        (schwinger_ansatz(4, 1, "even_first"), 2),
+        (schwinger_ansatz(4, 1, "odd_first"), 2),
+    ):
+        for _ in range(draws):
+            theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
+            shift = parameter_shift_metric(circuit, theta).matrix
+            exact = exact_metric(circuit, theta).matrix
+            assert np.max(np.abs(shift - exact)) < 1e-12
+            assert np.all(np.diag(shift) >= -1e-12)
+    circuit = hardware_efficient(2, 2)
     d = circuit.param_count
-    assert parameter_shift_metric(circuit, theta).raw_evals == 2 * d * (d + 1)
+    assert parameter_shift_metric(circuit, np.zeros(d)).raw_evals == 2 * d * (d + 1)
+
+
+def test_shared_parameter_index():
+    # RY(t) RY(t) = RY(2t): the metric in t is 4 * 1/4, but the +-pi/2 shift
+    # rule assumes one gate per parameter and would return 0.
+    circuit = Circuit((Gate("RY", (0,), 0), Gate("RY", (0,), 0)), 1, 1)
+    theta = np.array([0.3])
+    assert abs(exact_metric(circuit, theta).matrix[0, 0] - 1.0) < 1e-12
+    with pytest.raises(ValueError, match="parameter index 0"):
+        parameter_shift_metric(circuit, theta)
 
 
 def test_exact_metric_single_qubit():

@@ -18,6 +18,7 @@ from vqebench.optimizers import (
     step,
 )
 from vqebench.pauli import PauliString, PauliSum, build_tfim, exact_ground_energy
+from vqebench.simulator import Circuit, Gate
 
 
 def tfim_problem(n=2, layers=1, J=-1.0, h=-2.0):
@@ -119,6 +120,15 @@ def test_shot_noise_scale_ignores_constants():
         [PauliString(3.0, "II"), PauliString(-1.0, "ZZ"), PauliString(2.0, "XI")], 2
     )
     assert shot_noise_scale(h, 100) == pytest.approx(np.sqrt(5.0) / 10.0)
+
+
+def test_exact_gradient_rejects_shared_parameter_index():
+    # For RY(t) RY(t) and H = Z the gradient at t = 0.3 is -2 sin(0.6), but the
+    # +-pi/2 shift rule would return 0.
+    z = PauliSum((PauliString(1.0, "Z"),), 1)
+    circuit = Circuit((Gate("RY", (0,), 0), Gate("RY", (0,), 0)), 1, 1)
+    with pytest.raises(ValueError, match="parameter index 0"):
+        exact_parameter_shift_gradient(Problem(circuit, z, -1.0), np.array([0.3]))
 
 
 def test_exact_gradient_matches_finite_differences():

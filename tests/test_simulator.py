@@ -9,12 +9,14 @@ from vqebench.simulator import (
     apply_adjoint_circuit,
     apply_circuit,
     circuit_to_text,
+    derivative_states,
     expectation,
     rotation_matrix,
     sampled_expectation,
     sampled_zero_probability,
     zero_probability,
     _FIXED_MATRICES,
+    _apply_gates,
 )
 
 
@@ -91,6 +93,57 @@ def test_adjoint_rotation_negates_angle():
     s = apply_circuit(c, [theta])
     via_adjoint = apply_adjoint_circuit(c, [-theta], Statevector(np.array([1.0 + 0j, 0]), 1))
     assert np.allclose(s.amplitudes, via_adjoint.amplitudes)
+
+
+def edge_site_circuit(n):
+    """Every gate kind on the first and the last site, CNOTs between them both ways."""
+    gates = []
+    p = 0
+    for site in sorted({0, n - 1}):
+        gates += [Gate(kind, (site,)) for kind in ("H", "S", "Sdg", "X")]
+        for kind in ("RX", "RY", "RZ"):
+            gates.append(Gate(kind, (site,), p))
+            p += 1
+    if n > 1:
+        gates += [Gate("CNOT", (0, n - 1)), Gate("CNOT", (n - 1, 0)), Gate("CNOT", (1, 2))]
+    gates.append(Gate("RY", (n - 1,), 0))  # parameter 0 drives two gates
+    return Circuit(tuple(gates), n, p)
+
+
+@pytest.mark.parametrize("n", [1, 5])
+def test_block_kernels_match_single_states_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    c = edge_site_circuit(n)
+    theta = rng.uniform(-np.pi, np.pi, c.param_count)
+    block = rng.standard_normal((6, 2**n)) + 1j * rng.standard_normal((6, 2**n))
+    block[0] = 0.0
+    block[0, 0] = 1.0
+    forward = block.copy()
+    _apply_gates(forward, n, c.gates, theta)
+    assert np.array_equal(forward[0], apply_circuit(c, theta).amplitudes)
+    backward = block.copy()
+    _apply_gates(backward, n, c.gates, theta, adjoint=True)
+    for row, fwd, bwd in zip(block, forward, backward):
+        single = row.copy()
+        _apply_gates(single, n, c.gates, theta)
+        assert np.array_equal(fwd, single)
+        assert np.array_equal(bwd, apply_adjoint_circuit(c, theta, Statevector(row, n)).amplitudes)
+
+
+def test_derivative_states_match_finite_differences():
+    rng = np.random.default_rng(44)
+    for n in (1, 3, 5):
+        c = edge_site_circuit(n) if n != 3 else random_circuit(rng, n, 16)
+        theta = rng.uniform(-np.pi, np.pi, c.param_count)
+        block = derivative_states(c, theta)
+        assert block.shape == (c.param_count + 1, 2**n)
+        assert np.array_equal(block[0], apply_circuit(c, theta).amplitudes)
+        eps = 1e-6
+        for i in range(c.param_count):
+            e = np.zeros(c.param_count)
+            e[i] = eps
+            fd = (apply_circuit(c, theta + e).amplitudes - apply_circuit(c, theta - e).amplitudes) / (2 * eps)
+            assert np.max(np.abs(block[i + 1] - fd)) < 1e-8
 
 
 def test_parameter_length_mismatch():
