@@ -166,24 +166,22 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
 
 def _cmd_metric_check(args) -> int:
     try:
-        spec = AnsatzKind(args.ansatz, args.qubits, args.layers)
-        circuit = build_ansatz(spec)
+        circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
+        d = circuit.param_count
+        rng = np.random.default_rng(args.seed)
+        theta = rng.uniform(-np.pi, np.pi, d)
+        params = SmoothingParams(c=args.c, b=args.b, samples=args.samples)
+        exact = exact_metric(circuit, theta)
+        shift = parameter_shift_metric(circuit, theta, shots=args.shots, rng=rng)
+        fid2 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+        stein2 = stein_metric_2eval(fid2, theta, params, rng)
+        fid3 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+        stein3 = stein_metric_3eval(fid3, theta, params, rng)
+        fid4 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+        spsa = spsa_metric(fid4, theta, args.c, args.samples, rng)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    d = circuit.param_count
-    rng = np.random.default_rng(args.seed)
-    theta = rng.uniform(-np.pi, np.pi, d)
-    params = SmoothingParams(c=args.c, b=args.b, samples=args.samples)
-
-    exact = exact_metric(circuit, theta)
-    shift = parameter_shift_metric(circuit, theta, shots=args.shots, rng=rng)
-    fid2 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    stein2 = stein_metric_2eval(fid2, theta, params, rng)
-    fid3 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    stein3 = stein_metric_3eval(fid3, theta, params, rng)
-    fid4 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    spsa = spsa_metric(fid4, theta, args.c, args.samples, rng)
 
     print(f"ansatz={args.ansatz} qubits={circuit.qubit_count} d={d} "
           f"samples={args.samples} c={args.c} b={args.b} shots={args.shots}")

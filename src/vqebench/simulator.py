@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PAULI_MATRICES, PauliSum
 
 MAX_QUBITS = 20
 
@@ -24,16 +24,14 @@ _FIXED_MATRICES = {
     "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
     "S": np.diag([1.0, 1.0j]),
     "Sdg": np.diag([1.0, -1.0j]),
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "X": PAULI_MATRICES["X"],
 }
 # Self-inverse kinds map to themselves; S and Sdg swap.
 _INVERSE_KIND = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT"}
 # d/dtheta R_P(theta) = (-i/2) P R_P(theta); these are the (-i/2) P factors.
-_GENERATORS = {
-    "RX": -0.5j * _FIXED_MATRICES["X"],
-    "RY": -0.5j * np.array([[0.0, -1.0j], [1.0j, 0.0]]),
-    "RZ": -0.5j * np.diag([1.0 + 0j, -1.0]),
-}
+_GENERATORS = {kind: -0.5j * PAULI_MATRICES[kind[1]] for kind in ROTATION_KINDS}
+# Gates, in order, that map an X or Y eigenbasis onto Z (V = H S^dagger for Y).
+_TO_Z_BASIS = {"X": ("H",), "Y": ("Sdg", "H")}
 
 
 def rotation_matrix(kind: str, angle: float) -> np.ndarray:
@@ -227,26 +225,6 @@ def require_one_gate_per_parameter(c: Circuit) -> None:
             seen.add(g.param_index)
 
 
-def _pauli_apply(amps: np.ndarray, n: int, axes: str) -> np.ndarray:
-    """Apply an unweighted Pauli string to an amplitude vector."""
-    out = amps
-    for site, axis in enumerate(axes):
-        if axis == "I":
-            continue
-        view = out.reshape(2**site, 2, 2 ** (n - site - 1))
-        if axis == "X":
-            out = np.concatenate(
-                (view[:, 1:2, :], view[:, 0:1, :]), axis=1
-            ).reshape(-1)
-        elif axis == "Y":
-            out = np.concatenate(
-                (-1j * view[:, 1:2, :], 1j * view[:, 0:1, :]), axis=1
-            ).reshape(-1)
-        else:  # Z
-            out = np.concatenate((view[:, 0:1, :], -view[:, 1:2, :]), axis=1).reshape(-1)
-    return out
-
-
 def expectation(state: Statevector, h: PauliSum) -> float:
     """Exact <s|H|s>, real for Hermitian H. Constant terms are added exactly."""
     if state.qubit_count != h.qubit_count:
@@ -257,26 +235,12 @@ def expectation(state: Statevector, h: PauliSum) -> float:
         if t.is_identity:
             total += t.coefficient
         else:
-            total += t.coefficient * np.real(
-                np.vdot(amps, _pauli_apply(amps, state.qubit_count, t.axes))
-            )
+            total += t.coefficient * np.real(np.vdot(amps, t.apply(amps)))
     return float(total)
-
-
-def _eigenvalue_signs(n: int, axes: str) -> np.ndarray:
-    """(+-1)^(occupation of non-identity sites) per basis index."""
-    idx = np.arange(2**n)
-    signs = np.ones(2**n, dtype=float)
-    for site, axis in enumerate(axes):
-        if axis != "I":
-            signs *= 1.0 - 2.0 * ((idx >> (n - site - 1)) & 1)
-    return signs
 
 
 def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(amps) ** 2
-    # Clip rounding residue so the multinomial sampler sees a distribution.
-    p = np.clip(p, 0.0, None)
     return p / p.sum()
 
 
@@ -301,15 +265,10 @@ def sampled_expectation(state: Statevector, h: PauliSum, shots: int, rng: np.ran
             continue
         rotated = state.amplitudes.copy()
         for site, axis in enumerate(t.axes):
-            if axis == "X":
-                _apply_single(rotated, n, _FIXED_MATRICES["H"], site)
-            elif axis == "Y":
-                # V = H S^dagger maps the Y eigenbasis onto the Z basis.
-                _apply_single(rotated, n, _FIXED_MATRICES["Sdg"], site)
-                _apply_single(rotated, n, _FIXED_MATRICES["H"], site)
+            for kind in _TO_Z_BASIS.get(axis, ()):
+                _apply_single(rotated, n, _FIXED_MATRICES[kind], site)
         counts = rng.multinomial(shots, _outcome_probabilities(rotated))
-        signs = _eigenvalue_signs(n, t.axes)
-        total += t.coefficient * float(counts @ signs) / shots
+        total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
     return total
 
 

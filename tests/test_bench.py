@@ -354,6 +354,16 @@ def test_cli_metric_check_single_qubit(capsys):
         assert value == pytest.approx(0.25, abs=0.05)
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--samples", "0"), ("--c", "0"), ("--b", "-1"), ("--shots", "0")]
+)
+def test_cli_metric_check_rejects_bad_arguments(flag, value, capsys):
+    assert main(["metric-check", "--samples", "20", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_cli_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["discombobulate"])

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,13 +131,34 @@ def test_to_dense_rejects_large_systems():
 def test_dense_hermitian_on_random_sums():
     rng = np.random.default_rng(5)
     for _ in range(20):
-        n = int(rng.integers(1, 5))
+        n = int(rng.integers(1, 7))
         terms = [
             PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), n)))
             for _ in range(6)
         ]
-        m = to_dense(PauliSum.from_terms(terms, n))
+        h = PauliSum.from_terms(terms, n)
+        m = to_dense(h)
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
+        # The per-term scatter adds the same values in the same order as the
+        # Kronecker-product reference, so the matrices agree exactly.
+        reference = np.zeros_like(m)
+        for t in h.terms:
+            reference += t.coefficient * pauli_string_matrix(t.axes)
+        assert np.array_equal(m, reference)
+
+
+def test_string_encoding_matches_kron_reference():
+    rng = np.random.default_rng(13)
+    for n in (1, 2, 3):
+        for axes in itertools.product("IXYZ", repeat=n):
+            axes = "".join(axes)
+            t = PauliString(1.0, axes)
+            psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            assert np.array_equal(t.apply(psi), pauli_string_matrix(axes) @ psi)
+            # Measured in its own eigenbasis the string reads as Z on its support.
+            z_on_support = pauli_string_matrix(axes.translate(str.maketrans("XY", "ZZ")))
+            assert t.eigenvalue_signs.dtype == np.int8
+            assert np.array_equal(t.eigenvalue_signs, np.real(np.diag(z_on_support)))
 
 
 def test_merging_invariance():

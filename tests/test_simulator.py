@@ -202,6 +202,42 @@ def test_sampled_expectation_deterministic_outcome():
         assert sampled_expectation(s, z, shots, rng) == 1.0
 
 
+def test_expectation_matches_dense_on_random_sums():
+    rng = np.random.default_rng(17)
+    for n in range(1, 7):
+        for _ in range(4):
+            terms = [PauliString(float(rng.normal()), "I" * n)] + [
+                PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), n)))
+                for _ in range(8)
+            ]
+            h = PauliSum.from_terms(terms, n)
+            amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            amps /= np.linalg.norm(amps)
+            dense = np.real(np.vdot(amps, to_dense(h) @ amps))
+            assert abs(expectation(Statevector(amps, n), h) - dense) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "axes, amps, eigenvalue",
+    [
+        ("X", [1, 1], 1.0),
+        ("X", [1, -1], -1.0),
+        ("Y", [1, 1j], 1.0),
+        ("Y", [1, -1j], -1.0),
+        ("XY", np.kron([1, 1], [1, 1j]), 1.0),
+        ("XY", np.kron([1, -1], [1, 1j]), -1.0),
+    ],
+)
+def test_sampled_expectation_on_x_and_y_eigenstates(axes, amps, eigenvalue):
+    n = len(axes)
+    h = PauliSum.from_terms([PauliString(1.0, axes)], n)
+    amps = np.asarray(amps, dtype=complex)
+    s = Statevector(amps / np.linalg.norm(amps), n)
+    rng = np.random.default_rng(3)
+    for shots in (1, 7, 100):
+        assert sampled_expectation(s, h, shots, rng) == eigenvalue
+
+
 def test_sampled_expectation_binomial_statistics():
     # <Z> = 0 on |+>; mean over 100 repeats of 8192-shot estimates ~ N(0, 1/sqrt(100*8192))
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
