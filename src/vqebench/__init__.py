@@ -1,6 +1,6 @@
 """Variational-quantum-optimization benchmark workbench.
 
-Statevector VQE simulation with stochastic metric-tensor estimators
+Dense statevector VQE simulation with stochastic metric-tensor estimators
 (simultaneous-perturbation and Gaussian-smoothing Stein families), quantum
 natural-gradient optimizers, and a deterministic benchmark harness for the
 transverse-field Ising and lattice Schwinger models.
@@ -8,7 +8,6 @@ transverse-field Ising and lattice Schwinger models.
 
 from .ansatz import (
     AnsatzKind,
-    FidelityQuery,
     build_ansatz,
     fidelity,
     hardware_efficient,
@@ -69,7 +68,6 @@ from .pauli import (
 from .simulator import (
     Circuit,
     Gate,
-    Statevector,
     apply_adjoint_circuit,
     apply_circuit,
     circuit_to_text,

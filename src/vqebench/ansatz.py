@@ -165,36 +165,32 @@ def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Cir
     return Circuit(gates=tuple(gates), qubit_count=n, param_count=p)
 
 
-@dataclass(frozen=True)
-class FidelityQuery:
-    """Overlap query |<psi(theta)|psi(theta_prime)>|^2 for one circuit."""
-
-    circuit: Circuit
-    theta: np.ndarray
-    theta_prime: np.ndarray
-    shots: int | None = None
-
-
-def fidelity(query: FidelityQuery, rng: np.random.Generator | None = None) -> float:
+def fidelity(
+    circuit: Circuit,
+    theta,
+    theta_prime,
+    shots: int | None = None,
+    rng: np.random.Generator | None = None,
+) -> float:
     """Compute-uncompute overlap: all-zeros probability of U(theta')^dag U(theta)|0>.
 
-    Exact when query.shots is None, otherwise estimated from `shots` draws.
-    The overlap circuit keeps the register width and doubles the depth. The
+    Exact when shots is None, otherwise estimated from `shots` draws. The
+    overlap circuit keeps the register width and doubles the depth. The
     result is clamped into [0, 1]; for identical parameter vectors the exact
     mode returns 1.0 exactly (self-overlap of a normalized state) instead of
     the rounding residue of the simulated round trip.
     """
-    theta = np.asarray(query.theta, dtype=float)
-    theta_prime = np.asarray(query.theta_prime, dtype=float)
-    if query.shots is None and np.array_equal(theta, theta_prime):
+    theta = np.asarray(theta, dtype=float)
+    theta_prime = np.asarray(theta_prime, dtype=float)
+    if shots is None and np.array_equal(theta, theta_prime):
         return 1.0
-    state = apply_circuit(query.circuit, theta)
-    state = apply_adjoint_circuit(query.circuit, theta_prime, state)
-    if query.shots is None:
+    state = apply_circuit(circuit, theta)
+    state = apply_adjoint_circuit(circuit, theta_prime, state)
+    if shots is None:
         return min(1.0, max(0.0, zero_probability(state)))
     if rng is None:
         raise ValueError("sampled fidelity needs a random generator")
-    return sampled_zero_probability(state, query.shots, rng)
+    return sampled_zero_probability(state, shots, rng)
 
 
 def loss(

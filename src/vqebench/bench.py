@@ -269,13 +269,23 @@ def _take_section(sections, name: str):
 def _validate_config(cfg: RunConfig) -> None:
     if not cfg.seeds:
         raise ConfigError("seed list must be non-empty")
+    if min(cfg.seeds) < 0:
+        raise ConfigError(f"seeds must be >= 0, got {min(cfg.seeds)}")
+    if cfg.ansatz_kind != "schwinger_so4" and cfg.bond_order != "even_first":
+        raise ConfigError("bond_order only applies to schwinger_so4")
     for size in cfg.sizes:
-        # Constructing the ansatz spec applies its own guards (size, parity).
-        AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order)
+        try:
+            # Constructing the ansatz spec applies its own guards (size, parity).
+            AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if cfg.problem_kind == "schwinger" and size % 2 != 0:
             raise ConfigError(f"schwinger problem needs even qubit counts, got {size}")
     for entry in cfg.optimizers:
-        optimizer_config(cfg, entry)  # raises on invalid overrides
+        try:
+            optimizer_config(cfg, entry)
+        except ValueError as exc:
+            raise ConfigError(f"invalid [optimizer.{entry.label}] values: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -103,27 +103,26 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    cfg = bench.preset_config(args.name)
-    if args.qubits:
-        cfg = replace(cfg, sizes=tuple(args.qubits))
-    if args.layers:
-        cfg = replace(cfg, layers=args.layers)
-    if args.seeds is not None:
-        if args.seeds < 1:
-            print("error: --seeds must be >= 1", file=sys.stderr)
-            return 1
-        cfg = replace(cfg, seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)))
-    elif args.seed_offset:
-        cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
-    if args.steps is not None:
-        cfg = replace(cfg, optimizer=replace(cfg.optimizer, max_steps=args.steps))
-    if args.bond_order:
-        cfg = replace(cfg, bond_order=args.bond_order)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
     try:
+        cfg = bench.preset_config(args.name)
+        if args.qubits:
+            cfg = replace(cfg, sizes=tuple(args.qubits))
+        if args.layers is not None:
+            cfg = replace(cfg, layers=args.layers)
+        if args.seeds is not None:
+            if args.seeds < 1:
+                raise bench.ConfigError("--seeds must be >= 1")
+            cfg = replace(cfg, seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)))
+        elif args.seed_offset:
+            cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
+        if args.steps is not None:
+            cfg = replace(cfg, optimizer=replace(cfg.optimizer, max_steps=args.steps))
+        if args.bond_order:
+            cfg = replace(cfg, bond_order=args.bond_order)
+        if args.out:
+            cfg = replace(cfg, out_dir=args.out)
         bench._validate_config(cfg)
-    except bench.ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.dump_config:

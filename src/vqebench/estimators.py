@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import FidelityQuery, fidelity
+from .ansatz import fidelity
 # Nothing here calls apply_circuit; the binding is kept because the traced
 # benchmark run (benchmarks/spans.py) wraps estimators.apply_circuit.
 from .simulator import (  # noqa: F401
@@ -262,10 +262,7 @@ def displacement_fidelity_oracle(
     theta = _as_theta(theta)
 
     def fid(delta):
-        return fidelity(
-            FidelityQuery(circuit=circuit, theta=theta, theta_prime=theta + delta, shots=shots),
-            rng=rng,
-        )
+        return fidelity(circuit, theta, theta + delta, shots=shots, rng=rng)
 
     return ScalarOracle(fid)
 

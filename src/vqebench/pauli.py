@@ -116,14 +116,6 @@ class PauliSum:
         )
         return cls(terms=kept, qubit_count=qubit_count)
 
-    def coefficients(self) -> dict[str, float]:
-        return {t.axes: t.coefficient for t in self.terms}
-
-    @property
-    def constant(self) -> float:
-        """Sum of all-identity terms (constant energy offset)."""
-        return sum(t.coefficient for t in self.terms if t.is_identity)
-
 
 def _single_site(qubit_count: int, site: int, axis: str) -> str:
     axes = ["I"] * qubit_count

@@ -3,6 +3,9 @@
 Gate application, exact expectation values, and finite-shot sampling for
 losses and all-zeros overlap probabilities. Rotation convention:
 R_A(theta) = exp(-i * theta * A / 2).
+
+A state on n qubits is a 1-D complex array of 2**n amplitudes. Site 0 is the
+leftmost tensor factor, i.e. the most significant bit of the basis index.
 """
 
 from __future__ import annotations
@@ -95,23 +98,6 @@ class Circuit:
             raise ValueError(f"parameter indices never referenced: {missing}")
 
 
-@dataclass
-class Statevector:
-    """Complex amplitude vector of length 2**qubit_count, site 0 = leftmost factor."""
-
-    amplitudes: np.ndarray
-    qubit_count: int
-
-    def copy(self) -> "Statevector":
-        return Statevector(self.amplitudes.copy(), self.qubit_count)
-
-
-def zero_state(qubit_count: int) -> Statevector:
-    amps = np.zeros(2**qubit_count, dtype=complex)
-    amps[0] = 1.0
-    return Statevector(amps, qubit_count)
-
-
 def circuit_to_text(c: Circuit) -> str:
     """Structured dump: one gate per line as 'KIND sites... param', '-' if none."""
     lines = [f"qubits {c.qubit_count} params {c.param_count}"]
@@ -168,21 +154,30 @@ def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def apply_circuit(c: Circuit, theta) -> Statevector:
-    """Return U(theta)|0...0>."""
-    theta = _check_theta(c, theta)
-    state = zero_state(c.qubit_count)
-    _apply_gates(state.amplitudes, c.qubit_count, c.gates, theta)
+def _check_state(state, n: int | None = None) -> np.ndarray:
+    """`state` as an array, checked to be 1-D of length 2**n (any n >= 1 if None)."""
+    state = np.asarray(state)
+    size = state.size if n is None else 2**n
+    if state.shape != (size,) or size < 2 or size & (size - 1):
+        length = "2**n" if n is None else size
+        raise ValueError(f"state must be a 1-D array of length {length}, got shape {state.shape}")
     return state
 
 
-def apply_adjoint_circuit(c: Circuit, theta, state: Statevector) -> Statevector:
-    """Return U(theta)^dagger applied to `state` (inverted gates in reverse order)."""
+def apply_circuit(c: Circuit, theta) -> np.ndarray:
+    """Return U(theta)|0...0>."""
     theta = _check_theta(c, theta)
-    if state.qubit_count != c.qubit_count:
-        raise ValueError("statevector and circuit qubit counts differ")
-    out = state.copy()
-    _apply_gates(out.amplitudes, c.qubit_count, c.gates, theta, adjoint=True)
+    state = np.zeros(2**c.qubit_count, dtype=complex)
+    state[0] = 1.0
+    _apply_gates(state, c.qubit_count, c.gates, theta)
+    return state
+
+
+def apply_adjoint_circuit(c: Circuit, theta, state) -> np.ndarray:
+    """Return U(theta)^dagger applied to a copy of `state` (inverted gates in reverse order)."""
+    theta = _check_theta(c, theta)
+    out = np.array(_check_state(state, c.qubit_count), dtype=complex)
+    _apply_gates(out, c.qubit_count, c.gates, theta, adjoint=True)
     return out
 
 
@@ -225,11 +220,9 @@ def require_one_gate_per_parameter(c: Circuit) -> None:
             seen.add(g.param_index)
 
 
-def expectation(state: Statevector, h: PauliSum) -> float:
+def expectation(state, h: PauliSum) -> float:
     """Exact <s|H|s>, real for Hermitian H. Constant terms are added exactly."""
-    if state.qubit_count != h.qubit_count:
-        raise ValueError("statevector and operator qubit counts differ")
-    amps = state.amplitudes
+    amps = _check_state(state, h.qubit_count)
     total = 0.0
     for t in h.terms:
         if t.is_identity:
@@ -244,7 +237,7 @@ def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
-def sampled_expectation(state: Statevector, h: PauliSum, shots: int, rng: np.random.Generator) -> float:
+def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator) -> float:
     """Shot-noise estimate of <s|H|s>.
 
     Each non-identity Pauli term is measured independently with the full shot
@@ -255,15 +248,14 @@ def sampled_expectation(state: Statevector, h: PauliSum, shots: int, rng: np.ran
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    if state.qubit_count != h.qubit_count:
-        raise ValueError("statevector and operator qubit counts differ")
-    n = state.qubit_count
+    n = h.qubit_count
+    state = _check_state(state, n)
     total = 0.0
     for t in h.terms:
         if t.is_identity:
             total += t.coefficient
             continue
-        rotated = state.amplitudes.copy()
+        rotated = np.array(state, dtype=complex)
         for site, axis in enumerate(t.axes):
             for kind in _TO_Z_BASIS.get(axis, ()):
                 _apply_single(rotated, n, _FIXED_MATRICES[kind], site)
@@ -272,14 +264,14 @@ def sampled_expectation(state: Statevector, h: PauliSum, shots: int, rng: np.ran
     return total
 
 
-def zero_probability(state: Statevector) -> float:
+def zero_probability(state) -> float:
     """Exact probability of the all-zeros outcome."""
-    return float(np.abs(state.amplitudes[0]) ** 2)
+    return float(np.abs(_check_state(state)[0]) ** 2)
 
 
-def sampled_zero_probability(state: Statevector, shots: int, rng: np.random.Generator) -> float:
+def sampled_zero_probability(state, shots: int, rng: np.random.Generator) -> float:
     """All-zeros outcome frequency over `shots` draws from the full distribution."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    counts = rng.multinomial(shots, _outcome_probabilities(state.amplitudes))
+    counts = rng.multinomial(shots, _outcome_probabilities(_check_state(state)))
     return float(counts[0]) / shots

@@ -3,7 +3,6 @@ import pytest
 
 from vqebench.ansatz import (
     AnsatzKind,
-    FidelityQuery,
     build_ansatz,
     fidelity,
     hardware_efficient,
@@ -121,19 +120,19 @@ def test_fidelity_identical_parameters():
     c = hardware_efficient(3, 2)
     rng = np.random.default_rng(5)
     theta = rng.uniform(-np.pi, np.pi, c.param_count)
-    assert fidelity(FidelityQuery(c, theta, theta)) == 1.0
-    sampled = fidelity(FidelityQuery(c, theta, theta, shots=64), rng)
+    assert fidelity(c, theta, theta) == 1.0
+    sampled = fidelity(c, theta, theta, shots=64, rng=rng)
     assert sampled == 1.0
 
 
 def test_fidelity_orthogonal_states():
     c = single_qubit_ry()
-    assert fidelity(FidelityQuery(c, np.array([0.0]), np.array([np.pi]))) < 1e-12
+    assert fidelity(c, np.array([0.0]), np.array([np.pi])) < 1e-12
 
 
 def test_fidelity_closed_form():
     c = single_qubit_ry()
-    got = fidelity(FidelityQuery(c, np.array([0.0]), np.array([0.1])))
+    got = fidelity(c, np.array([0.0]), np.array([0.1]))
     assert got == pytest.approx(np.cos(0.05) ** 2, abs=1e-12)
     assert got == pytest.approx(0.997502, abs=1e-6)
 
@@ -144,11 +143,11 @@ def test_fidelity_symmetry_and_bounds():
     for _ in range(20):
         a = rng.uniform(-np.pi, np.pi, c.param_count)
         b = rng.uniform(-np.pi, np.pi, c.param_count)
-        fab = fidelity(FidelityQuery(c, a, b))
-        fba = fidelity(FidelityQuery(c, b, a))
+        fab = fidelity(c, a, b)
+        fba = fidelity(c, b, a)
         assert fab == pytest.approx(fba, abs=1e-10)
         assert 0.0 <= fab <= 1.0
-        sampled = fidelity(FidelityQuery(c, a, b, shots=32), rng)
+        sampled = fidelity(c, a, b, shots=32, rng=rng)
         assert 0.0 <= sampled <= 1.0
 
 

@@ -339,6 +339,57 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+_BAD_INPUTS = [
+    # ("run", (config text to replace, replacement), message) or ("preset", argv, message)
+    pytest.param(
+        "run",
+        ("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = 0"),
+        "samples must be >= 1",
+        id="run-override-samples-0",
+    ),
+    pytest.param("run", ("layers = 1", "layers = 0"), "layers must be >= 1", id="run-layers-0"),
+    pytest.param(
+        "run",
+        ("kind = hardware_efficient", "kind = schwinger_so4\nbond_order = diagonal"),
+        "bond_order must be one of",
+        id="run-bond-order-diagonal",
+    ),
+    pytest.param("run", ("seeds = 0, 1", "seeds = -1"), "seeds must be >= 0", id="run-negative-seed"),
+    pytest.param("preset", ["tfim-fig2", "--qubits", "1"], "at least 2 qubits", id="preset-qubits-1"),
+    pytest.param("preset", ["schwinger-fig5", "--qubits", "5"], "even qubit count", id="preset-odd-schwinger"),
+    pytest.param("preset", ["tfim-fig2", "--steps", "-1"], "max_steps must be >= 0", id="preset-steps-negative"),
+    pytest.param("preset", ["tfim-fig2", "--layers", "0"], "layers must be >= 1", id="preset-layers-0"),
+    pytest.param(
+        "preset",
+        ["tfim-fig2", "--bond-order", "odd_first"],
+        "bond_order only applies to schwinger_so4",
+        id="preset-bond-order-on-tfim",
+    ),
+    pytest.param("preset", ["tfim-fig2", "--seed-offset", "-5"], "seeds must be >= 0", id="preset-negative-seed-offset"),
+]
+
+
+@pytest.mark.parametrize("command, edit, expected", _BAD_INPUTS)
+def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_path, capsys):
+    if command == "run":
+        old, new = edit
+        text = SMALL_CONFIG.format(out=tmp_path / "res")
+        assert old in text
+        path = tmp_path / "bad.txt"
+        path.write_text(text.replace(old, new))
+        argv = ["run", str(path)]
+    else:
+        # --dump-config: a flag that slips through validation exits 0 without running.
+        argv = ["preset", *edit, "--dump-config"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert expected in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_cli_run_missing_file(capsys):
     assert main(["run", "/nonexistent/config.txt"]) == 1
 

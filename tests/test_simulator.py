@@ -5,7 +5,6 @@ from vqebench.pauli import PauliString, PauliSum, build_tfim, to_dense
 from vqebench.simulator import (
     Circuit,
     Gate,
-    Statevector,
     apply_adjoint_circuit,
     apply_circuit,
     circuit_to_text,
@@ -42,28 +41,28 @@ def random_circuit(rng, n, n_gates):
 def test_empty_circuit_is_identity():
     c = Circuit((), 2, 0)
     s = apply_circuit(c, [])
-    assert s.amplitudes[0] == 1.0
-    assert np.all(s.amplitudes[1:] == 0)
+    assert s[0] == 1.0
+    assert np.all(s[1:] == 0)
 
 
 def test_ry_pi_flips_qubit():
     c = Circuit((Gate("RY", (0,), 0),), 1, 1)
     s = apply_circuit(c, [np.pi])
-    assert abs(s.amplitudes[1] - 1.0) < 1e-12
-    assert abs(s.amplitudes[0]) < 1e-12
+    assert abs(s[1] - 1.0) < 1e-12
+    assert abs(s[0]) < 1e-12
 
 
 def test_bell_state():
     c = Circuit((Gate("RY", (0,), 0), Gate("CNOT", (0, 1))), 2, 1)
     s = apply_circuit(c, [np.pi / 2])
-    assert np.allclose(s.amplitudes, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
+    assert np.allclose(s, [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
 
 def test_cnot_reversed_control():
     # control on the higher site index: |01> -> |11>
     c = Circuit((Gate("X", (1,)), Gate("CNOT", (1, 0))), 2, 0)
     s = apply_circuit(c, [])
-    assert abs(s.amplitudes[0b11] - 1.0) < 1e-12
+    assert abs(s[0b11] - 1.0) < 1e-12
 
 
 def test_adjoint_round_trip():
@@ -74,16 +73,16 @@ def test_adjoint_round_trip():
         theta = rng.uniform(-np.pi, np.pi, c.param_count)
         s = apply_circuit(c, theta)
         back = apply_adjoint_circuit(c, theta, s)
-        assert abs(back.amplitudes[0]) ** 2 > 1 - 1e-10
+        assert abs(back[0]) ** 2 > 1 - 1e-10
 
 
 def test_adjoint_of_s_is_sdg():
     # The circuit S then Sdg is the identity operator, so its adjoint must be
     # too; a wrong S/Sdg inverse pairing would turn it into S^2 = Z.
     c = Circuit((Gate("S", (0,)), Gate("Sdg", (0,))), 1, 0)
-    plus = Statevector(np.array([1.0 + 0j, 1.0]) / np.sqrt(2), 1)
+    plus = np.array([1.0 + 0j, 1.0]) / np.sqrt(2)
     out = apply_adjoint_circuit(c, [], plus)
-    assert np.allclose(out.amplitudes, plus.amplitudes)
+    assert np.allclose(out, plus)
 
 
 def test_adjoint_rotation_negates_angle():
@@ -91,8 +90,8 @@ def test_adjoint_rotation_negates_angle():
     rng = np.random.default_rng(3)
     theta = rng.uniform(-np.pi, np.pi)
     s = apply_circuit(c, [theta])
-    via_adjoint = apply_adjoint_circuit(c, [-theta], Statevector(np.array([1.0 + 0j, 0]), 1))
-    assert np.allclose(s.amplitudes, via_adjoint.amplitudes)
+    via_adjoint = apply_adjoint_circuit(c, [-theta], np.array([1.0 + 0j, 0]))
+    assert np.allclose(s, via_adjoint)
 
 
 def edge_site_circuit(n):
@@ -120,14 +119,14 @@ def test_block_kernels_match_single_states_bit_for_bit(n):
     block[0, 0] = 1.0
     forward = block.copy()
     _apply_gates(forward, n, c.gates, theta)
-    assert np.array_equal(forward[0], apply_circuit(c, theta).amplitudes)
+    assert np.array_equal(forward[0], apply_circuit(c, theta))
     backward = block.copy()
     _apply_gates(backward, n, c.gates, theta, adjoint=True)
     for row, fwd, bwd in zip(block, forward, backward):
         single = row.copy()
         _apply_gates(single, n, c.gates, theta)
         assert np.array_equal(fwd, single)
-        assert np.array_equal(bwd, apply_adjoint_circuit(c, theta, Statevector(row, n)).amplitudes)
+        assert np.array_equal(bwd, apply_adjoint_circuit(c, theta, row))
 
 
 def test_derivative_states_match_finite_differences():
@@ -137,12 +136,12 @@ def test_derivative_states_match_finite_differences():
         theta = rng.uniform(-np.pi, np.pi, c.param_count)
         block = derivative_states(c, theta)
         assert block.shape == (c.param_count + 1, 2**n)
-        assert np.array_equal(block[0], apply_circuit(c, theta).amplitudes)
+        assert np.array_equal(block[0], apply_circuit(c, theta))
         eps = 1e-6
         for i in range(c.param_count):
             e = np.zeros(c.param_count)
             e[i] = eps
-            fd = (apply_circuit(c, theta + e).amplitudes - apply_circuit(c, theta - e).amplitudes) / (2 * eps)
+            fd = (apply_circuit(c, theta + e) - apply_circuit(c, theta - e)) / (2 * eps)
             assert np.max(np.abs(block[i + 1] - fd)) < 1e-8
 
 
@@ -167,8 +166,8 @@ def test_gate_validation():
 
 def test_expectation_basics():
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
-    zero = Statevector(np.array([1.0 + 0j, 0.0]), 1)
-    plus = Statevector(np.array([1.0 + 0j, 1.0]) / np.sqrt(2), 1)
+    zero = np.array([1.0 + 0j, 0.0])
+    plus = np.array([1.0 + 0j, 1.0]) / np.sqrt(2)
     assert expectation(zero, z) == pytest.approx(1.0, abs=1e-12)
     assert expectation(plus, z) == pytest.approx(0.0, abs=1e-12)
 
@@ -176,7 +175,7 @@ def test_expectation_basics():
 def test_expectation_ground_eigenvector():
     h = build_tfim(2, -1, -2)
     eigvals, eigvecs = np.linalg.eigh(to_dense(h))
-    ground = Statevector(eigvecs[:, 0].astype(complex), 2)
+    ground = eigvecs[:, 0].astype(complex)
     assert expectation(ground, h) == pytest.approx(eigvals[0], abs=1e-10)
     assert expectation(ground, h) == pytest.approx(-np.sqrt(17), abs=1e-10)
 
@@ -184,19 +183,43 @@ def test_expectation_ground_eigenvector():
 def test_expectation_dimension_mismatch():
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
     with pytest.raises(ValueError):
-        expectation(Statevector(np.zeros(4, dtype=complex), 2), z)
+        expectation(np.zeros(4, dtype=complex), z)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (8,), (1, 4)])
+def test_state_length_must_match_the_register(shape):
+    # Two qubits take exactly 4 amplitudes in one axis.
+    c = Circuit((Gate("RY", (0,), 0), Gate("CNOT", (0, 1))), 2, 1)
+    h = build_tfim(2, -1.0, -2.0)
+    state = np.full(shape, 1.0 + 0j) / np.sqrt(np.prod(shape))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="state must be"):
+        expectation(state, h)
+    with pytest.raises(ValueError, match="state must be"):
+        sampled_expectation(state, h, 8, rng)
+    with pytest.raises(ValueError, match="state must be"):
+        apply_adjoint_circuit(c, [0.3], state)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (3,), (6,), (1, 4)])
+def test_zero_probability_needs_a_power_of_two_length(shape):
+    state = np.ones(shape, dtype=complex)
+    with pytest.raises(ValueError, match="state must be"):
+        zero_probability(state)
+    with pytest.raises(ValueError, match="state must be"):
+        sampled_zero_probability(state, 8, np.random.default_rng(0))
 
 
 def test_sampled_expectation_constant_only():
     h = PauliSum.from_terms([PauliString(3.25, "II")], 2)
-    s = Statevector(np.array([0.5] * 4, dtype=complex), 2)
+    s = np.array([0.5] * 4, dtype=complex)
     rng = np.random.default_rng(0)
     assert sampled_expectation(s, h, 17, rng) == 3.25
 
 
 def test_sampled_expectation_deterministic_outcome():
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
-    s = Statevector(np.array([1.0 + 0j, 0.0]), 1)
+    s = np.array([1.0 + 0j, 0.0])
     rng = np.random.default_rng(1)
     for shots in (1, 7, 100):
         assert sampled_expectation(s, z, shots, rng) == 1.0
@@ -214,7 +237,7 @@ def test_expectation_matches_dense_on_random_sums():
             amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
             amps /= np.linalg.norm(amps)
             dense = np.real(np.vdot(amps, to_dense(h) @ amps))
-            assert abs(expectation(Statevector(amps, n), h) - dense) < 1e-12
+            assert abs(expectation(amps, h) - dense) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -232,7 +255,7 @@ def test_sampled_expectation_on_x_and_y_eigenstates(axes, amps, eigenvalue):
     n = len(axes)
     h = PauliSum.from_terms([PauliString(1.0, axes)], n)
     amps = np.asarray(amps, dtype=complex)
-    s = Statevector(amps / np.linalg.norm(amps), n)
+    s = amps / np.linalg.norm(amps)
     rng = np.random.default_rng(3)
     for shots in (1, 7, 100):
         assert sampled_expectation(s, h, shots, rng) == eigenvalue
@@ -241,7 +264,7 @@ def test_sampled_expectation_on_x_and_y_eigenstates(axes, amps, eigenvalue):
 def test_sampled_expectation_binomial_statistics():
     # <Z> = 0 on |+>; mean over 100 repeats of 8192-shot estimates ~ N(0, 1/sqrt(100*8192))
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
-    plus = Statevector(np.array([1.0 + 0j, 1.0]) / np.sqrt(2), 1)
+    plus = np.array([1.0 + 0j, 1.0]) / np.sqrt(2)
     rng = np.random.default_rng(7)
     estimates = [sampled_expectation(plus, z, 8192, rng) for _ in range(100)]
     assert abs(np.mean(estimates)) < 0.005
@@ -261,23 +284,23 @@ def test_sampled_expectation_unbiased_multi_term():
 
 def test_sampled_expectation_rejects_zero_shots():
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
-    s = Statevector(np.array([1.0 + 0j, 0.0]), 1)
+    s = np.array([1.0 + 0j, 0.0])
     with pytest.raises(ValueError):
         sampled_expectation(s, z, 0, np.random.default_rng(0))
 
 
 def test_zero_probability_cases():
     rng = np.random.default_rng(9)
-    all_zeros = Statevector(np.array([1.0 + 0j, 0, 0, 0]), 2)
+    all_zeros = np.array([1.0 + 0j, 0, 0, 0])
     assert zero_probability(all_zeros) == 1.0
     assert sampled_zero_probability(all_zeros, 13, rng) == 1.0
-    one = Statevector(np.array([0.0 + 0j, 1.0]), 1)
+    one = np.array([0.0 + 0j, 1.0])
     assert zero_probability(one) == 0.0
     assert sampled_zero_probability(one, 13, rng) == 0.0
 
 
 def test_sampled_zero_probability_uniform_state():
-    uniform = Statevector(np.full(4, 0.5, dtype=complex), 2)
+    uniform = np.full(4, 0.5, dtype=complex)
     assert zero_probability(uniform) == pytest.approx(0.25, abs=1e-12)
     rng = np.random.default_rng(13)
     shots = 4096
@@ -293,7 +316,7 @@ def test_norm_preserved_across_random_circuits():
         c = random_circuit(rng, n, 10)
         theta = rng.uniform(-np.pi, np.pi, c.param_count)
         s = apply_circuit(c, theta)
-        assert abs(np.sum(np.abs(s.amplitudes) ** 2) - 1.0) < 1e-10
+        assert abs(np.sum(np.abs(s) ** 2) - 1.0) < 1e-10
 
 
 def test_gate_matrices_unitary():
