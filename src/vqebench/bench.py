@@ -7,6 +7,7 @@ seeds, and emits stable CSV files.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -45,8 +46,18 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
+_PROBLEM_PARAM_KEYS = {"tfim": ("J", "h"), "schwinger": ("x", "mu", "l")}
+
+
 @dataclass(frozen=True)
 class RunConfig:
+    """One (size x optimizer x seed) grid, checked whenever it is constructed.
+
+    A parsed file, a preset and every `dataclasses.replace` run the same
+    checks and raise ConfigError. Only the dense-size guard waits for
+    run_benchmark, so that a full-size preset can still be printed.
+    """
+
     problem_kind: str  # tfim | schwinger
     problem_params: tuple[tuple[str, float], ...]
     sizes: tuple[int, ...]
@@ -58,23 +69,50 @@ class RunConfig:
     out_dir: str
     bond_order: str = "even_first"  # schwinger_so4 sublayer order
 
+    def __post_init__(self):
+        if self.problem_kind not in _PROBLEM_PARAM_KEYS:
+            raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
+        names = tuple(key for key, _ in self.problem_params)
+        if names != _PROBLEM_PARAM_KEYS[self.problem_kind]:
+            raise ConfigError(
+                f"{self.problem_kind} takes parameters {_PROBLEM_PARAM_KEYS[self.problem_kind]}, "
+                f"got {names}"
+            )
+        for key, value in self.problem_params:
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
+        if self.ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
+            raise ConfigError(f"unknown ansatz kind {self.ansatz_kind!r}")
+        if self.ansatz_kind != "schwinger_so4" and self.bond_order != "even_first":
+            raise ConfigError("bond_order only applies to schwinger_so4")
+        # Named as in the file: a repeated entry would run twice or lose its overrides.
+        _require_distinct("qubits", self.sizes)
+        _require_distinct("kinds", [entry.label for entry in self.optimizers])
+        _require_distinct("seeds", self.seeds)
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for size in self.sizes:
+            try:
+                # Constructing the ansatz spec applies its own guards (size, parity).
+                AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from exc
+            if self.problem_kind == "schwinger" and size % 2 != 0:
+                raise ConfigError(f"schwinger problem needs even qubit counts, got {size}")
+        for entry in self.optimizers:
+            if entry.kind not in OPTIMIZER_KINDS:
+                raise ConfigError(f"unknown optimizer kind {entry.kind!r} for entry {entry.label!r}")
+            try:
+                optimizer_config(self, entry)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid [optimizer.{entry.label}] values: {exc}") from exc
 
-def _parse_scalar(raw: str, line_no: int, key: str):
-    text = raw.strip()
-    low = text.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "exact"):
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        pass
-    return text
+
+def _require_distinct(key: str, values) -> None:
+    if not values:
+        raise ConfigError(f"{key} needs at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"{key} must be distinct, got {list(values)}")
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -106,48 +144,37 @@ def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-_PROBLEM_PARAM_KEYS = {"tfim": ("J", "h"), "schwinger": ("x", "mu", "l")}
+# Each optimizer key's declared type, named as in the error text.
 _OPTIMIZER_KEYS = {
-    "eta": float,
-    "c": float,
-    "b": float,
-    "samples": int,
-    "beta": float,
-    "shots": (int, type(None)),
-    "max_steps": int,
-    "blocking": bool,
-    "blocking_multiplier": float,
-    "update_metric_on_block": bool,
+    "eta": "float",
+    "c": "float",
+    "b": "float",
+    "samples": "int",
+    "beta": "float",
+    "shots": "int or none",
+    "max_steps": "int",
+    "blocking": "bool",
+    "blocking_multiplier": "float",
+    "update_metric_on_block": "bool",
+}
+_READERS = {
+    "float": float,
+    "int": int,
+    "bool": lambda text: bool(("false", "true").index(text.lower())),  # ValueError otherwise
+    "int or none": lambda text: None if text.lower() in ("none", "exact") else int(text),
 }
 
 
-def _typed(value, want, key: str, line_no: int):
-    kinds = want if isinstance(want, tuple) else (want,)
-    if bool in kinds and isinstance(value, bool):
-        return value
-    if isinstance(value, bool):
-        raise ConfigError(f"line {line_no}: key {key!r} must not be boolean")
-    if float in kinds and isinstance(value, (int, float)):
-        return float(value)
-    if int in kinds and isinstance(value, int):
-        return value
-    if type(None) in kinds and value is None:
-        return None
-    names = "/".join(getattr(k, "__name__", str(k)) for k in kinds)
-    raise ConfigError(f"line {line_no}: key {key!r} expects {names}, got {value!r}")
+def _read(raw: str, line_no: int, kind: str, key: str):
+    """The value of `key` read as its declared type."""
+    try:
+        return _READERS[kind](raw)
+    except ValueError:
+        raise ConfigError(f"line {line_no}: key {key!r} expects {kind}, got {raw!r}") from None
 
 
 def _int_list(raw: str, line_no: int, key: str) -> tuple[int, ...]:
-    items = [s.strip() for s in raw.split(",") if s.strip()]
-    if not items:
-        raise ConfigError(f"line {line_no}: key {key!r} needs at least one value")
-    out = []
-    for item in items:
-        try:
-            out.append(int(item))
-        except ValueError:
-            raise ConfigError(f"line {line_no}: key {key!r} expects integers, got {item!r}")
-    return tuple(out)
+    return tuple(_read(item.strip(), line_no, "int", key) for item in raw.split(",") if item.strip())
 
 
 def _require(section: dict, section_name: str, key: str):
@@ -162,130 +189,78 @@ def _reject_unknown(section: dict, section_name: str):
         raise ConfigError(f"line {line_no}: unknown key {key!r} in section [{section_name}]")
 
 
+def _optimizer_values(section: dict, section_name: str) -> dict:
+    _reject_unknown({k: v for k, v in section.items() if k not in _OPTIMIZER_KEYS}, section_name)
+    return {key: _read(raw, line_no, _OPTIMIZER_KEYS[key], key) for key, (raw, line_no) in section.items()}
+
+
 def parse_config(text: str) -> RunConfig:
-    """Parse and validate a structured-text run configuration.
+    """Parse a structured-text run configuration.
 
     Sections: [problem], [ansatz], [optimizer], optional [optimizer.<LABEL>]
-    overrides, [run]. Unknown sections or keys are rejected with the
-    offending line number.
+    overrides, [run]. Unknown sections or keys, and values that do not read as
+    their key's type, are rejected with the offending line number; RunConfig
+    checks everything else.
     """
     sections = _raw_sections(text)
 
-    problem = dict(_take_section(sections, "problem"))
-    raw_kind, line_no = _require(problem, "problem", "kind")
-    problem_kind = raw_kind.strip()
+    problem = _take_section(sections, "problem")
+    problem_kind, line_no = _require(problem, "problem", "kind")
     if problem_kind not in _PROBLEM_PARAM_KEYS:
         raise ConfigError(f"line {line_no}: unknown problem kind {problem_kind!r}")
-    raw_sizes, line_no = _require(problem, "problem", "qubits")
-    sizes = _int_list(raw_sizes, line_no, "qubits")
-    params = []
-    for key in _PROBLEM_PARAM_KEYS[problem_kind]:
-        raw, line_no = _require(problem, "problem", key)
-        params.append((key, _typed(_parse_scalar(raw, line_no, key), float, key, line_no)))
+    sizes = _int_list(*_require(problem, "problem", "qubits"), "qubits")
+    params = tuple(
+        (key, _read(*_require(problem, "problem", key), "float", key))
+        for key in _PROBLEM_PARAM_KEYS[problem_kind]
+    )
     _reject_unknown(problem, "problem")
 
-    ansatz = dict(_take_section(sections, "ansatz"))
-    raw_kind, line_no = _require(ansatz, "ansatz", "kind")
-    ansatz_kind = raw_kind.strip()
-    if ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
-        raise ConfigError(f"line {line_no}: unknown ansatz kind {ansatz_kind!r}")
-    raw, line_no = _require(ansatz, "ansatz", "layers")
-    layers = _typed(_parse_scalar(raw, line_no, "layers"), int, "layers", line_no)
-    bond_order = "even_first"
-    if "bond_order" in ansatz:
-        raw, line_no = ansatz.pop("bond_order")
-        if ansatz_kind != "schwinger_so4":
-            raise ConfigError(f"line {line_no}: bond_order only applies to schwinger_so4")
-        bond_order = raw.strip()
+    ansatz = _take_section(sections, "ansatz")
+    ansatz_kind, _ = _require(ansatz, "ansatz", "kind")
+    layers = _read(*_require(ansatz, "ansatz", "layers"), "int", "layers")
+    bond_order, _ = ansatz.pop("bond_order", ("even_first", None))
     _reject_unknown(ansatz, "ansatz")
 
-    optimizer = dict(_take_section(sections, "optimizer"))
-    raw_labels, line_no = _require(optimizer, "optimizer", "kinds")
-    labels = tuple(s.strip() for s in raw_labels.split(",") if s.strip())
-    if not labels:
-        raise ConfigError(f"line {line_no}: key 'kinds' needs at least one optimizer")
-    base_kwargs = {}
-    for key, (raw, line_no) in list(optimizer.items()):
-        if key not in _OPTIMIZER_KEYS:
-            raise ConfigError(f"line {line_no}: unknown key {key!r} in section [optimizer]")
-        base_kwargs[key] = _typed(_parse_scalar(raw, line_no, key), _OPTIMIZER_KEYS[key], key, line_no)
+    optimizer = _take_section(sections, "optimizer")
+    raw_labels, _ = _require(optimizer, "optimizer", "kinds")
+    base_values = _optimizer_values(optimizer, "optimizer")
     try:
-        base = OptimizerConfig(**base_kwargs)
+        base = OptimizerConfig(**base_values)
     except ValueError as exc:
         raise ConfigError(f"invalid [optimizer] values: {exc}") from exc
-
     entries = []
-    for label in labels:
-        override_section = sections.pop(f"optimizer.{label}", {})
-        overrides = {}
-        kind = label
-        for key, (raw, line_no) in override_section.items():
-            if key == "kind":
-                kind = raw.strip()
-                continue
-            if key not in _OPTIMIZER_KEYS:
-                raise ConfigError(
-                    f"line {line_no}: unknown key {key!r} in section [optimizer.{label}]"
-                )
-            overrides[key] = _typed(
-                _parse_scalar(raw, line_no, key), _OPTIMIZER_KEYS[key], key, line_no
-            )
-        if kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer kind {kind!r} for entry {label!r}")
-        entries.append(OptimizerEntry(label=label, kind=kind, overrides=tuple(sorted(overrides.items()))))
+    for label in (s.strip() for s in raw_labels.split(",") if s.strip()):
+        overrides = sections.pop(f"optimizer.{label}", {})
+        kind, _ = overrides.pop("kind", (label, None))
+        values = _optimizer_values(overrides, f"optimizer.{label}")
+        entries.append(OptimizerEntry(label=label, kind=kind, overrides=tuple(sorted(values.items()))))
 
-    run_section = dict(_take_section(sections, "run"))
-    raw_seeds, line_no = _require(run_section, "run", "seeds")
-    seeds = _int_list(raw_seeds, line_no, "seeds")
-    raw_out, _ = _require(run_section, "run", "out")
+    run_section = _take_section(sections, "run")
+    seeds = _int_list(*_require(run_section, "run", "seeds"), "seeds")
+    out_dir, _ = _require(run_section, "run", "out")
     _reject_unknown(run_section, "run")
 
     if sections:
-        name = next(iter(sections))
-        raise ConfigError(f"unknown section [{name}]")
+        raise ConfigError(f"unknown section [{next(iter(sections))}]")
 
-    config = RunConfig(
+    return RunConfig(
         problem_kind=problem_kind,
-        problem_params=tuple(params),
+        problem_params=params,
         sizes=sizes,
         ansatz_kind=ansatz_kind,
         layers=layers,
         optimizer=base,
         optimizers=tuple(entries),
         seeds=seeds,
-        out_dir=raw_out,
+        out_dir=out_dir,
         bond_order=bond_order,
     )
-    _validate_config(config)
-    return config
 
 
 def _take_section(sections, name: str):
     if name not in sections:
         raise ConfigError(f"missing section [{name}]")
     return sections.pop(name)
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if not cfg.seeds:
-        raise ConfigError("seed list must be non-empty")
-    if min(cfg.seeds) < 0:
-        raise ConfigError(f"seeds must be >= 0, got {min(cfg.seeds)}")
-    if cfg.ansatz_kind != "schwinger_so4" and cfg.bond_order != "even_first":
-        raise ConfigError("bond_order only applies to schwinger_so4")
-    for size in cfg.sizes:
-        try:
-            # Constructing the ansatz spec applies its own guards (size, parity).
-            AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        if cfg.problem_kind == "schwinger" and size % 2 != 0:
-            raise ConfigError(f"schwinger problem needs even qubit counts, got {size}")
-    for entry in cfg.optimizers:
-        try:
-            optimizer_config(cfg, entry)
-        except ValueError as exc:
-            raise ConfigError(f"invalid [optimizer.{entry.label}] values: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:

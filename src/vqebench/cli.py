@@ -8,6 +8,7 @@ comparison table.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -104,24 +105,20 @@ def _cmd_run(args) -> int:
 
 def _cmd_preset(args) -> int:
     try:
+        if args.seeds is not None and args.seeds < 1:
+            raise bench.ConfigError("--seeds must be >= 1")
         cfg = bench.preset_config(args.name)
-        if args.qubits:
-            cfg = replace(cfg, sizes=tuple(args.qubits))
-        if args.layers is not None:
-            cfg = replace(cfg, layers=args.layers)
-        if args.seeds is not None:
-            if args.seeds < 1:
-                raise bench.ConfigError("--seeds must be >= 1")
-            cfg = replace(cfg, seeds=tuple(range(args.seed_offset, args.seed_offset + args.seeds)))
-        elif args.seed_offset:
-            cfg = replace(cfg, seeds=tuple(s + args.seed_offset for s in cfg.seeds))
-        if args.steps is not None:
-            cfg = replace(cfg, optimizer=replace(cfg.optimizer, max_steps=args.steps))
-        if args.bond_order:
-            cfg = replace(cfg, bond_order=args.bond_order)
-        if args.out:
-            cfg = replace(cfg, out_dir=args.out)
-        bench._validate_config(cfg)
+        seeds = cfg.seeds if args.seeds is None else range(args.seeds)
+        steps = cfg.optimizer.max_steps if args.steps is None else args.steps
+        cfg = replace(
+            cfg,
+            sizes=tuple(args.qubits or cfg.sizes),
+            layers=cfg.layers if args.layers is None else args.layers,
+            seeds=tuple(seed + args.seed_offset for seed in seeds),
+            optimizer=replace(cfg.optimizer, max_steps=steps),
+            bond_order=args.bond_order or cfg.bond_order,
+            out_dir=args.out or cfg.out_dir,
+        )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -133,11 +130,13 @@ def _cmd_preset(args) -> int:
 
 def _run_and_report(cfg: bench.RunConfig) -> int:
     try:
+        # Made before the grid runs, so an unusable directory loses no runs.
+        os.makedirs(cfg.out_dir, exist_ok=True)
         result = bench.run_benchmark(cfg)
-    except ValueError as exc:
+        paths = bench.emit_csv(result)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    paths = bench.emit_csv(result)
     total = sum(len(runs) for runs in result.runs.values())
     print(f"completed {total} runs ({result.failures} failed); wrote {len(paths)} files to {cfg.out_dir}")
     for path in paths:

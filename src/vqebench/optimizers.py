@@ -56,6 +56,9 @@ class OptimizerConfig:
     update_metric_on_block: bool = True
 
     def __post_init__(self):
+        for key in ("eta", "c", "b", "beta", "blocking_multiplier"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
         if self.c <= 0 or self.b <= 0:

@@ -1,4 +1,6 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from vqebench.bench import (
     AGGREGATE_CSV_HEADER,
     RUN_CSV_HEADER,
     ConfigError,
+    OptimizerEntry,
     emit_csv,
     parse_config,
     preset_config,
@@ -37,6 +40,7 @@ beta = 0.01
 shots = 64
 max_steps = 2
 blocking = true
+blocking_multiplier = 2.0
 
 [optimizer.QNSTEIN2]
 samples = 3
@@ -369,18 +373,16 @@ _BAD_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("command, edit, expected", _BAD_INPUTS)
-def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_path, capsys):
-    if command == "run":
-        old, new = edit
-        text = SMALL_CONFIG.format(out=tmp_path / "res")
+def _edited_config(tmp_path, edits) -> str:
+    """SMALL_CONFIG with each (old, new) replacement applied; `old` must occur."""
+    text = SMALL_CONFIG.format(out=tmp_path / "res")
+    for old, new in edits:
         assert old in text
-        path = tmp_path / "bad.txt"
-        path.write_text(text.replace(old, new))
-        argv = ["run", str(path)]
-    else:
-        # --dump-config: a flag that slips through validation exits 0 without running.
-        argv = ["preset", *edit, "--dump-config"]
+        text = text.replace(old, new)
+    return text
+
+
+def _assert_one_error_line(argv, expected, capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -388,6 +390,188 @@ def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_p
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert expected in lines[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("command, edit, expected", _BAD_INPUTS)
+def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_path, capsys):
+    if command == "run":
+        path = tmp_path / "bad.txt"
+        path.write_text(_edited_config(tmp_path, [edit]))
+        argv = ["run", str(path)]
+    else:
+        # --dump-config: a flag that slips through validation exits 0 without running.
+        argv = ["preset", *edit, "--dump-config"]
+    _assert_one_error_line(argv, expected, capsys)
+
+
+def _override(cfg, **overrides):
+    """cfg's entries with the QNSTEIN2 entry's overrides replaced."""
+    return tuple(
+        replace(e, overrides=tuple(overrides.items())) if e.label == "QNSTEIN2" else e
+        for e in cfg.optimizers
+    )
+
+
+_SCHWINGER = "kind = schwinger\nqubits = 2\nx = 1.0\nmu = 0.5\nl = 0.0"
+_TFIM = "kind = tfim\nqubits = 2\nJ = -1.0\nh = -2.0"
+
+# (config-file edits, the same change as `dataclasses.replace` arguments of
+# the small config, message). A bad value of the base OptimizerConfig cannot
+# even be constructed, so the replace half sets it as an entry override.
+_REPEATED_AND_NON_FINITE = [
+    pytest.param(
+        [("kinds = GD, QNSTEIN2", "kinds = QNSTEIN2, QNSTEIN2")],
+        lambda cfg: {"optimizers": (cfg.optimizers[1], cfg.optimizers[1])},
+        "kinds must be distinct, got ['QNSTEIN2', 'QNSTEIN2']",
+        id="repeated-kinds",
+    ),
+    pytest.param(
+        [("qubits = 2", "qubits = 2, 2")],
+        lambda cfg: {"sizes": (2, 2)},
+        "qubits must be distinct, got [2, 2]",
+        id="repeated-qubits",
+    ),
+    pytest.param(
+        [("seeds = 0, 1", "seeds = 0, 0")],
+        lambda cfg: {"seeds": (0, 0)},
+        "seeds must be distinct, got [0, 0]",
+        id="repeated-seeds",
+    ),
+    *[
+        pytest.param(
+            [(old, f"{key} = {value}")],
+            lambda cfg, key=key, value=value: {"optimizers": _override(cfg, **{key: float(value)})},
+            f"{key} must be finite, got {value}",
+            id=f"non-finite-{key}",
+        )
+        for key, value, old in [
+            ("eta", "nan", "eta = 0.05"),
+            ("c", "inf", "c = 0.05"),
+            ("b", "-inf", "b = 2.0"),
+            ("beta", "nan", "beta = 0.01"),
+            ("blocking_multiplier", "inf", "blocking_multiplier = 2.0"),
+        ]
+    ],
+    *[
+        pytest.param(
+            [(_TFIM, problem.replace(f"{key} = {old}", f"{key} = {value}"))],
+            lambda cfg, kind=kind, params=params: {"problem_kind": kind, "problem_params": params},
+            f"{key} must be finite, got {value}",
+            id=f"non-finite-{key}",
+        )
+        for key, value, old, problem, kind, params in [
+            ("J", "inf", "-1.0", _TFIM, "tfim", (("J", np.inf), ("h", -2.0))),
+            ("h", "nan", "-2.0", _TFIM, "tfim", (("J", -1.0), ("h", np.nan))),
+            ("x", "-inf", "1.0", _SCHWINGER, "schwinger", (("x", -np.inf), ("mu", 0.5), ("l", 0.0))),
+            ("mu", "nan", "0.5", _SCHWINGER, "schwinger", (("x", 1.0), ("mu", np.nan), ("l", 0.0))),
+            ("l", "inf", "0.0", _SCHWINGER, "schwinger", (("x", 1.0), ("mu", 0.5), ("l", np.inf))),
+        ]
+    ],
+]
+
+# Every rule of _BAD_INPUTS once (the two layers-0 and the two negative-seed
+# cases share one rule), then the rules no CLI case reaches.
+_BAD_CONFIGS = [
+    pytest.param(
+        [("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = 0")],
+        lambda cfg: {"optimizers": _override(cfg, samples=0)},
+        "samples must be >= 1",
+        id="override-samples-0",
+    ),
+    pytest.param(
+        [("layers = 1", "layers = 0")], lambda cfg: {"layers": 0}, "layers must be >= 1", id="layers-0"
+    ),
+    pytest.param(
+        [("kind = hardware_efficient", "kind = schwinger_so4\nbond_order = diagonal")],
+        lambda cfg: {"ansatz_kind": "schwinger_so4", "bond_order": "diagonal"},
+        "bond_order must be one of",
+        id="bond-order-diagonal",
+    ),
+    pytest.param(
+        [("seeds = 0, 1", "seeds = -1")], lambda cfg: {"seeds": (-1,)}, "seeds must be >= 0", id="negative-seed"
+    ),
+    pytest.param(
+        [("qubits = 2", "qubits = 1")], lambda cfg: {"sizes": (1,)}, "at least 2 qubits", id="qubits-1"
+    ),
+    pytest.param(
+        [("qubits = 2", "qubits = 4, 5"), ("kind = hardware_efficient", "kind = schwinger_so4")],
+        lambda cfg: {"sizes": (4, 5), "ansatz_kind": "schwinger_so4"},
+        "even qubit count",
+        id="odd-schwinger-ansatz",
+    ),
+    pytest.param(
+        [("max_steps = 2", "max_steps = -1")],
+        lambda cfg: {"optimizers": _override(cfg, max_steps=-1)},
+        "max_steps must be >= 0",
+        id="steps-negative",
+    ),
+    pytest.param(
+        [("layers = 1", "layers = 1\nbond_order = odd_first")],
+        lambda cfg: {"bond_order": "odd_first"},
+        "bond_order only applies to schwinger_so4",
+        id="bond-order-on-tfim",
+    ),
+    pytest.param(
+        [(_TFIM, _SCHWINGER.replace("qubits = 2", "qubits = 3"))],
+        lambda cfg: {
+            "problem_kind": "schwinger",
+            "problem_params": (("x", 1.0), ("mu", 0.5), ("l", 0.0)),
+            "sizes": (3,),
+        },
+        "schwinger problem needs even qubit counts, got 3",
+        id="odd-schwinger-problem",
+    ),
+    pytest.param(
+        [("kind = hardware_efficient", "kind = ry1")],
+        lambda cfg: {"ansatz_kind": "ry1"},
+        "unknown ansatz kind 'ry1'",
+        id="ry1-ansatz",
+    ),
+    pytest.param(
+        [("[optimizer.QNSTEIN2]\n", "[optimizer.QNSTEIN2]\nkind = ADAM\n")],
+        lambda cfg: {"optimizers": (OptimizerEntry(label="QNSTEIN2", kind="ADAM"),)},
+        "unknown optimizer kind 'ADAM' for entry 'QNSTEIN2'",
+        id="unknown-optimizer-kind",
+    ),
+    *_REPEATED_AND_NON_FINITE,
+]
+
+
+@pytest.mark.parametrize("edits, changes, expected", _BAD_CONFIGS)
+def test_file_and_replace_share_every_check(edits, changes, expected, tmp_path):
+    with pytest.raises(ConfigError, match=re.escape(expected)):
+        parse_config(_edited_config(tmp_path, edits))
+    cfg = small_config(tmp_path)
+    with pytest.raises(ConfigError, match=re.escape(expected)):
+        replace(cfg, **changes(cfg))
+
+
+@pytest.mark.parametrize("edits, changes, expected", _REPEATED_AND_NON_FINITE)
+def test_cli_rejects_repeated_and_non_finite_values(edits, changes, expected, tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(_edited_config(tmp_path, edits))
+    _assert_one_error_line(["run", str(path)], expected, capsys)
+
+
+def test_cli_run_reports_unwritable_output_dir_before_any_job(tmp_path, capsys, monkeypatch):
+    def no_job(*args):
+        raise AssertionError("a job ran before the output directory was made")
+
+    monkeypatch.setenv(bench.WORKERS_ENV_VAR, "1")
+    monkeypatch.setattr(bench, "run", no_job)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_CONFIG.format(out=blocker / "res"))
+    _assert_one_error_line(["run", str(path)], str(blocker), capsys)
+
+
+def test_cli_run_reports_csv_write_errors(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(bench.WORKERS_ENV_VAR, "1")
+    (tmp_path / "res" / "GD_tfim2q.csv").mkdir(parents=True)
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_CONFIG.format(out=tmp_path / "res"))
+    _assert_one_error_line(["run", str(path)], "failed writing", capsys)
 
 
 def test_cli_run_missing_file(capsys):
@@ -434,6 +618,7 @@ def test_run_benchmark_rejects_oversized_grid(tmp_path):
         run_benchmark(cfg)
 
 
-def test_cli_preset_full_scale_fails_fast(capsys):
+def test_cli_preset_full_scale_fails_fast(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)  # the preset's relative output directory is made first
     assert main(["preset", "tfim-fig2", "--seeds", "1", "--steps", "1"]) == 1
     assert "desk scale" in capsys.readouterr().err
