@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -46,7 +48,15 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
-_PROBLEM_PARAM_KEYS = {"tfim": ("J", "h"), "schwinger": ("x", "mu", "l")}
+# Each problem kind's Hamiltonian builder and its parameter names, in the
+# builder's argument order after the qubit count.
+PROBLEMS = {
+    "tfim": (build_tfim, ("J", "h")),
+    "schwinger": (build_schwinger, ("x", "mu", "l")),
+}
+
+# Labels name the output files, so they must be plain names.
+_LABEL = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.+-]*")
 
 
 @dataclass(frozen=True)
@@ -70,14 +80,12 @@ class RunConfig:
     bond_order: str = "even_first"  # schwinger_so4 sublayer order
 
     def __post_init__(self):
-        if self.problem_kind not in _PROBLEM_PARAM_KEYS:
+        if self.problem_kind not in PROBLEMS:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
+        _, expected = PROBLEMS[self.problem_kind]
         names = tuple(key for key, _ in self.problem_params)
-        if names != _PROBLEM_PARAM_KEYS[self.problem_kind]:
-            raise ConfigError(
-                f"{self.problem_kind} takes parameters {_PROBLEM_PARAM_KEYS[self.problem_kind]}, "
-                f"got {names}"
-            )
+        if names != expected:
+            raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
         for key, value in self.problem_params:
             if not math.isfinite(value):
                 raise ConfigError(f"{key} must be finite, got {value}")
@@ -100,6 +108,8 @@ class RunConfig:
             if self.problem_kind == "schwinger" and size % 2 != 0:
                 raise ConfigError(f"schwinger problem needs even qubit counts, got {size}")
         for entry in self.optimizers:
+            if not _LABEL.fullmatch(entry.label):
+                raise ConfigError(f"optimizer label {entry.label!r} must be a plain name ({_LABEL.pattern})")
             if entry.kind not in OPTIMIZER_KINDS:
                 raise ConfigError(f"unknown optimizer kind {entry.kind!r} for entry {entry.label!r}")
             try:
@@ -206,12 +216,12 @@ def parse_config(text: str) -> RunConfig:
 
     problem = _take_section(sections, "problem")
     problem_kind, line_no = _require(problem, "problem", "kind")
-    if problem_kind not in _PROBLEM_PARAM_KEYS:
+    if problem_kind not in PROBLEMS:
         raise ConfigError(f"line {line_no}: unknown problem kind {problem_kind!r}")
     sizes = _int_list(*_require(problem, "problem", "qubits"), "qubits")
+    _, names = PROBLEMS[problem_kind]
     params = tuple(
-        (key, _read(*_require(problem, "problem", key), "float", key))
-        for key in _PROBLEM_PARAM_KEYS[problem_kind]
+        (key, _read(*_require(problem, "problem", key), "float", key)) for key in names
     )
     _reject_unknown(problem, "problem")
 
@@ -296,9 +306,7 @@ def _format_value(value) -> str:
         return "none"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its repr
 
 
 def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
@@ -307,11 +315,8 @@ def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
 
 
 def build_problem(cfg: RunConfig, size: int) -> Problem:
-    params = dict(cfg.problem_params)
-    if cfg.problem_kind == "tfim":
-        h = build_tfim(size, params["J"], params["h"])
-    else:
-        h = build_schwinger(size, params["x"], params["mu"], params["l"])
+    builder, _ = PROBLEMS[cfg.problem_kind]
+    h = builder(size, *(value for _, value in cfg.problem_params))
     circuit = build_ansatz(AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order))
     return Problem(circuit=circuit, hamiltonian=h, ground_energy=exact_ground_energy(h))
 
@@ -322,85 +327,69 @@ def build_problem(cfg: RunConfig, size: int) -> Problem:
 # qubits/seeds/steps on the command line to shrink them.
 # ---------------------------------------------------------------------------
 
-_STOCHASTIC = ("SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3")
 
-
-def _preset_tfim_fig2() -> RunConfig:
-    base = OptimizerConfig(
-        eta=0.01, c=0.05, b=2.0, samples=10, beta=0.01, shots=8192, max_steps=300,
+def _paper_optimizer(samples: int, shots: int, max_steps: int) -> OptimizerConfig:
+    """The values all three grids share, around one grid's budget."""
+    return OptimizerConfig(
+        eta=0.01, c=0.05, b=2.0, samples=samples, beta=0.01, shots=shots, max_steps=max_steps,
         blocking=True, blocking_multiplier=2.0,
     )
-    entries = [OptimizerEntry(label=k, kind=k) for k in ("GD", "QNG") + _STOCHASTIC]
-    entries[1] = OptimizerEntry(label="QNG", kind="QNG", overrides=(("beta", 0.1),))
-    return RunConfig(
-        problem_kind="tfim",
-        problem_params=(("J", -1.0), ("h", -2.0)),
-        sizes=(12, 17, 20),
-        ansatz_kind="hardware_efficient",
-        layers=3,
-        optimizer=base,
-        optimizers=tuple(entries),
-        seeds=tuple(range(30)),
-        out_dir="results/tfim-fig2",
-    )
 
 
-def _preset_schwinger_fig5() -> RunConfig:
-    base = OptimizerConfig(
-        eta=0.01, c=0.05, b=2.0, samples=15, beta=0.01, shots=10024, max_steps=200,
-        blocking=True, blocking_multiplier=2.0,
-    )
-    entries = [OptimizerEntry(label=k, kind=k) for k in ("GD", "QNG") + _STOCHASTIC]
-    entries[1] = OptimizerEntry(label="QNG", kind="QNG", overrides=(("beta", 0.1),))
-    return RunConfig(
+# Figs. 2 and 5 run every optimizer kind, QNG with a stronger regularizer.
+_FIGURE_ENTRIES = tuple(
+    OptimizerEntry(label=k, kind=k, overrides=(("beta", 0.1),) if k == "QNG" else ())
+    for k in OPTIMIZER_KINDS
+)
+
+_TFIM_FIG2 = RunConfig(
+    problem_kind="tfim",
+    problem_params=(("J", -1.0), ("h", -2.0)),
+    sizes=(12, 17, 20),
+    ansatz_kind="hardware_efficient",
+    layers=3,
+    optimizer=_paper_optimizer(samples=10, shots=8192, max_steps=300),
+    optimizers=_FIGURE_ENTRIES,
+    seeds=tuple(range(30)),
+    out_dir="results/tfim-fig2",
+)
+
+PRESETS = {
+    "tfim-fig2": _TFIM_FIG2,
+    "schwinger-fig5": RunConfig(
         problem_kind="schwinger",
         problem_params=(("x", 1.0), ("mu", 0.5), ("l", 0.0)),
         sizes=(4, 6, 8),
         ansatz_kind="schwinger_so4",
         layers=2,
-        optimizer=base,
-        optimizers=tuple(entries),
+        optimizer=_paper_optimizer(samples=15, shots=10024, max_steps=200),
+        optimizers=_FIGURE_ENTRIES,
         seeds=tuple(range(30)),
         out_dir="results/schwinger-fig5",
-    )
-
-
-def _preset_appendix_c() -> RunConfig:
-    base = OptimizerConfig(
-        eta=0.01, c=0.05, b=2.0, samples=5, beta=0.01, shots=8192, max_steps=300,
-        blocking=True, blocking_multiplier=2.0,
-    )
-    entries = [
-        OptimizerEntry(label="QNSTEIN2", kind="QNSTEIN2"),
-        OptimizerEntry(label="QNSTEIN3", kind="QNSTEIN3"),
-        OptimizerEntry(label="QNSPSA-N5", kind="QNSPSA", overrides=(("samples", 5),)),
-        OptimizerEntry(label="QNSPSA-N10", kind="QNSPSA", overrides=(("samples", 10),)),
-        OptimizerEntry(label="QNSPSA-N20", kind="QNSPSA", overrides=(("samples", 20),)),
-    ]
-    return RunConfig(
-        problem_kind="tfim",
-        problem_params=(("J", -1.0), ("h", -2.0)),
+    ),
+    # Fig. 2's TFIM grid at n = 12: Stein natural gradient at N = 5 against
+    # an N sweep of QNSPSA.
+    "appendixC": replace(
+        _TFIM_FIG2,
         sizes=(12,),
-        ansatz_kind="hardware_efficient",
-        layers=3,
-        optimizer=base,
-        optimizers=tuple(entries),
-        seeds=tuple(range(30)),
+        optimizer=replace(_TFIM_FIG2.optimizer, samples=5),
+        optimizers=(
+            OptimizerEntry(label="QNSTEIN2", kind="QNSTEIN2"),
+            OptimizerEntry(label="QNSTEIN3", kind="QNSTEIN3"),
+            *(
+                OptimizerEntry(label=f"QNSPSA-N{n}", kind="QNSPSA", overrides=(("samples", n),))
+                for n in (5, 10, 20)
+            ),
+        ),
         out_dir="results/appendixC",
-    )
-
-
-PRESETS = {
-    "tfim-fig2": _preset_tfim_fig2,
-    "schwinger-fig5": _preset_schwinger_fig5,
-    "appendixC": _preset_appendix_c,
+    ),
 }
 
 
 def preset_config(name: str) -> RunConfig:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; available: {', '.join(sorted(PRESETS))}")
-    return PRESETS[name]()
+    return PRESETS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -438,8 +427,8 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     """Execute the (size x optimizer x seed) grid.
 
     Runs are independent and seed-deterministic, so the grid executes on a
-    bounded worker pool; results are keyed and sorted, making the output
-    independent of completion order.
+    bounded worker pool; jobs are listed in output order (seeds sorted), so
+    the result does not depend on the worker count or completion order.
     """
     oversized = [s for s in cfg.sizes if s > MAX_DENSE_QUBITS]
     if oversized:
@@ -447,41 +436,31 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
             f"system sizes {oversized} exceed the dense ground-energy oracle "
             f"(n <= {MAX_DENSE_QUBITS}); shrink the grid (e.g. --qubits) for desk scale"
         )
+    # Made before the grid runs, so an unusable directory loses no runs.
+    os.makedirs(cfg.out_dir, exist_ok=True)
     # One problem per size: the dense ground-energy diagonalization is the
     # expensive part and is shared across the optimizer/seed grid.
     problems = {size: build_problem(cfg, size) for size in cfg.sizes}
-    configs = {entry.label: optimizer_config(cfg, entry) for entry in cfg.optimizers}
+    cells = [(size, entry) for size in cfg.sizes for entry in cfg.optimizers]
+    seeds = sorted(cfg.seeds)
     jobs = [
-        (size, entry, seed)
-        for size in cfg.sizes
-        for entry in cfg.optimizers
-        for seed in cfg.seeds
+        (entry.kind, problems[size], optimizer_config(cfg, entry), seed)
+        for size, entry in cells
+        for seed in seeds
     ]
     workers = _worker_count(len(jobs))
-    results: dict[tuple[int, str, int], RunResult] = {}
     if workers <= 1:
-        for size, entry, seed in jobs:
-            results[(size, entry.label, seed)] = run(
-                entry.kind, problems[size], configs[entry.label], seed
-            )
+        results = list(map(run, *zip(*jobs)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                (size, entry.label, seed): pool.submit(
-                    run, entry.kind, problems[size], configs[entry.label], seed
-                )
-                for size, entry, seed in jobs
-            }
-            for key, future in futures.items():
-                results[key] = future.result()
-    grouped: dict[GridKey, tuple[RunResult, ...]] = {}
-    failures = 0
-    for size in cfg.sizes:
-        for entry in cfg.optimizers:
-            runs = tuple(results[(size, entry.label, seed)] for seed in sorted(cfg.seeds))
-            failures += sum(r.failed for r in runs)
-            grouped[GridKey(size=size, label=entry.label)] = runs
-    return BenchmarkResult(config=cfg, runs=grouped, failures=failures)
+            results = list(pool.map(run, *zip(*jobs)))
+    # Each cell's runs are the next len(seeds) results.
+    ordered = iter(results)
+    runs = {
+        GridKey(size=size, label=entry.label): tuple(islice(ordered, len(seeds)))
+        for size, entry in cells
+    }
+    return BenchmarkResult(config=cfg, runs=runs, failures=sum(r.failed for r in results))
 
 
 # ---------------------------------------------------------------------------
@@ -494,23 +473,19 @@ def _fmt(x: float) -> str:
 
 
 def run_rows(runs) -> list[str]:
-    rows = []
-    for result in runs:
-        for rec in result.records:
-            rows.append(
-                f"{rec.step},{result.seed},{_fmt(rec.loss)},{_fmt(rec.energy)},"
-                f"{_fmt(rec.energy_error)},{rec.circuits_charged},{rec.circuits_raw},"
-                f"{int(rec.blocked)}"
-            )
-    return rows
+    return [
+        f"{rec.step},{result.seed},{_fmt(rec.loss)},{_fmt(rec.energy)},"
+        f"{_fmt(rec.energy_error)},{rec.circuits_charged},{rec.circuits_raw},"
+        f"{int(rec.blocked)}"
+        for result in runs
+        for rec in result.records
+    ]
 
 
 def aggregate_rows(runs) -> list[str]:
     """Mean and std of the energy error per step across surviving seeds."""
     surviving = [r for r in runs if not r.failed]
-    if not surviving:
-        return []
-    n_steps = min(len(r.records) for r in surviving)
+    n_steps = min((len(r.records) for r in surviving), default=0)
     rows = []
     for k in range(n_steps):
         errs = np.array([r.records[k].energy_error for r in surviving])
@@ -535,16 +510,13 @@ def emit_csv(result: BenchmarkResult, out_dir: str | None = None) -> list[str]:
     written = []
     for key in sorted(result.runs, key=lambda k: (k.label, k.size)):
         runs = result.runs[key]
-        stem = f"{key.label}_{cfg.problem_kind}{key.size}q"
-        run_path = os.path.join(out, f"{stem}.csv")
-        _write_csv(run_path, RUN_CSV_HEADER, run_rows(runs))
-        agg_path = os.path.join(out, f"{stem}_aggregate.csv")
-        _write_csv(agg_path, AGGREGATE_CSV_HEADER, aggregate_rows(runs))
-        written += [run_path, agg_path]
+        stem = os.path.join(out, f"{key.label}_{cfg.problem_kind}{key.size}q")
+        written.append(_write_csv(f"{stem}.csv", RUN_CSV_HEADER, run_rows(runs)))
+        written.append(_write_csv(f"{stem}_aggregate.csv", AGGREGATE_CSV_HEADER, aggregate_rows(runs)))
     return sorted(written)
 
 
-def _write_csv(path: str, header: str, rows: list[str]) -> None:
+def _write_csv(path: str, header: str, rows: list[str]) -> str:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
@@ -552,3 +524,4 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
                 fh.write(row + "\n")
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
+    return path

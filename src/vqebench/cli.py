@@ -8,14 +8,13 @@ comparison table.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
 from . import bench
-from .ansatz import AnsatzKind, build_ansatz
+from .ansatz import ANSATZ_KINDS, BOND_ORDERS, AnsatzKind, build_ansatz
 from .estimators import (
     SmoothingParams,
     displacement_fidelity_oracle,
@@ -25,7 +24,6 @@ from .estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from .pauli import build_schwinger, build_tfim, exact_ground_energy
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -48,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument("--steps", type=int, help="override max optimization steps")
     p_preset.add_argument(
         "--bond-order",
-        choices=["even_first", "odd_first"],
+        choices=BOND_ORDERS,
         help="override the schwinger_so4 sublayer order",
     )
     p_preset.add_argument("--out", help="override the output directory")
@@ -58,24 +56,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exact = sub.add_parser("exact", help="print an exact ground energy")
     exact_sub = p_exact.add_subparsers(dest="problem", required=True)
-    p_tfim = exact_sub.add_parser("tfim")
-    p_tfim.add_argument("--qubits", type=int, required=True)
-    p_tfim.add_argument("--J", type=float, required=True)
-    p_tfim.add_argument("--h", type=float, required=True)
-    p_schw = exact_sub.add_parser("schwinger")
-    p_schw.add_argument("--qubits", type=int, required=True)
-    p_schw.add_argument("--x", type=float, required=True)
-    p_schw.add_argument("--mu", type=float, required=True)
-    p_schw.add_argument("--l", type=float, required=True)
+    for kind, (_, names) in bench.PROBLEMS.items():
+        p_problem = exact_sub.add_parser(kind)
+        p_problem.add_argument("--qubits", type=int, required=True)
+        for key in names:
+            p_problem.add_argument(f"--{key}", type=float, required=True)
 
     p_metric = sub.add_parser(
         "metric-check", help="compare the metric estimators on one ansatz"
     )
-    p_metric.add_argument(
-        "--ansatz",
-        choices=["ry1", "hardware_efficient", "schwinger_so4"],
-        default="ry1",
-    )
+    p_metric.add_argument("--ansatz", choices=ANSATZ_KINDS, default="ry1")
     p_metric.add_argument("--qubits", type=int, default=1)
     p_metric.add_argument("--layers", type=int, default=1)
     p_metric.add_argument("--samples", type=int, default=10000)
@@ -91,37 +81,31 @@ def _cmd_run(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 1
+        raise OSError(f"cannot read config: {exc}") from exc
     try:
         cfg = bench.parse_config(text)
     except bench.ConfigError as exc:
-        print(f"error: {args.config}: {exc}", file=sys.stderr)
-        return 1
+        raise bench.ConfigError(f"{args.config}: {exc}") from exc
     if args.out:
         cfg = replace(cfg, out_dir=args.out)
     return _run_and_report(cfg)
 
 
 def _cmd_preset(args) -> int:
-    try:
-        if args.seeds is not None and args.seeds < 1:
-            raise bench.ConfigError("--seeds must be >= 1")
-        cfg = bench.preset_config(args.name)
-        seeds = cfg.seeds if args.seeds is None else range(args.seeds)
-        steps = cfg.optimizer.max_steps if args.steps is None else args.steps
-        cfg = replace(
-            cfg,
-            sizes=tuple(args.qubits or cfg.sizes),
-            layers=cfg.layers if args.layers is None else args.layers,
-            seeds=tuple(seed + args.seed_offset for seed in seeds),
-            optimizer=replace(cfg.optimizer, max_steps=steps),
-            bond_order=args.bond_order or cfg.bond_order,
-            out_dir=args.out or cfg.out_dir,
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.seeds is not None and args.seeds < 1:
+        raise bench.ConfigError("--seeds must be >= 1")
+    cfg = bench.preset_config(args.name)
+    seeds = cfg.seeds if args.seeds is None else range(args.seeds)
+    steps = cfg.optimizer.max_steps if args.steps is None else args.steps
+    cfg = replace(
+        cfg,
+        sizes=tuple(args.qubits or cfg.sizes),
+        layers=cfg.layers if args.layers is None else args.layers,
+        seeds=tuple(seed + args.seed_offset for seed in seeds),
+        optimizer=replace(cfg.optimizer, max_steps=steps),
+        bond_order=args.bond_order or cfg.bond_order,
+        out_dir=args.out or cfg.out_dir,
+    )
     if args.dump_config:
         print(bench.serialize_config(cfg), end="")
         return 0
@@ -129,14 +113,8 @@ def _cmd_preset(args) -> int:
 
 
 def _run_and_report(cfg: bench.RunConfig) -> int:
-    try:
-        # Made before the grid runs, so an unusable directory loses no runs.
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        result = bench.run_benchmark(cfg)
-        paths = bench.emit_csv(result)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    result = bench.run_benchmark(cfg)
+    paths = bench.emit_csv(result)
     total = sum(len(runs) for runs in result.runs.values())
     print(f"completed {total} runs ({result.failures} failed); wrote {len(paths)} files to {cfg.out_dir}")
     for path in paths:
@@ -145,16 +123,9 @@ def _run_and_report(cfg: bench.RunConfig) -> int:
 
 
 def _cmd_exact(args) -> int:
-    try:
-        if args.problem == "tfim":
-            h = build_tfim(args.qubits, args.J, args.h)
-        else:
-            h = build_schwinger(args.qubits, args.x, args.mu, args.l)
-        energy = exact_ground_energy(h)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(repr(energy))
+    builder, names = bench.PROBLEMS[args.problem]
+    h = builder(args.qubits, *(getattr(args, key) for key in names))
+    print(repr(bench.exact_ground_energy(h)))
     return 0
 
 
@@ -163,23 +134,19 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
 
 
 def _cmd_metric_check(args) -> int:
-    try:
-        circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
-        d = circuit.param_count
-        rng = np.random.default_rng(args.seed)
-        theta = rng.uniform(-np.pi, np.pi, d)
-        params = SmoothingParams(c=args.c, b=args.b, samples=args.samples)
-        exact = exact_metric(circuit, theta)
-        shift = parameter_shift_metric(circuit, theta, shots=args.shots, rng=rng)
-        fid2 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-        stein2 = stein_metric_2eval(fid2, theta, params, rng)
-        fid3 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-        stein3 = stein_metric_3eval(fid3, theta, params, rng)
-        fid4 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-        spsa = spsa_metric(fid4, theta, args.c, args.samples, rng)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
+    d = circuit.param_count
+    rng = np.random.default_rng(args.seed)
+    theta = rng.uniform(-np.pi, np.pi, d)
+    params = SmoothingParams(c=args.c, b=args.b, samples=args.samples)
+    exact = exact_metric(circuit, theta)
+    shift = parameter_shift_metric(circuit, theta, shots=args.shots, rng=rng)
+    fid2 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+    stein2 = stein_metric_2eval(fid2, theta, params, rng)
+    fid3 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+    stein3 = stein_metric_3eval(fid3, theta, params, rng)
+    fid4 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+    spsa = spsa_metric(fid4, theta, args.c, args.samples, rng)
 
     print(f"ansatz={args.ansatz} qubits={circuit.qubit_count} d={d} "
           f"samples={args.samples} c={args.c} b={args.b} shots={args.shots}")
@@ -199,16 +166,21 @@ def _cmd_metric_check(args) -> int:
     return 0
 
 
+_COMMANDS = {
+    "run": _cmd_run,
+    "preset": _cmd_preset,
+    "exact": _cmd_exact,
+    "metric-check": _cmd_metric_check,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "preset":
-        return _cmd_preset(args)
-    if args.command == "exact":
-        return _cmd_exact(args)
-    return _cmd_metric_check(args)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -260,6 +260,19 @@ def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv(bench.WORKERS_ENV_VAR, "4")
     parallel = run_benchmark(cfg)
     assert serial.runs == parallel.runs
+    # Seeds written out of order: the serial run, a 2-worker run and the
+    # sorted-seed config emit the same bytes.
+    shuffled = parse_config(_edited_config(tmp_path, [("seeds = 0, 1", "seeds = 2, 0, 1")]))
+    blobs = []
+    for name, config, workers in [
+        ("serial", shuffled, "1"),
+        ("pool", shuffled, "2"),
+        ("sorted", replace(shuffled, seeds=(0, 1, 2)), "1"),
+    ]:
+        monkeypatch.setenv(bench.WORKERS_ENV_VAR, workers)
+        paths = emit_csv(run_benchmark(config), str(tmp_path / name))
+        blobs.append([open(p, "rb").read() for p in paths])
+    assert blobs[0] == blobs[1] == blobs[2]
 
 
 def test_worker_env_var_validation(monkeypatch):
@@ -343,22 +356,40 @@ def test_cli_run_reports_config_errors(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# Labels that are not plain names. Unchecked, the first would write
+# ../escaped_tfim2q.csv outside `out` and the second would fail only after the
+# grid ran.
+_BAD_LABELS = [("../escaped", "escaped"), ("sub/x", "subdir")]
+
+
+def _label_edits(label):
+    """Config edits that run SPSA under `label`."""
+    return [
+        ("kinds = GD, QNSTEIN2", f"kinds = GD, {label}"),
+        ("[optimizer.QNSTEIN2]\nsamples = 3", f"[optimizer.{label}]\nkind = SPSA"),
+    ]
+
+
 _BAD_INPUTS = [
-    # ("run", (config text to replace, replacement), message) or ("preset", argv, message)
+    # ("run", [(config text to replace, replacement), ...], message) or ("preset", argv, message)
     pytest.param(
         "run",
-        ("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = 0"),
+        [("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = 0")],
         "samples must be >= 1",
         id="run-override-samples-0",
     ),
-    pytest.param("run", ("layers = 1", "layers = 0"), "layers must be >= 1", id="run-layers-0"),
+    pytest.param("run", [("layers = 1", "layers = 0")], "layers must be >= 1", id="run-layers-0"),
     pytest.param(
         "run",
-        ("kind = hardware_efficient", "kind = schwinger_so4\nbond_order = diagonal"),
+        [("kind = hardware_efficient", "kind = schwinger_so4\nbond_order = diagonal")],
         "bond_order must be one of",
         id="run-bond-order-diagonal",
     ),
-    pytest.param("run", ("seeds = 0, 1", "seeds = -1"), "seeds must be >= 0", id="run-negative-seed"),
+    pytest.param("run", [("seeds = 0, 1", "seeds = -1")], "seeds must be >= 0", id="run-negative-seed"),
+    *[
+        pytest.param("run", _label_edits(label), f"optimizer label {label!r}", id=f"run-label-{name}")
+        for label, name in _BAD_LABELS
+    ],
     pytest.param("preset", ["tfim-fig2", "--qubits", "1"], "at least 2 qubits", id="preset-qubits-1"),
     pytest.param("preset", ["schwinger-fig5", "--qubits", "5"], "even qubit count", id="preset-odd-schwinger"),
     pytest.param("preset", ["tfim-fig2", "--steps", "-1"], "max_steps must be >= 0", id="preset-steps-negative"),
@@ -396,7 +427,7 @@ def _assert_one_error_line(argv, expected, capsys):
 def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_path, capsys):
     if command == "run":
         path = tmp_path / "bad.txt"
-        path.write_text(_edited_config(tmp_path, [edit]))
+        path.write_text(_edited_config(tmp_path, edit))
         argv = ["run", str(path)]
     else:
         # --dump-config: a flag that slips through validation exits 0 without running.
@@ -533,6 +564,15 @@ _BAD_CONFIGS = [
         "unknown optimizer kind 'ADAM' for entry 'QNSTEIN2'",
         id="unknown-optimizer-kind",
     ),
+    *[
+        pytest.param(
+            _label_edits(label),
+            lambda cfg, label=label: {"optimizers": (OptimizerEntry(label=label, kind="SPSA"),)},
+            f"optimizer label {label!r} must be a plain name",
+            id=f"label-{name}",
+        )
+        for label, name in _BAD_LABELS
+    ],
     *_REPEATED_AND_NON_FINITE,
 ]
 
@@ -619,6 +659,12 @@ def test_run_benchmark_rejects_oversized_grid(tmp_path):
 
 
 def test_cli_preset_full_scale_fails_fast(capsys, monkeypatch, tmp_path):
-    monkeypatch.chdir(tmp_path)  # the preset's relative output directory is made first
+    monkeypatch.chdir(tmp_path)  # the preset's output directory is relative to here
     assert main(["preset", "tfim-fig2", "--seeds", "1", "--steps", "1"]) == 1
     assert "desk scale" in capsys.readouterr().err
+
+
+def test_cli_rejected_grid_leaves_no_output_dir(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["preset", "tfim-fig2", "--seeds", "1", "--steps", "1"]) == 1
+    assert not (tmp_path / "results").exists()
