@@ -28,8 +28,7 @@ from .bench import (
 )
 from .estimators import (
     MetricEstimate,
-    ScalarOracle,
-    SmoothingParams,
+    RowOracle,
     displacement_fidelity_oracle,
     exact_metric,
     parameter_shift_metric,

@@ -47,6 +47,8 @@ class AnsatzKind:
     def __post_init__(self):
         if self.kind not in ANSATZ_KINDS:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
+        if self.kind == "ry1" and (self.qubit_count, self.layers) != (1, 1):
+            raise ValueError(f"ry1 takes qubits = 1 and layers = 1, got {self.qubit_count} and {self.layers}")
         if self.kind != "ry1" and self.qubit_count < 2:
             raise ValueError(f"{self.kind} needs at least 2 qubits")
         if self.layers < 1:

@@ -16,7 +16,6 @@ import numpy as np
 from . import bench
 from .ansatz import ANSATZ_KINDS, BOND_ORDERS, AnsatzKind, build_ansatz
 from .estimators import (
-    SmoothingParams,
     displacement_fidelity_oracle,
     exact_metric,
     parameter_shift_metric,
@@ -24,6 +23,7 @@ from .estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
+from .optimizers import OptimizerConfig
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,32 +134,28 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
 
 
 def _cmd_metric_check(args) -> int:
+    # A run's own checks of c, b, samples and shots, made before the exact and
+    # shift-rule metrics spend their O(d^2) circuits.
+    OptimizerConfig(c=args.c, b=args.b, samples=args.samples, shots=args.shots)
     circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
     d = circuit.param_count
     rng = np.random.default_rng(args.seed)
     theta = rng.uniform(-np.pi, np.pi, d)
-    params = SmoothingParams(c=args.c, b=args.b, samples=args.samples)
     exact = exact_metric(circuit, theta)
-    shift = parameter_shift_metric(circuit, theta, shots=args.shots, rng=rng)
-    fid2 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    stein2 = stein_metric_2eval(fid2, theta, params, rng)
-    fid3 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    stein3 = stein_metric_3eval(fid3, theta, params, rng)
-    fid4 = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
-    spsa = spsa_metric(fid4, theta, args.c, args.samples, rng)
-
+    estimates = [("exact", exact), ("parameter-shift", parameter_shift_metric(circuit, theta, args.shots, rng))]
+    for name, estimator in (
+        ("stein-2eval", stein_metric_2eval),
+        ("stein-3eval", stein_metric_3eval),
+        ("spsa", spsa_metric),
+    ):
+        fid = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
+        estimates.append((name, estimator(fid, theta, args.c, args.samples, rng)))
     print(f"ansatz={args.ansatz} qubits={circuit.qubit_count} d={d} "
           f"samples={args.samples} c={args.c} b={args.b} shots={args.shots}")
     show_entries = d <= 3
     header = "entries" if show_entries else "diagonal"
     print(f"{'method':<16}{'overlap evals':>14}  max|diff vs exact|  {header}")
-    for name, est in [
-        ("exact", exact),
-        ("parameter-shift", shift),
-        ("stein-2eval", stein2),
-        ("stein-3eval", stein3),
-        ("spsa", spsa),
-    ]:
+    for name, est in estimates:
         dev = np.max(np.abs(est.matrix - exact.matrix))
         shown = est.matrix if show_entries else np.diag(est.matrix)
         print(f"{name:<16}{est.raw_evals:>14}  {dev:>18.6f}  {_format_matrix_row(shown)}")

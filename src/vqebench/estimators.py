@@ -9,12 +9,17 @@ All stochastic Hessian-family estimators draw standard-normal perturbation
 vectors u and displace parameters by c*u, so their target is the Hessian of
 the c-smoothed function and their bias relative to the unsmoothed Hessian
 vanishes as O(c^2). The generalized-covariance scale b that appears in some
-hyperparameter sets does not change the perturbation law here; it is carried
-through into estimate metadata so runs remain auditable.
+hyperparameter sets does not change the perturbation law here; it is only
+validated and recorded in the run configuration.
+
+Each estimator builds its displaced parameter rows as one (B, d) array,
+queries its oracle once with them, and combines the B values with array code.
+The ten stochastic estimators share the signature (f, theta, c, samples, rng).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,38 +35,24 @@ from .simulator import (  # noqa: F401
 )
 
 
-@dataclass(frozen=True)
-class SmoothingParams:
-    """Displacement scale c, covariance scale b, and resampling count."""
-
-    c: float
-    b: float
-    samples: int
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError(f"c must be > 0, got {self.c}")
-        if self.b <= 0:
-            raise ValueError(f"b must be > 0, got {self.b}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
-
-
-class ScalarOracle:
-    """Callable from a parameter vector to a real value, with a call counter."""
+class RowOracle:
+    """Callable from a (B, d) array of parameter rows to B real values; `calls` counts rows."""
 
     def __init__(self, fn):
         self._fn = fn
         self.calls = 0
 
-    def __call__(self, theta) -> float:
-        self.calls += 1
-        return float(self._fn(theta))
+    def __call__(self, rows) -> np.ndarray:
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"oracle takes a (B, d) array of rows, got shape {rows.shape}")
+        self.calls += len(rows)
+        return np.asarray(self._fn(rows), dtype=float).reshape(len(rows))
 
 
 @dataclass
 class MetricEstimate:
-    """Symmetric d x d metric estimate plus provenance metadata.
+    """Symmetric d x d metric estimate plus its circuit counts.
 
     raw_evals counts actual overlap-circuit queries; charged_evals counts
     them under the per-sample convention in which the shared base evaluation
@@ -71,7 +62,6 @@ class MetricEstimate:
 
     matrix: np.ndarray
     kind: str
-    smoothing: SmoothingParams | None
     raw_evals: int
     charged_evals: int
 
@@ -90,8 +80,18 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _as_theta(theta) -> np.ndarray:
+def _checked(theta, c: float, samples: int) -> np.ndarray:
+    """theta as a float vector, once c and samples pass the stochastic estimators' check."""
+    if not (math.isfinite(c) and c > 0):
+        raise ValueError(f"c must be finite and > 0, got {c}")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     return np.asarray(theta, dtype=float)
+
+
+def _plus_minus_rows(theta: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Rows theta + s, theta - s for each row s of `steps`, interleaved."""
+    return (theta + np.stack([steps, -steps], axis=1)).reshape(-1, len(theta))
 
 
 def spsa_gradient(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,16 +99,13 @@ def spsa_gradient(f, theta, c: float, samples: int, rng: np.random.Generator) ->
 
     Mean over `samples` Rademacher draws Delta of
     [f(theta + c*Delta) - f(theta - c*Delta)] / (2c) * Delta.
-    Consumes 2 * samples oracle calls.
+    Consumes 2 * samples oracle rows.
     """
-    theta = _as_theta(theta)
-    d = theta.size
-    deltas = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
-    grad = np.zeros(d)
-    for delta in deltas:
-        diff = f(theta + c * delta) - f(theta - c * delta)
-        grad += diff / (2.0 * c) * delta
-    return grad / samples
+    theta = _checked(theta, c, samples)
+    deltas = rng.integers(0, 2, size=(samples, theta.size)) * 2.0 - 1.0
+    values = f(_plus_minus_rows(theta, c * deltas)).reshape(samples, 2)
+    diff = values[:, 0] - values[:, 1]
+    return (diff[:, None] / (2.0 * c) * deltas).sum(axis=0) / samples
 
 
 def spsa2_hessian(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
@@ -118,42 +115,41 @@ def spsa2_hessian(f, theta, c: float, samples: int, rng: np.random.Generator) ->
     second difference
       df = f(theta + c*Delta1 + c*Delta2) - f(theta + c*Delta1)
          - f(theta - c*Delta1 + c*Delta2) + f(theta - c*Delta1)
-    give df / (2 c^2) * sym(Delta1 Delta2^T). Consumes 4 * samples calls.
+    give df / (2 c^2) * sym(Delta1 Delta2^T). Consumes 4 * samples rows.
     """
-    theta = _as_theta(theta)
+    theta = _checked(theta, c, samples)
     d = theta.size
     d1 = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
     d2 = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
-    hess = np.zeros((d, d))
-    for delta1, delta2 in zip(d1, d2):
-        df = (
-            f(theta + c * delta1 + c * delta2)
-            - f(theta + c * delta1)
-            - f(theta - c * delta1 + c * delta2)
-            + f(theta - c * delta1)
-        )
-        hess += df / (2.0 * c * c) * np.outer(delta1, delta2)
+    # The four rows per sample in the docstring's order, (theta +- c*Delta1) + c*Delta2
+    # associated as written there so each row is bit for bit the formula's.
+    plus_minus = _plus_minus_rows(theta, c * d1).reshape(samples, 2, d)
+    rows = np.stack([plus_minus + (c * d2)[:, None], plus_minus], axis=2)
+    values = f(rows.reshape(-1, d)).reshape(samples, 4)
+    df = values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]
+    signed = (df / (2.0 * c * c))[:, None] * d1
+    # One Hessian column per pass: O(samples * d) memory, not O(samples * d^2).
+    hess = np.stack([(signed * column[:, None]).sum(axis=0) for column in d2.T], axis=1)
     return _symmetrize(hess / samples)
 
 
 def stein_gradient_1eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Single-evaluation smoothed-gradient estimate: mean of f(theta + c*u) * u / c."""
-    theta = _as_theta(theta)
-    u = rng.standard_normal((samples, len(theta)))
-    vals = np.array([f(theta + c * ui) for ui in u])
-    return (vals @ u) / (c * samples)
+    theta = _checked(theta, c, samples)
+    u = rng.standard_normal((samples, theta.size))
+    return (f(theta + c * u) @ u) / (c * samples)
 
 
 def stein_gradient_2eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Two-evaluation smoothed-gradient estimate.
 
     Mean over standard-normal draws u of
-    [f(theta + c*u) - f(theta - c*u)] / (2c) * u. Consumes 2 * samples calls.
+    [f(theta + c*u) - f(theta - c*u)] / (2c) * u. Consumes 2 * samples rows.
     """
-    theta = _as_theta(theta)
-    u = rng.standard_normal((samples, len(theta)))
-    vals = np.array([f(theta + c * ui) - f(theta - c * ui) for ui in u])
-    return (vals @ u) / (2.0 * c * samples)
+    theta = _checked(theta, c, samples)
+    u = rng.standard_normal((samples, theta.size))
+    values = f(_plus_minus_rows(theta, c * u)).reshape(samples, 2)
+    return ((values[:, 0] - values[:, 1]) @ u) / (2.0 * c * samples)
 
 
 def _weighted_outer_mean(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -164,92 +160,73 @@ def _weighted_outer_mean(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def stein_hessian_1eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Single-evaluation smoothed-Hessian estimate: mean of f(theta + c*u)(u u^T - I)/c^2."""
-    theta = _as_theta(theta)
-    u = rng.standard_normal((samples, len(theta)))
-    vals = np.array([f(theta + c * ui) for ui in u])
-    return _symmetrize(_weighted_outer_mean(vals / (c * c), u))
+    theta = _checked(theta, c, samples)
+    u = rng.standard_normal((samples, theta.size))
+    return _symmetrize(_weighted_outer_mean(f(theta + c * u) / (c * c), u))
 
 
 def stein_hessian_2eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Two-evaluation smoothed-Hessian estimate.
 
-    The base value f(theta) is evaluated once and shared across samples:
+    The base value f(theta), the first row, is shared across samples:
     mean of [f(theta + c*u) - f(theta)] (u u^T - I) / c^2,
-    consuming samples + 1 oracle calls.
+    consuming samples + 1 oracle rows.
     """
-    theta = _as_theta(theta)
-    u = rng.standard_normal((samples, len(theta)))
-    f0 = f(theta)
-    vals = np.array([f(theta + c * ui) - f0 for ui in u])
-    return _symmetrize(_weighted_outer_mean(vals / (c * c), u))
+    theta = _checked(theta, c, samples)
+    u = rng.standard_normal((samples, theta.size))
+    values = f(np.vstack([theta, theta + c * u]))
+    return _symmetrize(_weighted_outer_mean((values[1:] - values[0]) / (c * c), u))
 
 
 def stein_hessian_3eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> np.ndarray:
     """Three-evaluation (symmetric-difference) smoothed-Hessian estimate.
 
     Mean of [f(theta + c*u) + f(theta - c*u) - 2 f(theta)] (u u^T - I) / (2 c^2)
-    with the base value shared, consuming 2 * samples + 1 oracle calls.
+    with the base value, the first row, shared, consuming 2 * samples + 1 rows.
     """
-    theta = _as_theta(theta)
-    u = rng.standard_normal((samples, len(theta)))
-    f0 = f(theta)
-    vals = np.array([f(theta + c * ui) + f(theta - c * ui) - 2.0 * f0 for ui in u])
-    return _symmetrize(_weighted_outer_mean(vals / (2.0 * c * c), u))
+    theta = _checked(theta, c, samples)
+    u = rng.standard_normal((samples, theta.size))
+    values = f(np.vstack([theta, _plus_minus_rows(theta, c * u)]))
+    pairs = values[1:].reshape(samples, 2)
+    second = pairs[:, 0] + pairs[:, 1] - 2.0 * values[0]
+    return _symmetrize(_weighted_outer_mean(second / (2.0 * c * c), u))
 
 
-def stein_metric_2eval(fid, theta, params: SmoothingParams, rng: np.random.Generator) -> MetricEstimate:
+def stein_metric_2eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
     """Two-evaluation Stein estimate of the state-overlap metric tensor.
 
-    `fid` maps a displacement delta to |<psi(theta)|psi(theta + delta)>|^2;
+    `f` maps displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2;
     the zero-displacement overlap is evaluated once through the same circuit
     (exactly 1 in simulation, but counted). The metric is -1/2 times the
     smoothed Hessian of the overlap:
 
-      F = -1/(2 c^2 N) * sum_i [fid(c u_i) - fid(0)] (u_i u_i^T - I)
+      F = -1/(2 c^2 N) * sum_i [f(c u_i) - f(0)] (u_i u_i^T - I)
 
     Raw cost N + 1 overlap queries; charged cost 2 per sample.
     """
-    hess = stein_hessian_2eval(fid, np.zeros(len(theta)), params.c, params.samples, rng)
-    return MetricEstimate(
-        matrix=-0.5 * hess,
-        kind="stein2",
-        smoothing=params,
-        raw_evals=params.samples + 1,
-        charged_evals=2 * params.samples,
-    )
+    hess = stein_hessian_2eval(f, np.zeros(len(theta)), c, samples, rng)
+    return MetricEstimate(-0.5 * hess, "stein2", raw_evals=samples + 1, charged_evals=2 * samples)
 
 
-def stein_metric_3eval(fid, theta, params: SmoothingParams, rng: np.random.Generator) -> MetricEstimate:
+def stein_metric_3eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
     """Three-evaluation Stein estimate of the state-overlap metric tensor.
 
-      F = -1/(4 c^2 N) * sum_i [fid(c u_i) + fid(-c u_i) - 2 fid(0)] (u_i u_i^T - I)
+      F = -1/(4 c^2 N) * sum_i [f(c u_i) + f(-c u_i) - 2 f(0)] (u_i u_i^T - I)
 
     Raw cost 2N + 1 overlap queries; charged cost 3 per sample.
     """
-    hess = stein_hessian_3eval(fid, np.zeros(len(theta)), params.c, params.samples, rng)
-    return MetricEstimate(
-        matrix=-0.5 * hess,
-        kind="stein3",
-        smoothing=params,
-        raw_evals=2 * params.samples + 1,
-        charged_evals=3 * params.samples,
-    )
+    hess = stein_hessian_3eval(f, np.zeros(len(theta)), c, samples, rng)
+    return MetricEstimate(-0.5 * hess, "stein3", raw_evals=2 * samples + 1, charged_evals=3 * samples)
 
 
-def spsa_metric(fid, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
+def spsa_metric(f, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
     """Simultaneous-perturbation estimate of the metric tensor.
 
     -1/2 times the four-point Hessian estimate of the overlap at zero
     displacement; 4 overlap queries per sample, two Rademacher vectors.
     """
-    hess = spsa2_hessian(fid, np.zeros(len(theta)), c, samples, rng)
-    return MetricEstimate(
-        matrix=-0.5 * hess,
-        kind="spsa",
-        smoothing=SmoothingParams(c=c, b=c, samples=samples),
-        raw_evals=4 * samples,
-        charged_evals=4 * samples,
-    )
+    hess = spsa2_hessian(f, np.zeros(len(theta)), c, samples, rng)
+    return MetricEstimate(-0.5 * hess, "spsa", raw_evals=4 * samples, charged_evals=4 * samples)
 
 
 def displacement_fidelity_oracle(
@@ -257,14 +234,12 @@ def displacement_fidelity_oracle(
     theta,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
-) -> ScalarOracle:
-    """Oracle delta -> |<psi(theta)|psi(theta + delta)>|^2 with a call counter."""
-    theta = _as_theta(theta)
-
-    def fid(delta):
-        return fidelity(circuit, theta, theta + delta, shots=shots, rng=rng)
-
-    return ScalarOracle(fid)
+) -> RowOracle:
+    """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2."""
+    theta = np.asarray(theta, dtype=float)
+    return RowOracle(
+        lambda deltas: [fidelity(circuit, theta, theta + delta, shots=shots, rng=rng) for delta in deltas]
+    )
 
 
 def parameter_shift_metric(
@@ -287,27 +262,18 @@ def parameter_shift_metric(
     evaluations, exploiting symmetry.
     """
     require_one_gate_per_parameter(circuit)
-    theta = _as_theta(theta)
     d = len(theta)
     fid = displacement_fidelity_oracle(circuit, theta, shots=shots, rng=rng)
-    half_pi = np.pi / 2.0
+    j1, j2 = np.triu_indices(d)
+    e1, e2 = np.eye(d)[j1], np.eye(d)[j2]
+    shifts = np.stack([e1 + e2, e1 - e2, -e1 + e2, -(e1 + e2)], axis=1) * (np.pi / 2.0)
+    values = fid(shifts.reshape(-1, d)).reshape(-1, 4)
+    second_deriv = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / 4.0
     matrix = np.zeros((d, d))
-    eye = np.eye(d)
-    for j1 in range(d):
-        for j2 in range(j1, d):
-            e1, e2 = eye[j1], eye[j2]
-            second_deriv = (
-                fid((e1 + e2) * half_pi)
-                - fid((e1 - e2) * half_pi)
-                - fid((-e1 + e2) * half_pi)
-                + fid(-(e1 + e2) * half_pi)
-            ) / 4.0
-            matrix[j1, j2] = -0.5 * second_deriv
-            matrix[j2, j1] = matrix[j1, j2]
+    matrix[j1, j2] = matrix[j2, j1] = -0.5 * second_deriv
     return MetricEstimate(
         matrix=matrix,
         kind="parameter_shift",
-        smoothing=None,
         raw_evals=fid.calls,
         charged_evals=fid.calls,
     )
@@ -328,7 +294,6 @@ def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
     return MetricEstimate(
         matrix=_symmetrize(matrix),
         kind="exact",
-        smoothing=None,
         raw_evals=0,
         charged_evals=0,
     )

@@ -17,8 +17,8 @@ import numpy as np
 from .ansatz import loss
 from .estimators import (
     MetricEstimate,
-    ScalarOracle,
-    SmoothingParams,
+    RowOracle,
+    _plus_minus_rows,
     displacement_fidelity_oracle,
     exact_metric,
     spsa_gradient,
@@ -61,8 +61,9 @@ class OptimizerConfig:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        if self.c <= 0 or self.b <= 0:
-            raise ValueError("c and b must be > 0")
+        for key in ("c", "b"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.beta < 0:
@@ -202,6 +203,13 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
     return math.sqrt(ssq) / math.sqrt(shots)
 
 
+def _loss_oracle(problem: Problem, shots: int | None, rng: np.random.Generator | None) -> RowOracle:
+    """Oracle from parameter rows to their losses, exact when shots is None."""
+    return RowOracle(
+        lambda rows: [loss(problem.circuit, problem.hamiltonian, row, shots=shots, rng=rng) for row in rows]
+    )
+
+
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
 
@@ -209,21 +217,9 @@ def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.nd
     the shift rule does not hold.
     """
     require_one_gate_per_parameter(problem.circuit)
-    d = len(theta)
-    grad = np.empty(d)
-    for i in range(d):
-        shift = np.zeros(d)
-        shift[i] = np.pi / 2.0
-        plus = loss(problem.circuit, problem.hamiltonian, theta + shift)
-        minus = loss(problem.circuit, problem.hamiltonian, theta - shift)
-        grad[i] = (plus - minus) / 2.0
-    return grad
-
-
-def _loss_oracle(problem: Problem, config: OptimizerConfig, rng: np.random.Generator) -> ScalarOracle:
-    return ScalarOracle(
-        lambda th: loss(problem.circuit, problem.hamiltonian, th, shots=config.shots, rng=rng)
-    )
+    shifts = np.eye(len(theta)) * (np.pi / 2.0)
+    values = _loss_oracle(problem, None, None)(_plus_minus_rows(theta, shifts))
+    return (values[0::2] - values[1::2]) / 2.0
 
 
 def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
@@ -232,11 +228,9 @@ def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
         grad = exact_parameter_shift_gradient(problem, state.theta)
         state.counters.loss += 2 * d
         return grad
-    oracle = _loss_oracle(problem, config, rng)
-    if kind in ("SPSA", "QNSPSA"):
-        grad = spsa_gradient(oracle, state.theta, config.c, config.samples, rng)
-    else:
-        grad = stein_gradient_2eval(oracle, state.theta, config.c, config.samples, rng)
+    oracle = _loss_oracle(problem, config.shots, rng)
+    estimator = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
+    grad = estimator(oracle, state.theta, config.c, config.samples, rng)
     state.counters.loss += oracle.calls
     return grad
 
@@ -245,12 +239,8 @@ def _estimate_metric(kind, state, problem, config, rng) -> MetricEstimate:
     if kind == "QNG":
         return exact_metric(problem.circuit, state.theta)
     fid = displacement_fidelity_oracle(problem.circuit, state.theta, shots=config.shots, rng=rng)
-    if kind == "QNSPSA":
-        return spsa_metric(fid, state.theta, config.c, config.samples, rng)
-    params = SmoothingParams(c=config.c, b=config.b, samples=config.samples)
-    if kind == "QNSTEIN2":
-        return stein_metric_2eval(fid, state.theta, params, rng)
-    return stein_metric_3eval(fid, state.theta, params, rng)
+    estimator = {"QNSPSA": spsa_metric, "QNSTEIN2": stein_metric_2eval, "QNSTEIN3": stein_metric_3eval}[kind]
+    return estimator(fid, state.theta, config.c, config.samples, rng)
 
 
 def _record(state, problem, config, blocked: bool, started: float) -> None:

@@ -15,8 +15,7 @@ import pytest
 import vqebench.bench as bench
 from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
-    ScalarOracle,
-    SmoothingParams,
+    RowOracle,
     displacement_fidelity_oracle,
     exact_metric,
     parameter_shift_metric,
@@ -72,7 +71,7 @@ def test_criterion_1_hessian_estimators_unbiased():
     }
     for name, estimator in estimators.items():
         rng = np.random.default_rng(zlib.crc32(name.encode()))
-        f = ScalarOracle(lambda th: 0.5 * th @ a @ th)
+        f = RowOracle(lambda rows: 0.5 * np.einsum("bi,ij,bj->b", rows, a, rows))
         stack = np.array(
             [estimator(f, theta0, c, batch_size, rng) for _ in range(batches)]
         )
@@ -87,17 +86,17 @@ def test_criterion_1_hessian_estimators_unbiased():
 
 def test_criterion_2_metric_estimators_single_qubit():
     """Stochastic metric estimators within 0.02 of the analytic value 1/4 at
-    N = 1e5 (c = 0.01, b = 1); parameter-shift and exact within 1e-8."""
+    N = 1e5 (c = 0.01); parameter-shift and exact within 1e-8."""
     circuit = single_qubit_ry()
     theta = np.array([0.3])
-    params = SmoothingParams(c=0.01, b=1.0, samples=100_000)
+    c, samples = 0.01, 100_000
 
     m2 = stein_metric_2eval(
-        displacement_fidelity_oracle(circuit, theta), theta, params, np.random.default_rng(101)
+        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(101)
     )
     assert abs(m2.matrix[0, 0] - 0.25) < 0.02
     m3 = stein_metric_3eval(
-        displacement_fidelity_oracle(circuit, theta), theta, params, np.random.default_rng(102)
+        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(102)
     )
     assert abs(m3.matrix[0, 0] - 0.25) < 0.02
     ms = spsa_metric(
@@ -126,8 +125,7 @@ def test_criterion_3_bias_and_variance_scaling():
 
     def mean_estimate(c):
         fid = displacement_fidelity_oracle(circuit, theta)
-        p = SmoothingParams(c=c, b=1.0, samples=samples)
-        return stein_metric_3eval(fid, theta, p, np.random.default_rng(seed)).matrix
+        return stein_metric_3eval(fid, theta, c, samples, np.random.default_rng(seed)).matrix
 
     reference = mean_estimate(c_ref)
     bias = {c: np.max(np.abs(mean_estimate(c) - reference)) for c in (0.2, 0.1, 0.05)}
@@ -142,11 +140,10 @@ def test_criterion_3_bias_and_variance_scaling():
     repeats = (60, 40, 25)
     stds = []
     for n, reps in zip(sizes, repeats):
-        p = SmoothingParams(c=0.05, b=1.0, samples=n)
         stack = np.array(
             [
                 stein_metric_2eval(
-                    displacement_fidelity_oracle(circuit, theta), theta, p, rng
+                    displacement_fidelity_oracle(circuit, theta), theta, 0.05, n, rng
                 ).matrix
                 for _ in range(reps)
             ]

@@ -185,3 +185,6 @@ def test_build_ansatz_dispatch():
         AnsatzKind("schwinger_so4", 5, 1)
     with pytest.raises(ValueError):
         AnsatzKind("hardware_efficient", 4, 1, "ring")
+    for qubits, layers in ((0, 1), (2, 1), (1, 2)):
+        with pytest.raises(ValueError, match="ry1 takes qubits = 1 and layers = 1"):
+            AnsatzKind("ry1", qubits, layers)

@@ -630,13 +630,24 @@ def test_cli_metric_check_single_qubit(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--samples", "0"), ("--c", "0"), ("--b", "-1"), ("--shots", "0")]
+    "flag, value",
+    [
+        ("--samples", "0"),
+        ("--c", "0"),
+        ("--c", "inf"),
+        ("--c", "nan"),
+        ("--b", "-1"),
+        ("--b", "inf"),
+        ("--b", "nan"),
+        ("--shots", "0"),
+        # The default ansatz, ry1, is one qubit and one layer.
+        ("--qubits", "0"),
+        ("--qubits", "3"),
+        ("--layers", "2"),
+    ],
 )
 def test_cli_metric_check_rejects_bad_arguments(flag, value, capsys):
-    assert main(["metric-check", "--samples", "20", flag, value]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    _assert_one_error_line(["metric-check", "--samples", "20", flag, value], f" {flag[2:]} ", capsys)
 
 
 def test_cli_unknown_subcommand_exits_2():

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
+from vqebench.ansatz import fidelity, hardware_efficient, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
     MetricEstimate,
-    ScalarOracle,
-    SmoothingParams,
+    RowOracle,
     displacement_fidelity_oracle,
     exact_metric,
     parameter_shift_metric,
@@ -29,33 +28,58 @@ def quad():
     rng = np.random.default_rng(1234)
     a = rng.uniform(-1, 1, (4, 4))
     a = (a + a.T) / 2
-    return a, ScalarOracle(lambda th: 0.5 * th @ a @ th)
+    return a, RowOracle(lambda rows: 0.5 * np.einsum("bi,ij,bj->b", rows, a, rows))
 
 
-def test_scalar_oracle_counts_calls():
-    oracle = ScalarOracle(lambda th: float(np.sum(th)))
+def test_row_oracle_counts_rows():
+    oracle = RowOracle(lambda rows: rows.sum(axis=1))
     for _ in range(3):
-        oracle(np.ones(2))
-    assert oracle.calls == 3
+        assert np.array_equal(oracle(np.ones((2, 4))), [4.0, 4.0])
+    assert oracle.calls == 6
+    for bad in (np.ones(4), np.ones((1, 2, 4))):
+        with pytest.raises(ValueError, match="rows"):
+            oracle(bad)
+    assert oracle.calls == 6
 
 
-def test_smoothing_params_validation():
-    with pytest.raises(ValueError):
-        SmoothingParams(c=0.0, b=1.0, samples=1)
-    with pytest.raises(ValueError):
-        SmoothingParams(c=0.1, b=-1.0, samples=1)
-    with pytest.raises(ValueError):
-        SmoothingParams(c=0.1, b=1.0, samples=0)
+STOCHASTIC_ESTIMATORS = (
+    spsa_gradient,
+    spsa2_hessian,
+    stein_gradient_1eval,
+    stein_gradient_2eval,
+    stein_hessian_1eval,
+    stein_hessian_2eval,
+    stein_hessian_3eval,
+    spsa_metric,
+    stein_metric_2eval,
+    stein_metric_3eval,
+)
+
+
+@pytest.mark.parametrize("estimator", STOCHASTIC_ESTIMATORS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize(
+    "key, value",
+    [("c", 0.0), ("c", -0.1), ("c", np.nan), ("c", np.inf), ("samples", 0), ("samples", -1)],
+)
+def test_stochastic_estimators_reject_bad_arguments(estimator, key, value):
+    args = {"c": 0.1, "samples": 5, key: value}
+    oracle = RowOracle(lambda rows: np.ones(len(rows)))
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        estimator(oracle, np.zeros(3), args["c"], args["samples"], rng)
+    # Rejected before any draw or query.
+    assert oracle.calls == 0
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_metric_estimate_requires_exact_symmetry():
     with pytest.raises(ValueError):
-        MetricEstimate(np.array([[0.0, 1e-14], [0.0, 0.0]]), "x", None, 0, 0)
+        MetricEstimate(np.array([[0.0, 1e-14], [0.0, 0.0]]), "x", 0, 0)
 
 
 def test_spsa_gradient_linear_first_coordinate():
     # f = theta_0: each single-sample estimate has first component exactly 1.
-    f = ScalarOracle(lambda th: th[0])
+    f = RowOracle(lambda rows: rows[:, 0])
     rng = np.random.default_rng(0)
     for _ in range(20):
         g = spsa_gradient(f, np.zeros(3), 0.1, 1, rng)
@@ -63,7 +87,7 @@ def test_spsa_gradient_linear_first_coordinate():
 
 
 def test_spsa_gradient_constant_function():
-    f = ScalarOracle(lambda th: 4.2)
+    f = RowOracle(lambda rows: np.full(len(rows), 4.2))
     g = spsa_gradient(f, np.zeros(3), 0.1, 50, np.random.default_rng(1))
     assert np.all(g == 0.0)
     assert f.calls == 100
@@ -83,13 +107,13 @@ def test_spsa2_hessian_quadratic(quad):
 
 
 def test_spsa2_hessian_linear_exact_zero():
-    f = ScalarOracle(lambda th: 2.0 * th[0] - th[1])
+    f = RowOracle(lambda rows: 2.0 * rows[:, 0] - rows[:, 1])
     h = spsa2_hessian(f, np.zeros(2), 0.1, 30, np.random.default_rng(4))
     assert np.max(np.abs(h)) < 1e-12
 
 
 def test_spsa2_hessian_symmetric_per_sample():
-    f = ScalarOracle(lambda th: np.sin(th[0]) * th[1] ** 2)
+    f = RowOracle(lambda rows: np.sin(rows[:, 0]) * rows[:, 1] ** 2)
     h = spsa2_hessian(f, np.array([0.5, -0.2]), 0.2, 1, np.random.default_rng(5))
     assert np.array_equal(h, h.T)
 
@@ -98,8 +122,7 @@ def test_spsa2_hessian_per_sample_algebra(quad):
     # For a quadratic, the four-point second difference is exactly
     # 2 c^2 Delta1^T A Delta2, so one sample gives that weight on
     # sym(Delta1 Delta2^T); reproduce the draws from a same-seeded generator.
-    a, _ = quad
-    f = ScalarOracle(lambda th: 0.5 * th @ a @ th)
+    a, f = quad
     c = 0.2
     h = spsa2_hessian(f, np.zeros(4), c, 1, np.random.default_rng(77))
     probe = np.random.default_rng(77)
@@ -111,7 +134,7 @@ def test_spsa2_hessian_per_sample_algebra(quad):
 
 
 def test_stein_gradient_2eval_constant_exact_zero():
-    f = ScalarOracle(lambda th: -3.0)
+    f = RowOracle(lambda rows: np.full(len(rows), -3.0))
     g = stein_gradient_2eval(f, np.zeros(3), 0.1, 40, np.random.default_rng(6))
     assert np.all(g == 0.0)
     assert f.calls == 80
@@ -119,7 +142,7 @@ def test_stein_gradient_2eval_constant_exact_zero():
 
 def test_stein_gradient_2eval_linear():
     direction = np.array([0.6, -0.8, 0.0, 0.0])
-    f = ScalarOracle(lambda th: direction @ th)
+    f = RowOracle(lambda rows: rows @ direction)
     g = stein_gradient_2eval(f, np.zeros(4), 0.1, 100_000, np.random.default_rng(7))
     assert np.max(np.abs(g - direction)) < 0.05
 
@@ -137,7 +160,7 @@ def test_stein_1eval_constant_means():
     k = 2.0
     c = 0.1
     samples = 100_000
-    f = ScalarOracle(lambda th: k)
+    f = RowOracle(lambda rows: np.full(len(rows), k))
     rng = np.random.default_rng(9)
     g = stein_gradient_1eval(f, np.zeros(4), c, samples, rng)
     assert np.max(np.abs(g)) < 0.05 * k / c
@@ -160,7 +183,7 @@ def test_stein_hessian_23eval_quadratic(quad):
 
 
 def test_stein_hessian_3eval_linear_exact_zero():
-    f = ScalarOracle(lambda th: th[0] - 2.0 * th[1])
+    f = RowOracle(lambda rows: rows[:, 0] - 2.0 * rows[:, 1])
     h = stein_hessian_3eval(f, np.zeros(2), 0.1, 25, np.random.default_rng(12))
     assert np.max(np.abs(h)) < 1e-12
 
@@ -185,7 +208,7 @@ def test_stein_hessian_matches_standard_form_reference(quad):
     theta = np.array([0.2, -0.1, 0.4, 0.0])
     c, samples = 0.1, 64
 
-    h2 = stein_hessian_2eval(ScalarOracle(f), theta, c, samples, np.random.default_rng(99))
+    h2 = stein_hessian_2eval(RowOracle(lambda rows: [f(row) for row in rows]), theta, c, samples, np.random.default_rng(99))
     u = np.random.default_rng(99).standard_normal((samples, 4))
     ref = np.zeros((4, 4))
     f0 = f(theta)
@@ -195,7 +218,7 @@ def test_stein_hessian_matches_standard_form_reference(quad):
     ref = (ref + ref.T) / 2
     assert np.max(np.abs(h2 - ref)) < 1e-12
 
-    h3 = stein_hessian_3eval(ScalarOracle(f), theta, c, samples, np.random.default_rng(99))
+    h3 = stein_hessian_3eval(RowOracle(lambda rows: [f(row) for row in rows]), theta, c, samples, np.random.default_rng(99))
     ref3 = np.zeros((4, 4))
     for ui in u:
         second = f(theta + c * ui) + f(theta - c * ui) - 2 * f0
@@ -205,19 +228,125 @@ def test_stein_hessian_matches_standard_form_reference(quad):
     assert np.max(np.abs(h3 - ref3)) < 1e-12
 
 
+# The per-sample loops the row-array estimators replaced, one scalar query at a
+# time, kept as the reference for their values and their query order.
+def _loop_spsa_gradient(f, theta, c, samples, rng):
+    d = theta.size
+    deltas = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
+    grad = np.zeros(d)
+    for delta in deltas:
+        diff = f(theta + c * delta) - f(theta - c * delta)
+        grad += diff / (2.0 * c) * delta
+    return grad / samples
+
+
+def _loop_spsa2_hessian(f, theta, c, samples, rng):
+    d = theta.size
+    d1 = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
+    d2 = rng.integers(0, 2, size=(samples, d)) * 2.0 - 1.0
+    hess = np.zeros((d, d))
+    for delta1, delta2 in zip(d1, d2):
+        df = (
+            f(theta + c * delta1 + c * delta2)
+            - f(theta + c * delta1)
+            - f(theta - c * delta1 + c * delta2)
+            + f(theta - c * delta1)
+        )
+        hess += df / (2.0 * c * c) * np.outer(delta1, delta2)
+    hess /= samples
+    return (hess + hess.T) / 2.0
+
+
+def _loop_stein_gradient_1eval(f, theta, c, samples, rng):
+    u = rng.standard_normal((samples, len(theta)))
+    vals = np.array([f(theta + c * ui) for ui in u])
+    return (vals @ u) / (c * samples)
+
+
+def _loop_stein_gradient_2eval(f, theta, c, samples, rng):
+    u = rng.standard_normal((samples, len(theta)))
+    vals = np.array([f(theta + c * ui) - f(theta - c * ui) for ui in u])
+    return (vals @ u) / (2.0 * c * samples)
+
+
+def _loop_outer_mean(weights, u):
+    m = np.einsum("i,ij,ik->jk", weights, u, u) / len(weights)
+    m = m - weights.mean() * np.eye(u.shape[1])
+    return (m + m.T) / 2.0
+
+
+def _loop_stein_hessian_1eval(f, theta, c, samples, rng):
+    u = rng.standard_normal((samples, len(theta)))
+    vals = np.array([f(theta + c * ui) for ui in u])
+    return _loop_outer_mean(vals / (c * c), u)
+
+
+def _loop_stein_hessian_2eval(f, theta, c, samples, rng):
+    u = rng.standard_normal((samples, len(theta)))
+    f0 = f(theta)
+    vals = np.array([f(theta + c * ui) - f0 for ui in u])
+    return _loop_outer_mean(vals / (c * c), u)
+
+
+def _loop_stein_hessian_3eval(f, theta, c, samples, rng):
+    u = rng.standard_normal((samples, len(theta)))
+    f0 = f(theta)
+    vals = np.array([f(theta + c * ui) + f(theta - c * ui) - 2.0 * f0 for ui in u])
+    return _loop_outer_mean(vals / (2.0 * c * c), u)
+
+
+LOOP_REFERENCES = {
+    spsa_gradient: _loop_spsa_gradient,
+    spsa2_hessian: _loop_spsa2_hessian,
+    stein_gradient_1eval: _loop_stein_gradient_1eval,
+    stein_gradient_2eval: _loop_stein_gradient_2eval,
+    stein_hessian_1eval: _loop_stein_hessian_1eval,
+    stein_hessian_2eval: _loop_stein_hessian_2eval,
+    stein_hessian_3eval: _loop_stein_hessian_3eval,
+}
+
+
+@pytest.mark.parametrize("base", ["zero", "offset"])
+@pytest.mark.parametrize("estimator", LOOP_REFERENCES, ids=lambda fn: fn.__name__)
+def test_estimators_match_per_sample_loop_reference(estimator, base):
+    """Bit for bit equal to the per-sample loop, with the same query order.
+
+    One generator feeds both the perturbation draws and the 1024-shot overlap
+    sampling, as in the optimizer loop, so a reordered query changes the
+    result and the generator's next draw.
+    """
+    circuit = hardware_efficient(3, 1)
+    theta = np.random.default_rng(32).uniform(-np.pi, np.pi, circuit.param_count)
+    start = np.zeros(3) if base == "zero" else np.array([0.05, -0.02, 0.01])
+    c, samples = 0.1, 16
+
+    rng = np.random.default_rng(33)
+    oracle = displacement_fidelity_oracle(circuit, theta, shots=1024, rng=rng)
+    got = estimator(oracle, start, c, samples, rng)
+
+    loop_rng = np.random.default_rng(33)
+
+    def fid(delta):
+        return fidelity(circuit, theta, theta + delta, shots=1024, rng=loop_rng)
+
+    want = LOOP_REFERENCES[estimator](fid, start, c, samples, loop_rng)
+    assert np.array_equal(got, want)
+    assert rng.random() == loop_rng.random()
+
+
 CONSTANT_FID_DIM = 3
 
 
 def constant_fid_oracle():
-    return ScalarOracle(lambda delta: 1.0)
+    return RowOracle(lambda deltas: np.ones(len(deltas)))
 
 
 def test_stein_metrics_zero_for_constant_overlap():
     theta = np.zeros(CONSTANT_FID_DIM)
-    params = SmoothingParams(c=0.1, b=1.0, samples=30)
-    m2 = stein_metric_2eval(constant_fid_oracle(), theta, params, np.random.default_rng(14))
+    c, samples = 0.1, 30
+    m2 = stein_metric_2eval(constant_fid_oracle(), theta, c, samples, np.random.default_rng(14))
     assert np.all(m2.matrix == 0.0)
-    m3 = stein_metric_3eval(constant_fid_oracle(), theta, params, np.random.default_rng(15))
+    m3 = stein_metric_3eval(constant_fid_oracle(), theta, c, samples, np.random.default_rng(15))
     assert np.all(m3.matrix == 0.0)
     ms = spsa_metric(constant_fid_oracle(), theta, 0.1, 30, np.random.default_rng(16))
     assert np.all(ms.matrix == 0.0)
@@ -225,12 +354,12 @@ def test_stein_metrics_zero_for_constant_overlap():
 
 def test_metric_estimator_eval_counts():
     theta = np.zeros(CONSTANT_FID_DIM)
-    params = SmoothingParams(c=0.1, b=1.0, samples=25)
+    c, samples = 0.1, 25
     fid = constant_fid_oracle()
-    m2 = stein_metric_2eval(fid, theta, params, np.random.default_rng(17))
+    m2 = stein_metric_2eval(fid, theta, c, samples, np.random.default_rng(17))
     assert (m2.raw_evals, m2.charged_evals, fid.calls) == (26, 50, 26)
     fid = constant_fid_oracle()
-    m3 = stein_metric_3eval(fid, theta, params, np.random.default_rng(18))
+    m3 = stein_metric_3eval(fid, theta, c, samples, np.random.default_rng(18))
     assert (m3.raw_evals, m3.charged_evals, fid.calls) == (51, 75, 51)
     fid = constant_fid_oracle()
     ms = spsa_metric(fid, theta, 0.1, 25, np.random.default_rng(19))
@@ -241,12 +370,12 @@ def test_stein_metrics_single_qubit_benchmark():
     # Analytic metric of the single-RY circuit is 1/4.
     circuit = single_qubit_ry()
     theta = np.array([0.3])
-    params = SmoothingParams(c=0.01, b=1.0, samples=30_000)
+    c, samples = 0.01, 30_000
     fid = displacement_fidelity_oracle(circuit, theta)
-    m2 = stein_metric_2eval(fid, theta, params, np.random.default_rng(20))
+    m2 = stein_metric_2eval(fid, theta, c, samples, np.random.default_rng(20))
     assert m2.matrix[0, 0] == pytest.approx(0.25, abs=0.04)
     m3 = stein_metric_3eval(
-        displacement_fidelity_oracle(circuit, theta), theta, params, np.random.default_rng(21)
+        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(21)
     )
     assert m3.matrix[0, 0] == pytest.approx(0.25, abs=0.04)
     ms = spsa_metric(
@@ -259,12 +388,12 @@ def test_stein_metrics_agree_on_two_qubit_circuit():
     circuit = hardware_efficient(2, 1)
     theta = np.random.default_rng(23).uniform(-np.pi, np.pi, 2)
     exact = exact_metric(circuit, theta).matrix
-    params = SmoothingParams(c=0.01, b=1.0, samples=30_000)
+    c, samples = 0.01, 30_000
     m2 = stein_metric_2eval(
-        displacement_fidelity_oracle(circuit, theta), theta, params, np.random.default_rng(24)
+        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(24)
     )
     m3 = stein_metric_3eval(
-        displacement_fidelity_oracle(circuit, theta), theta, params, np.random.default_rng(25)
+        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(25)
     )
     assert np.max(np.abs(m2.matrix - exact)) < 0.08
     assert np.max(np.abs(m3.matrix - exact)) < 0.08
@@ -279,7 +408,6 @@ def test_metric_estimators_are_minus_half_their_overlap_hessian(shots):
     theta = np.random.default_rng(29).uniform(-np.pi, np.pi, circuit.param_count)
     zero = np.zeros(circuit.param_count)
     c, samples = 0.1, 20
-    params = SmoothingParams(c=c, b=1.0, samples=samples)
 
     def fid():
         return displacement_fidelity_oracle(circuit, theta, shots=shots, rng=np.random.default_rng(30))
@@ -289,8 +417,8 @@ def test_metric_estimators_are_minus_half_their_overlap_hessian(shots):
 
     pairs = (
         (spsa_metric(fid(), theta, c, samples, rng()), spsa2_hessian),
-        (stein_metric_2eval(fid(), theta, params, rng()), stein_hessian_2eval),
-        (stein_metric_3eval(fid(), theta, params, rng()), stein_hessian_3eval),
+        (stein_metric_2eval(fid(), theta, c, samples, rng()), stein_hessian_2eval),
+        (stein_metric_3eval(fid(), theta, c, samples, rng()), stein_hessian_3eval),
     )
     for metric, hessian in pairs:
         hess = hessian(fid(), zero, c, samples, rng())
@@ -382,10 +510,10 @@ def test_all_estimators_return_exactly_symmetric_matrices(quad):
         assert np.array_equal(h, h.T)
     circuit = hardware_efficient(2, 1)
     theta = np.zeros(2)
-    params = SmoothingParams(c=0.05, b=1.0, samples=10)
+    c, samples = 0.05, 10
     for est in (
-        stein_metric_2eval(displacement_fidelity_oracle(circuit, theta), theta, params, rng),
-        stein_metric_3eval(displacement_fidelity_oracle(circuit, theta), theta, params, rng),
+        stein_metric_2eval(displacement_fidelity_oracle(circuit, theta), theta, c, samples, rng),
+        stein_metric_3eval(displacement_fidelity_oracle(circuit, theta), theta, c, samples, rng),
         spsa_metric(displacement_fidelity_oracle(circuit, theta), theta, 0.05, 10, rng),
         parameter_shift_metric(circuit, theta),
         exact_metric(circuit, theta),

@@ -267,6 +267,11 @@ def test_config_validation():
         OptimizerConfig(eta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(samples=0)
+    # The estimators check c and samples again; b is checked only here.
+    with pytest.raises(ValueError, match="^c must be > 0, got 0.0"):
+        OptimizerConfig(c=0.0)
+    with pytest.raises(ValueError, match="^b must be > 0, got -1.0"):
+        OptimizerConfig(b=-1.0)
     with pytest.raises(ValueError):
         OptimizerConfig(shots=0)
     with pytest.raises(ValueError):
