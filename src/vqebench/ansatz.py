@@ -17,6 +17,7 @@ from .pauli import PauliSum
 from .simulator import (
     Circuit,
     Gate,
+    _INVERSE_KIND,
     _apply_gates,
     apply_adjoint_circuit,
     apply_circuit,
@@ -32,9 +33,9 @@ BOND_ORDERS = ("even_first", "odd_first")
 
 @dataclass(frozen=True)
 class AnsatzKind:
-    """Named ansatz family plus its size knobs.
+    """Named ansatz family plus its size knobs; the one owner of their rules.
 
-    bond_order only affects schwinger_so4: it selects which brick-wall
+    bond_order only applies to schwinger_so4: it selects which brick-wall
     sublayer comes first within a layer. The two orders have the same gate
     and parameter counts but span different state manifolds at low depth.
     """
@@ -57,6 +58,8 @@ class AnsatzKind:
             raise ValueError("schwinger_so4 needs an even qubit count")
         if self.bond_order not in BOND_ORDERS:
             raise ValueError(f"bond_order must be one of {BOND_ORDERS}, got {self.bond_order!r}")
+        if self.kind != "schwinger_so4" and self.bond_order != "even_first":
+            raise ValueError("bond_order only applies to schwinger_so4")
 
 
 def build_ansatz(spec: AnsatzKind) -> Circuit:
@@ -78,10 +81,7 @@ def hardware_efficient(n: int, layers: int) -> Circuit:
     Each layer holds one parameterized RY per qubit and CNOTs i -> i+1 for
     i = 0..n-2; no trailing rotation layer, so param_count = n * layers.
     """
-    if n < 2:
-        raise ValueError("hardware_efficient needs at least 2 qubits")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
+    AnsatzKind("hardware_efficient", n, layers)  # raises for a size it does not take
     gates = []
     p = 0
     for _ in range(layers):
@@ -100,10 +100,6 @@ def _magic_basis_gates(a: int, b: int) -> list[Gate]:
     return [Gate("S", (a,)), Gate("S", (b,)), Gate("H", (a,)), Gate("CNOT", (a, b))]
 
 
-def _magic_basis_adjoint_gates(a: int, b: int) -> list[Gate]:
-    return [Gate("CNOT", (a, b)), Gate("H", (a,)), Gate("Sdg", (b,)), Gate("Sdg", (a,))]
-
-
 def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
     """Gate sequence for one SO(4) block on sites (a, b).
 
@@ -113,8 +109,8 @@ def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
     p = list(param_indices)
     if len(p) != 6:
         raise ValueError(f"SO(4) block takes 6 parameters, got {len(p)}")
-    gates = _magic_basis_gates(a, b)
-    gates += [
+    magic = _magic_basis_gates(a, b)
+    gates = magic + [
         Gate("RZ", (a,), p[0]),
         Gate("RX", (a,), p[1]),
         Gate("RZ", (a,), p[2]),
@@ -122,7 +118,7 @@ def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
         Gate("RX", (b,), p[4]),
         Gate("RZ", (b,), p[5]),
     ]
-    gates += _magic_basis_adjoint_gates(a, b)
+    gates += [Gate(_INVERSE_KIND[g.kind], g.sites) for g in reversed(magic)]
     return gates
 
 
@@ -147,14 +143,7 @@ def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Cir
     orders reach different state manifolds, so the order is exposed as a
     configuration choice.
     """
-    if n < 2:
-        raise ValueError("schwinger_so4 needs at least 2 qubits")
-    if n % 2 != 0:
-        raise ValueError("schwinger_so4 needs an even qubit count")
-    if layers < 1:
-        raise ValueError("layers must be >= 1")
-    if bond_order not in BOND_ORDERS:
-        raise ValueError(f"bond_order must be one of {BOND_ORDERS}, got {bond_order!r}")
+    AnsatzKind("schwinger_so4", n, layers, bond_order)  # raises for a size it does not take
     gates = [Gate("X", (q,)) for q in range(1, n, 2)]
     p = 0
     even = [(q, q + 1) for q in range(0, n - 1, 2)]

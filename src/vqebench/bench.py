@@ -11,7 +11,7 @@ import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import islice
 
 import numpy as np
@@ -82,7 +82,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem_kind not in PROBLEMS:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
-        _, expected = PROBLEMS[self.problem_kind]
+        builder, expected = PROBLEMS[self.problem_kind]
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
@@ -91,8 +91,6 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
             raise ConfigError(f"unknown ansatz kind {self.ansatz_kind!r}")
-        if self.ansatz_kind != "schwinger_so4" and self.bond_order != "even_first":
-            raise ConfigError("bond_order only applies to schwinger_so4")
         # Named as in the file: a repeated entry would run twice or lose its overrides.
         _require_distinct("qubits", self.sizes)
         _require_distinct("kinds", [entry.label for entry in self.optimizers])
@@ -101,12 +99,11 @@ class RunConfig:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         for size in self.sizes:
             try:
-                # Constructing the ansatz spec applies its own guards (size, parity).
+                # The ansatz spec and the Hamiltonian builder apply their own size rules.
                 AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
+                builder(size, *(value for _, value in self.problem_params))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
-            if self.problem_kind == "schwinger" and size % 2 != 0:
-                raise ConfigError(f"schwinger problem needs even qubit counts, got {size}")
         for entry in self.optimizers:
             if not _LABEL.fullmatch(entry.label):
                 raise ConfigError(f"optimizer label {entry.label!r} must be a plain name ({_LABEL.pattern})")
@@ -154,19 +151,9 @@ def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-# Each optimizer key's declared type, named as in the error text.
-_OPTIMIZER_KEYS = {
-    "eta": "float",
-    "c": "float",
-    "b": "float",
-    "samples": "int",
-    "beta": "float",
-    "shots": "int or none",
-    "max_steps": "int",
-    "blocking": "bool",
-    "blocking_multiplier": "float",
-    "update_metric_on_block": "bool",
-}
+# Each optimizer key's declared type, named as in the error text ("int | None"
+# reads "int or none"); annotations are strings under `from __future__ import annotations`.
+_OPTIMIZER_KEYS = {f.name: f.type.replace(" | None", " or none") for f in fields(OptimizerConfig)}
 _READERS = {
     "float": float,
     "int": int,
@@ -297,7 +284,11 @@ def serialize_config(cfg: RunConfig) -> str:
                 lines.append(f"{key} = {_format_value(value)}")
     lines += ["", "[run]"]
     lines.append(f"seeds = {', '.join(str(s) for s in cfg.seeds)}")
-    lines.append(f"out = {cfg.out_dir}")
+    out = cfg.out_dir
+    # '#' starts a comment, and a value is read stripped from one line.
+    if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
+        raise ConfigError(f"out {out!r} would not read back: it has a '#', a line break or outer whitespace")
+    lines.append(f"out = {out}")
     return "\n".join(lines) + "\n"
 
 
@@ -323,8 +314,8 @@ def build_problem(cfg: RunConfig, size: int) -> Problem:
 
 # ---------------------------------------------------------------------------
 # Presets: the published experiment grids. The full-size grids exceed the
-# dense-diagonalization oracle (n <= 14) and desk-scale budgets; override
-# qubits/seeds/steps on the command line to shrink them.
+# dense-diagonalization oracle (n <= MAX_DENSE_QUBITS) and desk-scale budgets;
+# override qubits/seeds/steps on the command line to shrink them.
 # ---------------------------------------------------------------------------
 
 

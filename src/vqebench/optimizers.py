@@ -61,13 +61,11 @@ class OptimizerConfig:
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
         if self.eta <= 0:
             raise ValueError("eta must be > 0")
-        for key in ("c", "b"):
+        for key in ("c", "b", "beta"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValueError("shots must be >= 1 when set")
         if self.max_steps < 0:

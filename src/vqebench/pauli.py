@@ -27,9 +27,9 @@ PAULI_MATRICES = {
 COEFF_PRUNE_THRESHOLD = 1e-12
 
 # The dense matrix takes 16 * 4**n bytes and exact_ground_energy holds about
-# twice that (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14), so the
-# guard's top size does not fit an 8 GB machine.
-MAX_DENSE_QUBITS = 14
+# twice that (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14), so this
+# is the largest size that fits an 8 GB machine.
+MAX_DENSE_QUBITS = 13
 
 
 @dataclass(frozen=True)
@@ -117,16 +117,11 @@ class PauliSum:
         return cls(terms=kept, qubit_count=qubit_count)
 
 
-def _single_site(qubit_count: int, site: int, axis: str) -> str:
+def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:
+    """Axes string with each (site, axis) pair set and I elsewhere."""
     axes = ["I"] * qubit_count
-    axes[site] = axis
-    return "".join(axes)
-
-
-def _two_site(qubit_count: int, site_a: int, axis_a: str, site_b: int, axis_b: str) -> str:
-    axes = ["I"] * qubit_count
-    axes[site_a] = axis_a
-    axes[site_b] = axis_b
+    for site, axis in site_axes:
+        axes[site] = axis
     return "".join(axes)
 
 
@@ -139,9 +134,9 @@ def build_tfim(n: int, J: float, h: float) -> PauliSum:
         raise ValueError(f"TFIM needs at least 2 sites (no bond exists for n={n})")
     terms = []
     for i in range(n - 1):
-        terms.append(PauliString(J, _two_site(n, i, "Z", i + 1, "Z")))
+        terms.append(PauliString(J, _axes(n, (i, "Z"), (i + 1, "Z"))))
     for i in range(n):
-        terms.append(PauliString(h, _single_site(n, i, "X")))
+        terms.append(PauliString(h, _axes(n, (i, "X"))))
     return PauliSum.from_terms(terms, n)
 
 
@@ -160,25 +155,26 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     if n < 2:
         raise ValueError(f"Schwinger model needs at least 2 sites, got n={n}")
     if n % 2 != 0:
-        raise ValueError(f"staggered fermions pair sites; n must be even, got n={n}")
+        # Staggered fermions pair sites.
+        raise ValueError(f"schwinger problem needs even qubit counts, got {n}")
     terms = []
     ident = "I" * n
     for k in range(n - 1):
-        terms.append(PauliString(x / 2.0, _two_site(n, k, "X", k + 1, "X")))
-        terms.append(PauliString(x / 2.0, _two_site(n, k, "Y", k + 1, "Y")))
+        terms.append(PauliString(x / 2.0, _axes(n, (k, "X"), (k + 1, "X"))))
+        terms.append(PauliString(x / 2.0, _axes(n, (k, "Y"), (k + 1, "Y"))))
     for k in range(n):
         terms.append(PauliString(mu / 2.0, ident))
-        terms.append(PauliString((mu / 2.0) * (-1) ** k, _single_site(n, k, "Z")))
+        terms.append(PauliString((mu / 2.0) * (-1) ** k, _axes(n, (k, "Z"))))
     for j in range(n - 1):
         # (l + (1/2) sum_{k<=j} s_k Z_k)^2 with s_k = (-1)^k:
         #   l^2 + (j+1)/4 constant, l*s_k Z_k linear, (1/2) s_k s_m Z_k Z_m cross.
         terms.append(PauliString(l * l + (j + 1) / 4.0, ident))
         for k in range(j + 1):
-            terms.append(PauliString(l * (-1) ** k, _single_site(n, k, "Z")))
+            terms.append(PauliString(l * (-1) ** k, _axes(n, (k, "Z"))))
         for k in range(j + 1):
             for m in range(k + 1, j + 1):
                 sign = (-1) ** k * (-1) ** m
-                terms.append(PauliString(0.5 * sign, _two_site(n, k, "Z", m, "Z")))
+                terms.append(PauliString(0.5 * sign, _axes(n, (k, "Z"), (m, "Z"))))
     return PauliSum.from_terms(terms, n)
 
 
@@ -191,8 +187,9 @@ def pauli_string_matrix(axes: str) -> np.ndarray:
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a PauliSum, 16 * 4**n bytes (4.3 GB at the
-    n <= 14 guard). Each term fills m[j, j ^ flip_mask] for every row j."""
+    """Dense Hermitian matrix of a PauliSum, 16 * 4**n bytes, for n up to
+    MAX_DENSE_QUBITS (checked before anything is allocated). Each term fills
+    m[j, j ^ flip_mask] for every row j."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")

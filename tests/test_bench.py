@@ -317,6 +317,20 @@ def test_cli_exact_rejects_bad_sizes(capsys):
     assert main(["exact", "schwinger", "--qubits", "3", "--x", "1", "--mu", "0.5", "--l", "0"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["schwinger", "--qubits", "3", "--x", "1", "--mu", "0.5", "--l", "0"],
+         "schwinger problem needs even qubit counts, got 3"),
+        # Refused by the size guard before the 4.3 GB matrix is allocated.
+        (["tfim", "--qubits", "14", "--J", "-1", "--h", "-2"], "exceeds the n<=13 guard"),
+    ],
+    ids=["odd-schwinger", "tfim-14"],
+)
+def test_cli_exact_reports_bad_sizes_in_one_line(argv, expected, capsys):
+    _assert_one_error_line(["exact", *argv], expected, capsys)
+
+
 def test_cli_preset_desk_scale_smoke(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(bench.WORKERS_ENV_VAR, "1")
     out = tmp_path / "fig2"
@@ -333,6 +347,71 @@ def test_cli_preset_dump_config_round_trip(capsys):
     assert main(["preset", "schwinger-fig5", "--dump-config"]) == 0
     text = capsys.readouterr().out
     assert parse_config(text) == preset_config("schwinger-fig5")
+
+
+# The whole text of a preset with override sections and a label -> kind map, so
+# the config format cannot drift with the key list derived from OptimizerConfig.
+APPENDIX_C_6Q = """[problem]
+kind = tfim
+qubits = 6
+J = -1.0
+h = -2.0
+
+[ansatz]
+kind = hardware_efficient
+layers = 3
+
+[optimizer]
+kinds = QNSTEIN2, QNSTEIN3, QNSPSA-N5, QNSPSA-N10, QNSPSA-N20
+eta = 0.01
+c = 0.05
+b = 2.0
+samples = 5
+beta = 0.01
+shots = 8192
+max_steps = 300
+blocking = true
+blocking_multiplier = 2.0
+update_metric_on_block = true
+
+[optimizer.QNSPSA-N5]
+kind = QNSPSA
+samples = 5
+
+[optimizer.QNSPSA-N10]
+kind = QNSPSA
+samples = 10
+
+[optimizer.QNSPSA-N20]
+kind = QNSPSA
+samples = 20
+
+[run]
+seeds = 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29
+out = results/appendixC
+"""
+
+
+def test_cli_preset_dump_config_text_is_pinned(capsys):
+    assert main(["preset", "appendixC", "--qubits", "6", "--dump-config"]) == 0
+    assert capsys.readouterr().out == APPENDIX_C_6Q
+
+
+# '#' starts a comment, and a value is read stripped from one line, so each of
+# these would read back as another directory.
+_UNREADABLE_OUTS = ["x#y", "x\ny", "x\r\ny", " x", "x ", "x\t"]
+
+
+@pytest.mark.parametrize("out", _UNREADABLE_OUTS)
+def test_serialize_rejects_out_that_does_not_read_back(out, tmp_path):
+    cfg = replace(small_config(tmp_path), out_dir=out)  # a run may still use it
+    with pytest.raises(ConfigError, match=re.escape(f"out {out!r} would not read back")):
+        serialize_config(cfg)
+
+
+def test_cli_dump_config_rejects_out_that_does_not_read_back(capsys):
+    argv = ["preset", "tfim-fig2", "--qubits", "2", "--out", "x#y", "--dump-config"]
+    _assert_one_error_line(argv, "out 'x#y' would not read back", capsys)
 
 
 def test_cli_preset_seed_offset(capsys):
@@ -529,6 +608,12 @@ _BAD_CONFIGS = [
         lambda cfg: {"sizes": (4, 5), "ansatz_kind": "schwinger_so4"},
         "even qubit count",
         id="odd-schwinger-ansatz",
+    ),
+    pytest.param(
+        [("beta = 0.01", "beta = 0")],
+        lambda cfg: {"optimizers": _override(cfg, beta=0.0)},
+        "beta must be > 0, got 0.0",
+        id="beta-0",
     ),
     pytest.param(
         [("max_steps = 2", "max_steps = -1")],

@@ -241,6 +241,35 @@ def test_blocked_step_keeps_parameters():
             assert cur.energy == prev.energy
 
 
+@pytest.mark.parametrize("update_metric_on_block", [True, False])
+def test_blocked_step_metric_average(update_metric_on_block):
+    problem = tfim_problem()
+    # As in test_blocked_step_keeps_parameters: tolerance 0 blocks every loss increase.
+    config = OptimizerConfig(
+        eta=50.0, samples=2, shots=4096, blocking=True, blocking_multiplier=0.0, max_steps=6,
+        update_metric_on_block=update_metric_on_block,
+    )
+    rng = np.random.default_rng(5)
+    theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
+    loss0 = loss(problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng)
+    state = OptimizerState(theta0, None, 0, 0, loss0, EvalCounters(), [])
+    blocked_steps = 0
+    for _ in range(config.max_steps):
+        before_avg, before_count = state.metric_avg, state.metric_count
+        step("QNSPSA", state, problem, config, rng)
+        blocked = state.trace[-1].blocked
+        blocked_steps += blocked
+        if blocked and not update_metric_on_block:
+            assert state.metric_count == before_count
+            assert state.metric_avg is before_avg
+        else:
+            assert state.metric_count == before_count + 1
+            assert state.metric_avg is not before_avg
+    assert blocked_steps >= 1
+    kept = config.max_steps if update_metric_on_block else config.max_steps - blocked_steps
+    assert state.metric_count == kept
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_marks_nonfinite_failure():
     huge = PauliSum.from_terms(
@@ -272,6 +301,9 @@ def test_config_validation():
         OptimizerConfig(c=0.0)
     with pytest.raises(ValueError, match="^b must be > 0, got -1.0"):
         OptimizerConfig(b=-1.0)
+    # beta = 0 leaves a zero metric singular, so the Cholesky solve would fail mid-run.
+    with pytest.raises(ValueError, match="^beta must be > 0, got 0.0"):
+        OptimizerConfig(beta=0.0)
     with pytest.raises(ValueError):
         OptimizerConfig(shots=0)
     with pytest.raises(ValueError):

@@ -1,9 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vqebench.pauli import (
+    MAX_DENSE_QUBITS,
     PauliString,
     PauliSum,
     build_schwinger,
@@ -126,6 +128,21 @@ def test_to_dense_rejects_large_systems():
     h = PauliSum.from_terms([PauliString(1.0, "Z" * 15)], 15)
     with pytest.raises(ValueError):
         to_dense(h)
+
+
+def test_dense_guard_stops_14_qubits_before_allocating():
+    # 16 * 4**14 B = 4.3 GB, and eigvalsh holds about twice that: more than an 8 GB machine.
+    assert MAX_DENSE_QUBITS == 13
+    h = PauliSum.from_terms([PauliString(1.0, "X" * 14)], 14)
+    tracemalloc.start()
+    try:
+        for dense_op in (to_dense, exact_ground_energy):
+            with pytest.raises(ValueError, match="n=14 qubits exceeds the n<=13 guard"):
+                dense_op(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_dense_hermitian_on_random_sums():
