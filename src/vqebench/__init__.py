@@ -73,7 +73,6 @@ from .simulator import (
     expectation,
     sampled_expectation,
     sampled_zero_probability,
-    zero_probability,
 )
 
 __version__ = "0.1.0"

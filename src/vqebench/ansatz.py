@@ -2,8 +2,9 @@
 
 Two circuit families: a hardware-efficient RY+CNOT ladder for the Ising
 benchmark, and a brick-wall circuit of two-qubit SO(4) blocks for the
-Schwinger benchmark. The fidelity evaluator implements the compute-uncompute
-overlap |<psi(theta)|psi(theta')>|^2 as the all-zeros probability of
+Schwinger benchmark. The fidelity evaluator returns the overlap
+|<psi(theta)|psi(theta')>|^2: exactly from the two forward states, or sampled
+as the all-zeros frequency of the compute-uncompute circuit
 U(theta')^dagger U(theta) |0>.
 """
 
@@ -24,7 +25,6 @@ from .simulator import (
     expectation,
     sampled_expectation,
     sampled_zero_probability,
-    zero_probability,
 )
 
 ANSATZ_KINDS = ("hardware_efficient", "schwinger_so4", "ry1")
@@ -163,24 +163,20 @@ def fidelity(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Compute-uncompute overlap: all-zeros probability of U(theta')^dag U(theta)|0>.
+    """Overlap |<psi(theta)|psi(theta')>|^2 of two forward states, exact or shot-sampled.
 
-    Exact when shots is None, otherwise estimated from `shots` draws. The
-    overlap circuit keeps the register width and doubles the depth. The
-    result is clamped into [0, 1]; for identical parameter vectors the exact
-    mode returns 1.0 exactly (self-overlap of a normalized state) instead of
-    the rounding residue of the simulated round trip.
+    Exact when shots is None, clamped to at most 1, and 1.0 exactly for
+    identical parameter vectors. Sampled, it is the all-zeros frequency of
+    the compute-uncompute state U(theta')^dag U(theta)|0> (doubled depth).
     """
-    theta = np.asarray(theta, dtype=float)
-    theta_prime = np.asarray(theta_prime, dtype=float)
-    if shots is None and np.array_equal(theta, theta_prime):
-        return 1.0
-    state = apply_circuit(circuit, theta)
-    state = apply_adjoint_circuit(circuit, theta_prime, state)
     if shots is None:
-        return min(1.0, max(0.0, zero_probability(state)))
+        if np.array_equal(theta, theta_prime):
+            return 1.0
+        overlap = np.vdot(apply_circuit(circuit, theta), apply_circuit(circuit, theta_prime))
+        return min(1.0, float(abs(overlap) ** 2))
     if rng is None:
         raise ValueError("sampled fidelity needs a random generator")
+    state = apply_adjoint_circuit(circuit, theta_prime, apply_circuit(circuit, theta))
     return sampled_zero_probability(state, shots, rng)
 
 

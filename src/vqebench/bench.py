@@ -97,6 +97,8 @@ class RunConfig:
         _require_distinct("seeds", self.seeds)
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if not self.out_dir:
+            raise ConfigError("out must not be empty")
         for size in self.sizes:
             try:
                 # The ansatz spec and the Hamiltonian builder apply their own size rules.

@@ -86,7 +86,7 @@ def _cmd_run(args) -> int:
         cfg = bench.parse_config(text)
     except bench.ConfigError as exc:
         raise bench.ConfigError(f"{args.config}: {exc}") from exc
-    if args.out:
+    if args.out is not None:
         cfg = replace(cfg, out_dir=args.out)
     return _run_and_report(cfg)
 
@@ -104,7 +104,7 @@ def _cmd_preset(args) -> int:
         seeds=tuple(seed + args.seed_offset for seed in seeds),
         optimizer=replace(cfg.optimizer, max_steps=steps),
         bond_order=args.bond_order or cfg.bond_order,
-        out_dir=args.out or cfg.out_dir,
+        out_dir=cfg.out_dir if args.out is None else args.out,
     )
     if args.dump_config:
         print(bench.serialize_config(cfg), end="")

@@ -264,11 +264,6 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
     return total
 
 
-def zero_probability(state) -> float:
-    """Exact probability of the all-zeros outcome."""
-    return float(np.abs(_check_state(state)[0]) ** 2)
-
-
 def sampled_zero_probability(state, shots: int, rng: np.random.Generator) -> float:
     """All-zeros outcome frequency over `shots` draws from the full distribution."""
     if shots < 1:

@@ -43,12 +43,6 @@ def _report(number, name):
     print(f"\nACCEPTANCE {number} ({name}): PASS")
 
 
-def _workers(n_jobs):
-    cap = os.environ.get(bench.WORKERS_ENV_VAR)
-    workers = int(cap) if cap else (os.cpu_count() or 1)
-    return max(1, min(workers, n_jobs))
-
-
 # -- 1 ----------------------------------------------------------------------
 
 
@@ -249,7 +243,7 @@ def test_criterion_7_desk_scale_orderings():
     seeds = range(10)
     jobs = [(k, s) for k in kinds for s in seeds]
     results = {}
-    with ProcessPoolExecutor(max_workers=_workers(len(jobs))) as pool:
+    with ProcessPoolExecutor(max_workers=bench._worker_count(len(jobs))) as pool:
         for kind, seed, result in pool.map(_fig2_run, jobs):
             assert not result.failed
             results[(kind, seed)] = result
@@ -300,7 +294,7 @@ def test_criterion_8_schwinger_qng_existence():
     ~2.02e-2 at this depth)."""
     assert abs(exact_ground_energy(build_schwinger(4, 1.0, 0.5, 0.0)) - SCHWINGER_4_GROUND) < 1e-10
     seeds = list(range(10))
-    with ProcessPoolExecutor(max_workers=_workers(len(seeds))) as pool:
+    with ProcessPoolExecutor(max_workers=bench._worker_count(len(seeds))) as pool:
         errors = list(pool.map(_schwinger_qng_run, seeds))
     converged = sum(err < 1e-2 for err in errors)
     assert converged >= 7, errors

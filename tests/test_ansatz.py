@@ -12,7 +12,7 @@ from vqebench.ansatz import (
     so4_gate,
 )
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim, to_dense
-from vqebench.simulator import apply_circuit, expectation
+from vqebench.simulator import apply_adjoint_circuit, apply_circuit, expectation, sampled_zero_probability
 
 
 def gate_kinds(circuit):
@@ -149,6 +149,33 @@ def test_fidelity_symmetry_and_bounds():
         assert 0.0 <= fab <= 1.0
         sampled = fidelity(c, a, b, shots=32, rng=rng)
         assert 0.0 <= sampled <= 1.0
+
+
+_OVERLAP_CIRCUITS = pytest.mark.parametrize(
+    "circuit", [hardware_efficient(3, 2), schwinger_ansatz(4, 1)], ids=["hardware_efficient", "schwinger_so4"]
+)
+
+
+@_OVERLAP_CIRCUITS
+def test_exact_fidelity_is_the_forward_inner_product(circuit):
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        a, b = rng.uniform(-np.pi, np.pi, (2, circuit.param_count))
+        got = fidelity(circuit, a, b)
+        assert got == min(1.0, abs(np.vdot(apply_circuit(circuit, a), apply_circuit(circuit, b))) ** 2)
+        # The compute-uncompute circuit gives the same overlap to rounding.
+        round_trip = abs(apply_adjoint_circuit(circuit, b, apply_circuit(circuit, a))[0]) ** 2
+        assert abs(got - round_trip) < 1e-14
+
+
+@_OVERLAP_CIRCUITS
+def test_sampled_fidelity_is_the_compute_uncompute_frequency(circuit):
+    a, b = np.random.default_rng(29).uniform(-np.pi, np.pi, (2, circuit.param_count))
+    gen_a, gen_b = np.random.default_rng(31), np.random.default_rng(31)
+    got = fidelity(circuit, a, b, shots=1024, rng=gen_a)
+    state = apply_adjoint_circuit(circuit, b, apply_circuit(circuit, a))
+    assert got == sampled_zero_probability(state, 1024, gen_b)
+    assert gen_a.random() == gen_b.random()
 
 
 def test_loss_zero_angles_tfim():

@@ -480,6 +480,14 @@ _BAD_INPUTS = [
         id="preset-bond-order-on-tfim",
     ),
     pytest.param("preset", ["tfim-fig2", "--seed-offset", "-5"], "seeds must be >= 0", id="preset-negative-seed-offset"),
+    # The path becomes a comment, leaving `out =`.
+    pytest.param("run", [("out = ", "out =  # ")], "out must not be empty", id="run-empty-out"),
+    pytest.param(
+        "preset",
+        ["tfim-fig2", "--qubits", "2", "--seeds", "1", "--steps", "1", "--out", ""],
+        "out must not be empty",
+        id="preset-empty-out-flag",
+    ),
 ]
 
 
@@ -512,6 +520,13 @@ def test_cli_rejects_bad_config_and_preset_inputs(command, edit, expected, tmp_p
         # --dump-config: a flag that slips through validation exits 0 without running.
         argv = ["preset", *edit, "--dump-config"]
     _assert_one_error_line(argv, expected, capsys)
+
+
+def test_cli_run_empty_out_flag_is_an_error(tmp_path, capsys):
+    path = tmp_path / "cfg.txt"
+    path.write_text(SMALL_CONFIG.format(out=tmp_path / "res"))
+    _assert_one_error_line(["run", str(path), "--out", ""], "out must not be empty", capsys)
+    assert not (tmp_path / "res").exists()
 
 
 def _override(cfg, **overrides):
@@ -627,6 +642,7 @@ _BAD_CONFIGS = [
         "bond_order only applies to schwinger_so4",
         id="bond-order-on-tfim",
     ),
+    pytest.param([("out = ", "out =  # ")], lambda cfg: {"out_dir": ""}, "out must not be empty", id="empty-out"),
     pytest.param(
         [(_TFIM, _SCHWINGER.replace("qubits = 2", "qubits = 3"))],
         lambda cfg: {

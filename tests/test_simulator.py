@@ -13,7 +13,6 @@ from vqebench.simulator import (
     rotation_matrix,
     sampled_expectation,
     sampled_zero_probability,
-    zero_probability,
     _FIXED_MATRICES,
     _apply_gates,
 )
@@ -205,8 +204,6 @@ def test_state_length_must_match_the_register(shape):
 def test_zero_probability_needs_a_power_of_two_length(shape):
     state = np.ones(shape, dtype=complex)
     with pytest.raises(ValueError, match="state must be"):
-        zero_probability(state)
-    with pytest.raises(ValueError, match="state must be"):
         sampled_zero_probability(state, 8, np.random.default_rng(0))
 
 
@@ -292,16 +289,13 @@ def test_sampled_expectation_rejects_zero_shots():
 def test_zero_probability_cases():
     rng = np.random.default_rng(9)
     all_zeros = np.array([1.0 + 0j, 0, 0, 0])
-    assert zero_probability(all_zeros) == 1.0
     assert sampled_zero_probability(all_zeros, 13, rng) == 1.0
     one = np.array([0.0 + 0j, 1.0])
-    assert zero_probability(one) == 0.0
     assert sampled_zero_probability(one, 13, rng) == 0.0
 
 
 def test_sampled_zero_probability_uniform_state():
     uniform = np.full(4, 0.5, dtype=complex)
-    assert zero_probability(uniform) == pytest.approx(0.25, abs=1e-12)
     rng = np.random.default_rng(13)
     shots = 4096
     estimate = sampled_zero_probability(uniform, shots, rng)
