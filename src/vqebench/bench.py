@@ -8,6 +8,7 @@ seeds, and emits stable CSV files.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -91,6 +92,10 @@ class RunConfig:
                 raise ConfigError(f"{key} must be finite, got {value}")
         if self.ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
             raise ConfigError(f"unknown ansatz kind {self.ansatz_kind!r}")
+        for key, values in (("qubits", self.sizes), ("layers", (self.layers,)), ("seeds", self.seeds)):
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                    raise ConfigError(f"key {key!r} expects int, got {value!r}")
         # Named as in the file: a repeated entry would run twice or lose its overrides.
         _require_distinct("qubits", self.sizes)
         _require_distinct("kinds", [entry.label for entry in self.optimizers])

@@ -26,9 +26,10 @@ PAULI_MATRICES = {
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# The dense matrix takes 16 * 4**n bytes and exact_ground_energy holds about
-# twice that (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14), so this
-# is the largest size that fits an 8 GB machine.
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that), and
+# exact_ground_energy holds about twice it (0.5 GB at n = 12, 2.1 GB at n = 13,
+# 8.6 GB at n = 14), so this is the largest size at which any sum fits an
+# 8 GB machine.
 MAX_DENSE_QUBITS = 13
 
 
@@ -187,16 +188,20 @@ def pauli_string_matrix(axes: str) -> np.ndarray:
 
 
 def to_dense(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a PauliSum, 16 * 4**n bytes, for n up to
-    MAX_DENSE_QUBITS (checked before anything is allocated). Each term fills
-    m[j, j ^ flip_mask] for every row j."""
+    """Dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS
+    (checked before anything is allocated). Each term fills
+    m[j, j ^ flip_mask] for every row j. The matrix is float64 (8 * 4**n
+    bytes) when every term has an even number of Y's, so a real phase, and
+    complex128 (16 * 4**n bytes) otherwise."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
+    real = all(t.phase.imag == 0 for t in h.terms)
     idx = np.arange(2**n)
-    m = np.zeros((2**n, 2**n), dtype=complex)
+    m = np.zeros((2**n, 2**n), dtype=float if real else complex)
     for t in h.terms:
-        m[idx, idx ^ t.flip_mask] += (t.coefficient * t.phase) * t.action_signs
+        phase = t.phase.real if real else t.phase
+        m[idx, idx ^ t.flip_mask] += (t.coefficient * phase) * t.action_signs
     return m
 
 

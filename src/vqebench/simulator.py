@@ -6,6 +6,20 @@ R_A(theta) = exp(-i * theta * A / 2).
 
 A state on n qubits is a 1-D complex array of 2**n amplitudes. Site 0 is the
 leftmost tensor factor, i.e. the most significant bit of the basis index.
+
+One kernel, `_apply_gate`, applies every gate, and it picks its update by the
+gate's structure. Diagonal gates scale halves of the register: RZ both
+halves, S and Sdg only the |1> half. Permutation gates (X, CNOT) swap two
+halves through one temporary. Only H, RX and RY take the generic 2x2 update.
+A circuit pass evaluates the cosine and sine of every half angle once, as
+complex scalars like the amplitudes, so that no product casts a float.
+
+Operand order is part of the numerics. Every product is written
+`scalar * view` and assigned back, never `view * scalar` or `view *= scalar`:
+numpy's SIMD complex multiply (with FMA) is not bitwise commutative.
+`np.multiply(scalar, view, out=view)` is no substitute either; on a half of
+one amplitude it takes the in-place loop. Kept this way, the kernel gives the
+bits of the plain 2x2 update up to the sign of zero amplitudes.
 """
 
 from __future__ import annotations
@@ -14,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PAULI_MATRICES, PauliSum
+from .pauli import PauliSum
 
 MAX_QUBITS = 20
 
@@ -22,32 +36,17 @@ ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
 
-_SQRT_HALF = 1.0 / np.sqrt(2.0)
-_FIXED_MATRICES = {
-    "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
-    "S": np.diag([1.0, 1.0j]),
-    "Sdg": np.diag([1.0, -1.0j]),
-    "X": PAULI_MATRICES["X"],
-}
+# H's entries are +-_H, complex like the amplitudes so that no product casts.
+_H = complex(1.0 / np.sqrt(2.0))
+# The |1> half of a phase gate is multiplied by this; the |0> half is kept.
+_PHASES = {"S": 1j, "Sdg": -1j}
 # Self-inverse kinds map to themselves; S and Sdg swap.
 _INVERSE_KIND = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT"}
-# d/dtheta R_P(theta) = (-i/2) P R_P(theta); these are the (-i/2) P factors.
-_GENERATORS = {kind: -0.5j * PAULI_MATRICES[kind[1]] for kind in ROTATION_KINDS}
+# d/dtheta R_P(theta) = (-i/2) P R_P(theta). (-i/2) P is off-diagonal for X
+# and Y and diagonal for Z; these are its two nonzero entries, top row first.
+_GENERATORS = {"RX": (-0.5j, -0.5j), "RY": (-0.5, 0.5), "RZ": (-0.5j, 0.5j)}
 # Gates, in order, that map an X or Y eigenbasis onto Z (V = H S^dagger for Y).
 _TO_Z_BASIS = {"X": ("H",), "Y": ("Sdg", "H")}
-
-
-def rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    """2x2 matrix of exp(-i * angle * P / 2) for P in {X, Y, Z}."""
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if kind == "RZ":
-        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])
-    raise ValueError(f"not a rotation kind: {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -107,44 +106,79 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _apply_single(amps: np.ndarray, n: int, matrix: np.ndarray, site: int) -> None:
-    # View the register as (pre, 2, post) with the target site in the middle,
-    # folding any leading block axis into pre; contiguous reshape keeps this
-    # in place, and a single state takes the same arithmetic as a block row.
-    view = amps.reshape(-1, 2, 2 ** (n - site - 1))
-    v0 = view[:, 0, :].copy()
-    v1 = view[:, 1, :]
-    view[:, 0, :] = matrix[0, 0] * v0 + matrix[0, 1] * v1
-    view[:, 1, :] = matrix[1, 0] * v0 + matrix[1, 1] * v1
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    t = a.copy()
+    a[...] = b
+    b[...] = t
 
 
-def _apply_cnot(amps: np.ndarray, n: int, control: int, target: int) -> None:
-    a, b = sorted((control, target))
-    view = amps.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
-    if control < target:
-        sub = view[:, 1, :, :, :]
-        sub[:, :, [0, 1], :] = sub[:, :, [1, 0], :]
-    else:
-        sub = view[:, :, :, 1, :]
-        sub[:, [0, 1], :, :] = sub[:, [1, 0], :, :]
+def _mix(v0: np.ndarray, v1: np.ndarray, m00, m01, m10, m11) -> None:
+    """(v0, v1) <- (m00 v0 + m01 v1, m10 v0 + m11 v1) in place."""
+    a = v0.copy()
+    v0[...] = m00 * a + m01 * v1
+    v1[...] = m10 * a + m11 * v1
 
 
-def _gate_matrix(gate: Gate, theta: np.ndarray, adjoint: bool = False):
-    if gate.kind in ROTATION_KINDS:
-        angle = theta[gate.param_index]
-        return rotation_matrix(gate.kind, -angle if adjoint else angle)
-    kind = _INVERSE_KIND[gate.kind] if adjoint else gate.kind
-    return None if kind == "CNOT" else _FIXED_MATRICES[kind]
+def _apply_gate(amps: np.ndarray, n: int, kind: str, sites, c: complex = 1.0, s: complex = 0.0) -> None:
+    """Apply one gate in place; a rotation takes c, s = cos, sin of half its angle.
+
+    `amps` is a length-2**n state or a (B, 2**n) block of them. The register
+    is viewed as (pre, 2, post) with the target site in the middle, folding
+    any leading block axis into pre, so a single state takes the same
+    arithmetic as a block row.
+    """
+    if kind == "CNOT":
+        control, target = sites
+        a, b = sorted(sites)
+        view = amps.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
+        if control < target:
+            _swap(view[:, 1, :, 0], view[:, 1, :, 1])
+        else:
+            _swap(view[:, 0, :, 1], view[:, 1, :, 1])
+        return
+    view = amps.reshape(-1, 2, 2 ** (n - sites[0] - 1))
+    v0, v1 = view[:, 0], view[:, 1]
+    if kind == "RZ":
+        v0[...] = (c - 1j * s) * v0
+        v1[...] = (c + 1j * s) * v1
+    elif kind in _PHASES:
+        v1[...] = _PHASES[kind] * v1
+    elif kind == "X":
+        _swap(v0, v1)
+    elif kind == "H":
+        _mix(v0, v1, _H, _H, _H, -_H)
+    elif kind == "RY":
+        _mix(v0, v1, c, -s, s, c)
+    else:  # RX
+        _mix(v0, v1, c, -1j * s, -1j * s, c)
+
+
+def _half_angles(theta: np.ndarray, adjoint: bool = False) -> tuple[list, list]:
+    """cos and sin of half of every rotation angle (negated for the adjoint), as complex scalars."""
+    half = (-theta if adjoint else theta) / 2.0
+    return (np.cos(half) + 0j).tolist(), (np.sin(half) + 0j).tolist()
 
 
 def _apply_gates(amps: np.ndarray, n: int, gates, theta: np.ndarray, adjoint: bool = False) -> None:
     """Apply `gates` in place to a length-2**n state or a (B, 2**n) block of them."""
-    seq = reversed(gates) if adjoint else gates
-    for g in seq:
-        if g.kind == "CNOT":
-            _apply_cnot(amps, n, g.sites[0], g.sites[1])
+    cos, sin = _half_angles(theta, adjoint)
+    for g in reversed(gates) if adjoint else gates:
+        kind = _INVERSE_KIND.get(g.kind, g.kind) if adjoint else g.kind
+        i = g.param_index
+        if i is None:
+            _apply_gate(amps, n, kind, g.sites)
         else:
-            _apply_single(amps, n, _gate_matrix(g, theta, adjoint), g.sites[0])
+            _apply_gate(amps, n, kind, g.sites, cos[i], sin[i])
+
+
+def _add_generator_term(out: np.ndarray, psi: np.ndarray, n: int, kind: str, site: int) -> None:
+    """out += (-i/2) P psi for the Pauli P of rotation `kind` on `site`."""
+    k0, k1 = _GENERATORS[kind]
+    src = psi.reshape(-1, 2, 2 ** (n - site - 1))
+    dst = out.reshape(-1, 2, 2 ** (n - site - 1))
+    s0, s1 = (src[:, 0], src[:, 1]) if kind == "RZ" else (src[:, 1], src[:, 0])
+    dst[:, 0] += k0 * s0
+    dst[:, 1] += k1 * s1
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -193,12 +227,14 @@ def derivative_states(c: Circuit, theta) -> np.ndarray:
     n = c.qubit_count
     block = np.zeros((c.param_count + 1, 2**n), dtype=complex)
     block[0, 0] = 1.0
+    cos, sin = _half_angles(theta)
     for g in c.gates:
-        _apply_gates(block, n, (g,), theta)
-        if g.param_index is not None:
-            term = block[0].copy()
-            _apply_single(term, n, _GENERATORS[g.kind], g.sites[0])
-            block[g.param_index + 1] += term
+        i = g.param_index
+        if i is None:
+            _apply_gate(block, n, g.kind, g.sites)
+        else:
+            _apply_gate(block, n, g.kind, g.sites, cos[i], sin[i])
+            _add_generator_term(block[i + 1], block[0], n, g.kind, g.sites[0])
     return block
 
 
@@ -258,7 +294,7 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
         rotated = np.array(state, dtype=complex)
         for site, axis in enumerate(t.axes):
             for kind in _TO_Z_BASIS.get(axis, ()):
-                _apply_single(rotated, n, _FIXED_MATRICES[kind], site)
+                _apply_gate(rotated, n, kind, (site,))
         counts = rng.multinomial(shots, _outcome_probabilities(rotated))
         total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
     return total

@@ -644,6 +644,15 @@ _BAD_CONFIGS = [
     ),
     pytest.param([("out = ", "out =  # ")], lambda cfg: {"out_dir": ""}, "out must not be empty", id="empty-out"),
     pytest.param(
+        [("seeds = 0, 1", "seeds = 1.5")], lambda cfg: {"seeds": (1.5,)}, "key 'seeds' expects int, got", id="seeds-float"
+    ),
+    pytest.param(
+        [("qubits = 2", "qubits = 2.5")], lambda cfg: {"sizes": (2.5,)}, "key 'qubits' expects int, got", id="qubits-float"
+    ),
+    pytest.param(
+        [("layers = 1", "layers = true")], lambda cfg: {"layers": True}, "key 'layers' expects int, got", id="layers-bool"
+    ),
+    pytest.param(
         [(_TFIM, _SCHWINGER.replace("qubits = 2", "qubits = 3"))],
         lambda cfg: {
             "problem_kind": "schwinger",

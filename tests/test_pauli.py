@@ -158,7 +158,7 @@ def test_dense_hermitian_on_random_sums():
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         # The per-term scatter adds the same values in the same order as the
         # Kronecker-product reference, so the matrices agree exactly.
-        reference = np.zeros_like(m)
+        reference = np.zeros(m.shape, dtype=complex)
         for t in h.terms:
             reference += t.coefficient * pauli_string_matrix(t.axes)
         assert np.array_equal(m, reference)
@@ -223,3 +223,12 @@ def test_pauli_string_validation():
         PauliString(1.0, "IQ")
     with pytest.raises(ValueError):
         PauliSum.from_terms([PauliString(1.0, "IZ")], 3)
+
+
+def test_dense_is_real_exactly_when_every_phase_is():
+    # An even number of Y's gives a real phase; the data picks the dtype.
+    assert to_dense(build_tfim(3, -1.0, -2.0)).dtype == np.float64
+    assert to_dense(build_schwinger(4, 1.0, 0.5, 0.25)).dtype == np.float64
+    assert to_dense(PauliSum.from_terms([PauliString(1.0, "YY"), PauliString(0.5, "XZ")], 2)).dtype == np.float64
+    odd = PauliSum.from_terms([PauliString(1.0, "YZ"), PauliString(0.5, "XX")], 2)
+    assert to_dense(odd).dtype == np.complex128

@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from vqebench.pauli import PauliString, PauliSum, build_tfim, to_dense
+from vqebench import ansatz, estimators, simulator
+from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates, so4_gate
+from vqebench.estimators import exact_metric
+from vqebench.pauli import PAULI_MATRICES, PauliString, PauliSum, build_schwinger, build_tfim, to_dense
 from vqebench.simulator import (
     Circuit,
     Gate,
@@ -10,12 +15,102 @@ from vqebench.simulator import (
     circuit_to_text,
     derivative_states,
     expectation,
-    rotation_matrix,
     sampled_expectation,
     sampled_zero_probability,
-    _FIXED_MATRICES,
+    _INVERSE_KIND,
+    _TO_Z_BASIS,
     _apply_gates,
+    _check_state,
+    _outcome_probabilities,
 )
+
+# Reference: the generic update. Every gate is a 2x2 matrix applied with a
+# copy, four products and two sums, and CNOT swaps through fancy indexing.
+# The structured kernels must give the same bits up to the sign of zeros.
+
+_SQRT_HALF = 1.0 / np.sqrt(2.0)
+_FIXED_MATRICES = {
+    "H": np.array([[_SQRT_HALF, _SQRT_HALF], [_SQRT_HALF, -_SQRT_HALF]], dtype=complex),
+    "S": np.diag([1.0, 1.0j]),
+    "Sdg": np.diag([1.0, -1.0j]),
+    "X": PAULI_MATRICES["X"],
+}
+_GENERATOR_MATRICES = {kind: -0.5j * PAULI_MATRICES[kind[1]] for kind in ("RX", "RY", "RZ")}
+
+
+def rotation_matrix(kind, angle):
+    """2x2 matrix of exp(-i * angle * P / 2) for P in {X, Y, Z}."""
+    c = np.cos(angle / 2.0)
+    s = np.sin(angle / 2.0)
+    if kind == "RX":
+        return np.array([[c, -1j * s], [-1j * s, c]])
+    if kind == "RY":
+        return np.array([[c, -s], [s, c]], dtype=complex)
+    if kind == "RZ":
+        return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])
+    raise ValueError(f"not a rotation kind: {kind!r}")
+
+
+def _ref_apply_single(amps, n, matrix, site):
+    view = amps.reshape(-1, 2, 2 ** (n - site - 1))
+    v0 = view[:, 0, :].copy()
+    v1 = view[:, 1, :]
+    view[:, 0, :] = matrix[0, 0] * v0 + matrix[0, 1] * v1
+    view[:, 1, :] = matrix[1, 0] * v0 + matrix[1, 1] * v1
+
+
+def _ref_apply_cnot(amps, n, control, target):
+    a, b = sorted((control, target))
+    view = amps.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
+    if control < target:
+        sub = view[:, 1, :, :, :]
+        sub[:, :, [0, 1], :] = sub[:, :, [1, 0], :]
+    else:
+        sub = view[:, :, :, 1, :]
+        sub[:, [0, 1], :, :] = sub[:, [1, 0], :, :]
+
+
+def _ref_apply_gates(amps, n, gates, theta, adjoint=False):
+    for g in reversed(gates) if adjoint else gates:
+        if g.kind == "CNOT":
+            _ref_apply_cnot(amps, n, g.sites[0], g.sites[1])
+        elif g.param_index is not None:
+            angle = theta[g.param_index]
+            _ref_apply_single(amps, n, rotation_matrix(g.kind, -angle if adjoint else angle), g.sites[0])
+        else:
+            kind = _INVERSE_KIND[g.kind] if adjoint else g.kind
+            _ref_apply_single(amps, n, _FIXED_MATRICES[kind], g.sites[0])
+
+
+def _ref_derivative_states(c, theta):
+    theta = np.asarray(theta, dtype=float)
+    n = c.qubit_count
+    block = np.zeros((c.param_count + 1, 2**n), dtype=complex)
+    block[0, 0] = 1.0
+    for g in c.gates:
+        _ref_apply_gates(block, n, (g,), theta)
+        if g.param_index is not None:
+            term = block[0].copy()
+            _ref_apply_single(term, n, _GENERATOR_MATRICES[g.kind], g.sites[0])
+            block[g.param_index + 1] += term
+    return block
+
+
+def _ref_sampled_expectation(state, h, shots, rng):
+    n = h.qubit_count
+    state = _check_state(state, n)
+    total = 0.0
+    for t in h.terms:
+        if t.is_identity:
+            total += t.coefficient
+            continue
+        rotated = np.array(state, dtype=complex)
+        for site, axis in enumerate(t.axes):
+            for kind in _TO_Z_BASIS.get(axis, ()):
+                _ref_apply_single(rotated, n, _FIXED_MATRICES[kind], site)
+        counts = rng.multinomial(shots, _outcome_probabilities(rotated))
+        total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
+    return total
 
 
 def random_circuit(rng, n, n_gates):
@@ -126,6 +221,69 @@ def test_block_kernels_match_single_states_bit_for_bit(n):
         _apply_gates(single, n, c.gates, theta)
         assert np.array_equal(fwd, single)
         assert np.array_equal(bwd, apply_adjoint_circuit(c, theta, row))
+
+
+_KERNEL_CASES = [(kind, n) for kind in simulator.GATE_KINDS for n in (1, 5) if (kind, n) != ("CNOT", 1)]
+
+
+@pytest.mark.parametrize("kind, n", _KERNEL_CASES)
+def test_kernel_matches_generic_update_per_gate_kind(kind, n):
+    # n = 1 gives halves of one amplitude, where numpy takes other loops.
+    rng = np.random.default_rng(50 + n)
+    c = edge_site_circuit(n)
+    gates = [g for g in c.gates if g.kind == kind]
+    block = rng.standard_normal((8, 2**n)) + 1j * rng.standard_normal((8, 2**n))
+    for theta, adjoint in itertools.product(rng.uniform(-2 * np.pi, 2 * np.pi, (8, c.param_count)), (False, True)):
+        for amps in (*block, block):
+            got, want = amps.copy(), amps.copy()
+            _apply_gates(got, n, gates, theta, adjoint)
+            _ref_apply_gates(want, n, gates, theta, adjoint)
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_derivative_states_and_so4_gate_match_generic_update(n):
+    rng = np.random.default_rng(60 + n)
+    for c in (edge_site_circuit(n), random_circuit(rng, n, 24)):
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, c.param_count)
+        assert np.array_equal(derivative_states(c, theta), _ref_derivative_states(c, theta))
+    alpha = rng.uniform(-2 * np.pi, 2 * np.pi, 6)
+    want = np.eye(4, dtype=complex)
+    _ref_apply_gates(want, 2, so4_block_gates(0, 1, range(6)), alpha)
+    assert np.array_equal(so4_gate(alpha), want.T)
+
+
+def _pinned_quantities(c, h, seed):
+    """Bytes of every loss, overlap and metric query on c, and of the next draw."""
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, c.param_count)
+    theta_prime = theta + rng.normal(0.0, 0.1, c.param_count)
+    values = [
+        loss(c, h, theta),
+        loss(c, h, theta, shots=512, rng=rng),
+        fidelity(c, theta, theta_prime, shots=512, rng=rng),
+        simulator.sampled_expectation(apply_circuit(c, theta_prime), h, 512, rng),
+        exact_metric(c, theta).matrix,
+        rng.random(),
+    ]
+    return [np.asarray(v).tobytes() for v in values]
+
+
+@pytest.mark.parametrize(
+    "c, h",
+    [
+        (schwinger_ansatz(6, 2), build_schwinger(6, 1.0, 0.5, 0.0)),
+        (hardware_efficient(6, 2), build_tfim(6, -1.0, -2.0)),
+    ],
+    ids=["schwinger_so4", "hardware_efficient"],
+)
+def test_queries_match_generic_update_bit_for_bit(monkeypatch, c, h):
+    got = _pinned_quantities(c, h, 70)
+    monkeypatch.setattr(simulator, "_apply_gates", _ref_apply_gates)
+    monkeypatch.setattr(simulator, "sampled_expectation", _ref_sampled_expectation)
+    monkeypatch.setattr(ansatz, "sampled_expectation", _ref_sampled_expectation)
+    monkeypatch.setattr(estimators, "derivative_states", _ref_derivative_states)
+    assert got == _pinned_quantities(c, h, 70)
 
 
 def test_derivative_states_match_finite_differences():
