@@ -3,9 +3,9 @@
 Two circuit families: a hardware-efficient RY+CNOT ladder for the Ising
 benchmark, and a brick-wall circuit of two-qubit SO(4) blocks for the
 Schwinger benchmark. The fidelity evaluator returns the overlap
-|<psi(theta)|psi(theta')>|^2: exactly from the two forward states, or sampled
-as the all-zeros frequency of the compute-uncompute circuit
-U(theta')^dagger U(theta) |0>.
+|<psi(theta)|psi(theta')>|^2 for a reference state psi(theta) prepared once by
+the caller: exactly from the forward state psi(theta'), or sampled as the
+all-zeros frequency of the compute-uncompute state U(theta')^dagger psi(theta).
 """
 
 from __future__ import annotations
@@ -158,26 +158,22 @@ def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Cir
 
 def fidelity(
     circuit: Circuit,
-    theta,
+    psi: np.ndarray,
     theta_prime,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Overlap |<psi(theta)|psi(theta')>|^2 of two forward states, exact or shot-sampled.
+    """Overlap |<psi|psi(theta')>|^2 with a prepared reference state, exact or shot-sampled.
 
-    Exact when shots is None, clamped to at most 1, and 1.0 exactly for
-    identical parameter vectors. Sampled, it is the all-zeros frequency of
-    the compute-uncompute state U(theta')^dag U(theta)|0> (doubled depth).
+    `psi` is the reference state U(theta)|0>, prepared once by the caller. Exact
+    when shots is None, clamped to at most 1. Sampled, it is the all-zeros
+    frequency of the compute-uncompute state U(theta')^dag psi (doubled depth).
     """
     if shots is None:
-        if np.array_equal(theta, theta_prime):
-            return 1.0
-        overlap = np.vdot(apply_circuit(circuit, theta), apply_circuit(circuit, theta_prime))
-        return min(1.0, float(abs(overlap) ** 2))
+        return min(1.0, float(abs(np.vdot(psi, apply_circuit(circuit, theta_prime))) ** 2))
     if rng is None:
         raise ValueError("sampled fidelity needs a random generator")
-    state = apply_adjoint_circuit(circuit, theta_prime, apply_circuit(circuit, theta))
-    return sampled_zero_probability(state, shots, rng)
+    return sampled_zero_probability(apply_adjoint_circuit(circuit, theta_prime, psi), shots, rng)
 
 
 def loss(

@@ -25,9 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import fidelity
-# Nothing here calls apply_circuit; the binding is kept because the traced
-# benchmark run (benchmarks/spans.py) wraps estimators.apply_circuit.
-from .simulator import (  # noqa: F401
+from .simulator import (
     Circuit,
     apply_circuit,
     derivative_states,
@@ -197,8 +195,8 @@ def stein_metric_2eval(f, theta, c: float, samples: int, rng: np.random.Generato
 
     `f` maps displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2;
     the zero-displacement overlap is evaluated once through the same circuit
-    (exactly 1 in simulation, but counted). The metric is -1/2 times the
-    smoothed Hessian of the overlap:
+    (1 to rounding in exact simulation, but counted). The metric is -1/2
+    times the smoothed Hessian of the overlap:
 
       F = -1/(2 c^2 N) * sum_i [f(c u_i) - f(0)] (u_i u_i^T - I)
 
@@ -235,10 +233,14 @@ def displacement_fidelity_oracle(
     shots: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> RowOracle:
-    """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2."""
+    """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2.
+
+    psi(theta) is prepared once, here, and each row is one `fidelity` query.
+    """
     theta = np.asarray(theta, dtype=float)
+    psi = apply_circuit(circuit, theta)
     return RowOracle(
-        lambda deltas: [fidelity(circuit, theta, theta + delta, shots=shots, rng=rng) for delta in deltas]
+        lambda deltas: [fidelity(circuit, psi, theta + delta, shots=shots, rng=rng) for delta in deltas]
     )
 
 

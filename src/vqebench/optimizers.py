@@ -9,6 +9,7 @@ circuit-evaluation accounting in both raw-call and per-sample conventions.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -56,6 +57,17 @@ class OptimizerConfig:
     update_metric_on_block: bool = True
 
     def __post_init__(self):
+        # The int and bool fields take only what the config file's readers give them.
+        for key, kind in (("samples", "int"), ("shots", "int or none"), ("max_steps", "int"),
+                          ("blocking", "bool"), ("update_metric_on_block", "bool")):
+            value = getattr(self, key)
+            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if kind == "bool":
+                valid = isinstance(value, bool)
+            else:
+                valid = is_int or (value is None and kind == "int or none")
+            if not valid:
+                raise ValueError(f"key {key!r} expects {kind}, got {value!r}")
         for key in ("eta", "c", "b", "beta", "blocking_multiplier"):
             if not math.isfinite(getattr(self, key)):
                 raise ValueError(f"{key} must be finite, got {getattr(self, key)}")

@@ -306,7 +306,7 @@ def test_criterion_8_schwinger_qng_existence():
 
 def test_criterion_9_benchmark_determinism(tmp_path):
     """Equal seeds and config produce byte-identical CSV output."""
-    config_text = """
+    config_text = f"""
 [problem]
 kind = tfim
 qubits = 2, 3
@@ -327,7 +327,7 @@ blocking = true
 
 [run]
 seeds = 0, 1, 2
-out = unused
+out = {tmp_path}
 """
     cfg = bench.parse_config(config_text)
     blobs = []

@@ -120,19 +120,21 @@ def test_fidelity_identical_parameters():
     c = hardware_efficient(3, 2)
     rng = np.random.default_rng(5)
     theta = rng.uniform(-np.pi, np.pi, c.param_count)
-    assert fidelity(c, theta, theta) == 1.0
-    sampled = fidelity(c, theta, theta, shots=64, rng=rng)
+    psi = apply_circuit(c, theta)
+    # Exact: the inner product of two equal forward states, 1 to rounding.
+    assert fidelity(c, psi, theta) == min(1.0, abs(np.vdot(psi, psi)) ** 2)
+    sampled = fidelity(c, psi, theta, shots=64, rng=rng)
     assert sampled == 1.0
 
 
 def test_fidelity_orthogonal_states():
     c = single_qubit_ry()
-    assert fidelity(c, np.array([0.0]), np.array([np.pi])) < 1e-12
+    assert fidelity(c, apply_circuit(c, [0.0]), np.array([np.pi])) < 1e-12
 
 
 def test_fidelity_closed_form():
     c = single_qubit_ry()
-    got = fidelity(c, np.array([0.0]), np.array([0.1]))
+    got = fidelity(c, apply_circuit(c, [0.0]), np.array([0.1]))
     assert got == pytest.approx(np.cos(0.05) ** 2, abs=1e-12)
     assert got == pytest.approx(0.997502, abs=1e-6)
 
@@ -143,11 +145,11 @@ def test_fidelity_symmetry_and_bounds():
     for _ in range(20):
         a = rng.uniform(-np.pi, np.pi, c.param_count)
         b = rng.uniform(-np.pi, np.pi, c.param_count)
-        fab = fidelity(c, a, b)
-        fba = fidelity(c, b, a)
+        fab = fidelity(c, apply_circuit(c, a), b)
+        fba = fidelity(c, apply_circuit(c, b), a)
         assert fab == pytest.approx(fba, abs=1e-10)
         assert 0.0 <= fab <= 1.0
-        sampled = fidelity(c, a, b, shots=32, rng=rng)
+        sampled = fidelity(c, apply_circuit(c, a), b, shots=32, rng=rng)
         assert 0.0 <= sampled <= 1.0
 
 
@@ -161,7 +163,7 @@ def test_exact_fidelity_is_the_forward_inner_product(circuit):
     rng = np.random.default_rng(23)
     for _ in range(20):
         a, b = rng.uniform(-np.pi, np.pi, (2, circuit.param_count))
-        got = fidelity(circuit, a, b)
+        got = fidelity(circuit, apply_circuit(circuit, a), b)
         assert got == min(1.0, abs(np.vdot(apply_circuit(circuit, a), apply_circuit(circuit, b))) ** 2)
         # The compute-uncompute circuit gives the same overlap to rounding.
         round_trip = abs(apply_adjoint_circuit(circuit, b, apply_circuit(circuit, a))[0]) ** 2
@@ -172,7 +174,10 @@ def test_exact_fidelity_is_the_forward_inner_product(circuit):
 def test_sampled_fidelity_is_the_compute_uncompute_frequency(circuit):
     a, b = np.random.default_rng(29).uniform(-np.pi, np.pi, (2, circuit.param_count))
     gen_a, gen_b = np.random.default_rng(31), np.random.default_rng(31)
-    got = fidelity(circuit, a, b, shots=1024, rng=gen_a)
+    psi = apply_circuit(circuit, a)
+    got = fidelity(circuit, psi, b, shots=1024, rng=gen_a)
+    # The reference state is shared across queries, so the query leaves it as it was.
+    assert np.array_equal(psi, apply_circuit(circuit, a))
     state = apply_adjoint_circuit(circuit, b, apply_circuit(circuit, a))
     assert got == sampled_zero_probability(state, 1024, gen_b)
     assert gen_a.random() == gen_b.random()

@@ -18,6 +18,7 @@ from vqebench.bench import (
     serialize_config,
 )
 from vqebench.cli import main
+from vqebench.optimizers import OptimizerConfig
 
 SMALL_CONFIG = """
 [problem]
@@ -653,6 +654,42 @@ _BAD_CONFIGS = [
         [("layers = 1", "layers = true")], lambda cfg: {"layers": True}, "key 'layers' expects int, got", id="layers-bool"
     ),
     pytest.param(
+        [("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = 2.5")],
+        lambda cfg: {"optimizers": _override(cfg, samples=2.5)},
+        "key 'samples' expects int, got",
+        id="samples-float",
+    ),
+    pytest.param(
+        [("[optimizer.QNSTEIN2]\nsamples = 3", "[optimizer.QNSTEIN2]\nsamples = true")],
+        lambda cfg: {"optimizers": _override(cfg, samples=True)},
+        "key 'samples' expects int, got",
+        id="samples-bool",
+    ),
+    pytest.param(
+        [("max_steps = 2", "max_steps = 2.5")],
+        lambda cfg: {"optimizers": _override(cfg, max_steps=2.5)},
+        "key 'max_steps' expects int, got",
+        id="steps-float",
+    ),
+    pytest.param(
+        [("shots = 64", "shots = 100.5")],
+        lambda cfg: {"optimizers": _override(cfg, shots=100.5)},
+        "key 'shots' expects int or none, got",
+        id="shots-float",
+    ),
+    pytest.param(
+        [("shots = 64", "shots = true")],
+        lambda cfg: {"optimizers": _override(cfg, shots=True)},
+        "key 'shots' expects int or none, got",
+        id="shots-bool",
+    ),
+    pytest.param(
+        [("blocking = true", "blocking = no")],
+        lambda cfg: {"optimizers": _override(cfg, blocking="no")},
+        "key 'blocking' expects bool, got",
+        id="blocking-str",
+    ),
+    pytest.param(
         [(_TFIM, _SCHWINGER.replace("qubits = 2", "qubits = 3"))],
         lambda cfg: {
             "problem_kind": "schwinger",
@@ -694,6 +731,21 @@ def test_file_and_replace_share_every_check(edits, changes, expected, tmp_path):
     cfg = small_config(tmp_path)
     with pytest.raises(ConfigError, match=re.escape(expected)):
         replace(cfg, **changes(cfg))
+
+
+@pytest.mark.parametrize(
+    "field, value, expected",
+    [
+        ("samples", 2.5, "key 'samples' expects int, got 2.5"),
+        ("max_steps", True, "key 'max_steps' expects int, got True"),
+        ("shots", 100.5, "key 'shots' expects int or none, got 100.5"),
+        ("update_metric_on_block", 1, "key 'update_metric_on_block' expects bool, got 1"),
+    ],
+    ids=["samples-float", "steps-bool", "shots-float", "update-metric-int"],
+)
+def test_optimizer_config_checks_int_and_bool_fields_on_construction(field, value, expected):
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        OptimizerConfig(**{field: value})
 
 
 @pytest.mark.parametrize("edits, changes, expected", _REPEATED_AND_NON_FINITE)

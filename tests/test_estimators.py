@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vqebench.ansatz import fidelity, hardware_efficient, schwinger_ansatz, single_qubit_ry
+from vqebench import ansatz, estimators
+from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
     MetricEstimate,
     RowOracle,
@@ -19,7 +20,7 @@ from vqebench.estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from vqebench.simulator import Circuit, Gate
+from vqebench.simulator import Circuit, Gate, apply_adjoint_circuit, apply_circuit, sampled_zero_probability
 
 
 @pytest.fixture
@@ -326,12 +327,49 @@ def test_estimators_match_per_sample_loop_reference(estimator, base):
 
     loop_rng = np.random.default_rng(33)
 
+    # One sampled overlap row spelled out with a fresh psi(theta) per row, so a
+    # query that changed the oracle's shared psi would show up here.
     def fid(delta):
-        return fidelity(circuit, theta, theta + delta, shots=1024, rng=loop_rng)
+        state = apply_adjoint_circuit(circuit, theta + delta, apply_circuit(circuit, theta))
+        return sampled_zero_probability(state, 1024, loop_rng)
 
     want = LOOP_REFERENCES[estimator](fid, start, c, samples, loop_rng)
     assert np.array_equal(got, want)
     assert rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize(
+    "shots, passes",
+    # (estimators.apply_circuit, ansatz.apply_circuit, ansatz.apply_adjoint_circuit)
+    # for N = 12 samples, N + 1 overlap rows.
+    [(None, (1, 13, 0)), (1024, (1, 0, 13))],
+    ids=["exact", "sampled"],
+)
+def test_overlap_oracle_prepares_reference_state_once(monkeypatch, shots, passes):
+    """psi(theta) is one forward pass per oracle; each overlap row is one more circuit pass."""
+    calls = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        key = f"{module.__name__}.{name}"
+        calls[key] = 0
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(estimators, "apply_circuit")
+    counted(ansatz, "apply_circuit")
+    counted(ansatz, "apply_adjoint_circuit")
+    circuit = hardware_efficient(3, 1)
+    theta = np.random.default_rng(34).uniform(-np.pi, np.pi, circuit.param_count)
+    rng = np.random.default_rng(35)
+    fid = displacement_fidelity_oracle(circuit, theta, shots=shots, rng=rng)
+    stein_metric_2eval(fid, theta, 0.1, 12, rng)
+    assert fid.calls == 13
+    assert tuple(calls.values()) == passes
 
 
 CONSTANT_FID_DIM = 3

@@ -261,7 +261,7 @@ def _pinned_quantities(c, h, seed):
     values = [
         loss(c, h, theta),
         loss(c, h, theta, shots=512, rng=rng),
-        fidelity(c, theta, theta_prime, shots=512, rng=rng),
+        fidelity(c, apply_circuit(c, theta), theta_prime, shots=512, rng=rng),
         simulator.sampled_expectation(apply_circuit(c, theta_prime), h, 512, rng),
         exact_metric(c, theta).matrix,
         rng.random(),
