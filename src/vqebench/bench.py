@@ -7,8 +7,6 @@ seeds, and emits stable CSV files.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +21,7 @@ from .optimizers import (
     OptimizerConfig,
     Problem,
     RunResult,
+    check_value,
     run,
 )
 from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, exact_ground_energy
@@ -87,21 +86,21 @@ class RunConfig:
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
-        for key, value in self.problem_params:
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+        checks = [(key, "float", value, None) for key, value in self.problem_params]
+        checks += [("qubits", "int", size, None) for size in self.sizes]
+        checks += [("layers", "int", self.layers, None)]
+        checks += [("seeds", "int", seed, (">=", 0)) for seed in self.seeds]
+        try:
+            for check in checks:
+                check_value(*check)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
             raise ConfigError(f"unknown ansatz kind {self.ansatz_kind!r}")
-        for key, values in (("qubits", self.sizes), ("layers", (self.layers,)), ("seeds", self.seeds)):
-            for value in values:
-                if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                    raise ConfigError(f"key {key!r} expects int, got {value!r}")
         # Named as in the file: a repeated entry would run twice or lose its overrides.
         _require_distinct("qubits", self.sizes)
         _require_distinct("kinds", [entry.label for entry in self.optimizers])
         _require_distinct("seeds", self.seeds)
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
         if not self.out_dir:
             raise ConfigError("out must not be empty")
         for size in self.sizes:
@@ -326,14 +325,6 @@ def build_problem(cfg: RunConfig, size: int) -> Problem:
 # ---------------------------------------------------------------------------
 
 
-def _paper_optimizer(samples: int, shots: int, max_steps: int) -> OptimizerConfig:
-    """The values all three grids share, around one grid's budget."""
-    return OptimizerConfig(
-        eta=0.01, c=0.05, b=2.0, samples=samples, beta=0.01, shots=shots, max_steps=max_steps,
-        blocking=True, blocking_multiplier=2.0,
-    )
-
-
 # Figs. 2 and 5 run every optimizer kind, QNG with a stronger regularizer.
 _FIGURE_ENTRIES = tuple(
     OptimizerEntry(label=k, kind=k, overrides=(("beta", 0.1),) if k == "QNG" else ())
@@ -346,7 +337,7 @@ _TFIM_FIG2 = RunConfig(
     sizes=(12, 17, 20),
     ansatz_kind="hardware_efficient",
     layers=3,
-    optimizer=_paper_optimizer(samples=10, shots=8192, max_steps=300),
+    optimizer=OptimizerConfig(samples=10, shots=8192, max_steps=300),
     optimizers=_FIGURE_ENTRIES,
     seeds=tuple(range(30)),
     out_dir="results/tfim-fig2",
@@ -360,7 +351,7 @@ PRESETS = {
         sizes=(4, 6, 8),
         ansatz_kind="schwinger_so4",
         layers=2,
-        optimizer=_paper_optimizer(samples=15, shots=10024, max_steps=200),
+        optimizer=OptimizerConfig(samples=15, shots=10024, max_steps=200),
         optimizers=_FIGURE_ENTRIES,
         seeds=tuple(range(30)),
         out_dir="results/schwinger-fig5",

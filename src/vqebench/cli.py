@@ -23,7 +23,7 @@ from .estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from .optimizers import OptimizerConfig
+from .optimizers import OptimizerConfig, check_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,8 +92,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    if args.seeds is not None and args.seeds < 1:
-        raise bench.ConfigError("--seeds must be >= 1")
+    check_value("--seeds", "int | None", args.seeds, (">=", 1))
     cfg = bench.preset_config(args.name)
     seeds = cfg.seeds if args.seeds is None else range(args.seeds)
     steps = cfg.optimizer.max_steps if args.steps is None else args.steps
@@ -124,6 +123,8 @@ def _run_and_report(cfg: bench.RunConfig) -> int:
 
 def _cmd_exact(args) -> int:
     builder, names = bench.PROBLEMS[args.problem]
+    for key in names:
+        check_value(key, "float", getattr(args, key))
     h = builder(args.qubits, *(getattr(args, key) for key in names))
     print(repr(bench.exact_ground_energy(h)))
     return 0
@@ -134,9 +135,10 @@ def _format_matrix_row(matrix: np.ndarray) -> str:
 
 
 def _cmd_metric_check(args) -> int:
-    # A run's own checks of c, b, samples and shots, made before the exact and
-    # shift-rule metrics spend their O(d^2) circuits.
+    # A run's own checks of c, b, samples, shots and seed, made before the exact
+    # and shift-rule metrics spend their O(d^2) circuits.
     OptimizerConfig(c=args.c, b=args.b, samples=args.samples, shots=args.shots)
+    check_value("seed", "int", args.seed, (">=", 0))
     circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
     d = circuit.param_count
     rng = np.random.default_rng(args.seed)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,9 +35,37 @@ OPTIMIZER_KINDS = ("GD", "QNG", "SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3
 NATURAL_KINDS = frozenset({"QNG", "QNSPSA", "QNSTEIN2", "QNSTEIN3"})
 
 
+# The types each config annotation admits; a bool passes only as a bool, never as a number.
+_KINDS = {
+    "float": numbers.Real, "int": numbers.Integral, "int | None": (numbers.Integral, type(None)), "bool": bool,
+}
+
+
+def check_value(key: str, kind: str, value, bound: tuple[str, float] | None = None) -> None:
+    """Raise ValueError, naming `key`, unless `value` is a `kind` within `bound`.
+
+    `kind` is an annotation string: float (finite), int, bool or int | None.
+    `bound` is a (">" or ">=", low) pair; a None value (int | None) has no bound.
+    """
+    if not isinstance(value, _KINDS[kind]) or isinstance(value, bool) != (kind == "bool"):
+        raise ValueError(f"key {key!r} expects {kind.replace(' | None', ' or none')}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {value}")
+    if bound is not None and value is not None:
+        op, low = bound
+        if not (value > low if op == ">" else value >= low):
+            raise ValueError(f"{key} must be {op} {low}, got {value}")
+
+
+_LOWER_BOUNDS = {
+    "eta": (">", 0), "c": (">", 0), "b": (">", 0), "beta": (">", 0),
+    "samples": (">=", 1), "shots": (">=", 1), "max_steps": (">=", 0), "blocking_multiplier": (">=", 0),
+}
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Hyperparameters shared by all optimizer kinds.
+    """Hyperparameters shared by all optimizer kinds; the defaults are the published values.
 
     shots=None selects exact expectation values throughout. Blocking compares
     the measured candidate loss against the current one and is only active
@@ -57,33 +85,9 @@ class OptimizerConfig:
     update_metric_on_block: bool = True
 
     def __post_init__(self):
-        # The int and bool fields take only what the config file's readers give them.
-        for key, kind in (("samples", "int"), ("shots", "int or none"), ("max_steps", "int"),
-                          ("blocking", "bool"), ("update_metric_on_block", "bool")):
-            value = getattr(self, key)
-            is_int = isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            if kind == "bool":
-                valid = isinstance(value, bool)
-            else:
-                valid = is_int or (value is None and kind == "int or none")
-            if not valid:
-                raise ValueError(f"key {key!r} expects {kind}, got {value!r}")
-        for key in ("eta", "c", "b", "beta", "blocking_multiplier"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"{key} must be finite, got {getattr(self, key)}")
-        if self.eta <= 0:
-            raise ValueError("eta must be > 0")
-        for key in ("c", "b", "beta"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
-        if self.shots is not None and self.shots < 1:
-            raise ValueError("shots must be >= 1 when set")
-        if self.max_steps < 0:
-            raise ValueError("max_steps must be >= 0")
-        if self.blocking_multiplier < 0:
-            raise ValueError("blocking_multiplier must be >= 0")
+        # Annotations are strings under `from __future__ import annotations`.
+        for f in fields(self):
+            check_value(f.name, f.type, getattr(self, f.name), _LOWER_BOUNDS.get(f.name))
 
     @property
     def blocking_active(self) -> bool:

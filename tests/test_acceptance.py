@@ -8,6 +8,7 @@ criteria execute on a process pool; cap it with VQEBENCH_WORKERS.
 import os
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,7 +336,7 @@ out = {tmp_path}
         out = tmp_path / sub
         result = bench.run_benchmark(cfg)
         paths = bench.emit_csv(result, str(out))
-        blobs.append({os.path.basename(p): open(p, "rb").read() for p in paths})
+        blobs.append({os.path.basename(p): Path(p).read_bytes() for p in paths})
     assert blobs[0] == blobs[1]
     assert len(blobs[0]) == 12  # 3 optimizers x 2 sizes x (run + aggregate)
     _report(9, "benchmark determinism")

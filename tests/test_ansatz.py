@@ -9,6 +9,7 @@ from vqebench.ansatz import (
     loss,
     schwinger_ansatz,
     single_qubit_ry,
+    so4_block_gates,
     so4_gate,
 )
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim, to_dense
@@ -74,6 +75,8 @@ def test_so4_composition_stays_orthogonal():
 def test_so4_wrong_parameter_count():
     with pytest.raises(ValueError):
         so4_gate(np.zeros(5))
+    with pytest.raises(ValueError, match="^SO\\(4\\) block takes 6 parameters, got 5$"):
+        so4_block_gates(0, 1, range(5))
 
 
 def test_schwinger_ansatz_counts():
@@ -209,10 +212,21 @@ def test_loss_matches_expectation():
     )
 
 
+def test_sampled_queries_need_a_random_generator():
+    c = single_qubit_ry()
+    h = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
+    with pytest.raises(ValueError, match="^sampled fidelity needs a random generator$"):
+        fidelity(c, apply_circuit(c, [0.0]), [0.1], shots=16)
+    with pytest.raises(ValueError, match="^sampled loss needs a random generator$"):
+        loss(c, h, [0.1], shots=16)
+
+
 def test_build_ansatz_dispatch():
     assert build_ansatz(AnsatzKind("ry1", 1, 1)).param_count == 1
     assert build_ansatz(AnsatzKind("hardware_efficient", 4, 2)).param_count == 8
     assert build_ansatz(AnsatzKind("schwinger_so4", 4, 1, "odd_first")).param_count == 18
+    with pytest.raises(ValueError, match="^unknown ansatz kind 'ring'$"):
+        AnsatzKind("ring", 2, 1)
     with pytest.raises(ValueError):
         AnsatzKind("schwinger_so4", 5, 1)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import os
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +123,24 @@ def test_parse_rejects_unknown_key_with_line_number():
         parse_config(bad)
 
 
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("[ansatz]", "[ ]", "line 8: empty section name"),
+        ("layers = 1", "layers 1", "line 10: expected 'key = value', got 'layers 1'"),
+        ("layers = 1", "= 1", "line 10: empty key"),
+        ("eta = 0.05", "eta = 0.05\neta = 0.1", "line 15: duplicate key 'eta' in [optimizer]"),
+        ("[run]", "[extra]\n\n[run]", "unknown section [extra]"),
+    ],
+    ids=["empty-section", "no-equals", "empty-key", "duplicate-key", "unknown-section"],
+)
+def test_parse_rejects_malformed_lines(old, new, expected):
+    text = SMALL_CONFIG.format(out="x")
+    assert old in text
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        parse_config(text.replace(old, new))
+
+
 def test_parse_rejects_bad_types_and_values():
     bad = SMALL_CONFIG.format(out="x").replace("shots = 64", "shots = many")
     with pytest.raises(ConfigError, match="shots"):
@@ -162,6 +181,9 @@ def test_bond_order_only_for_schwinger():
 def test_config_round_trip(tmp_path):
     cfg = small_config(tmp_path)
     assert parse_config(serialize_config(cfg)) == cfg
+    exact = replace(cfg, optimizer=replace(cfg.optimizer, shots=None))
+    assert "\nshots = none\n" in serialize_config(exact)
+    assert parse_config(serialize_config(exact)) == exact
     for name in ("tfim-fig2", "schwinger-fig5", "appendixC"):
         cfg = preset_config(name)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -250,7 +272,7 @@ def test_benchmark_determinism_byte_identical(tmp_path, monkeypatch):
     for sub in ("a", "b"):
         result = run_benchmark(cfg)
         paths = emit_csv(result, str(tmp_path / sub))
-        blobs.append(b"".join(open(p, "rb").read() for p in sorted(paths)))
+        blobs.append(b"".join(Path(p).read_bytes() for p in sorted(paths)))
     assert blobs[0] == blobs[1]
 
 
@@ -272,7 +294,7 @@ def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
     ]:
         monkeypatch.setenv(bench.WORKERS_ENV_VAR, workers)
         paths = emit_csv(run_benchmark(config), str(tmp_path / name))
-        blobs.append([open(p, "rb").read() for p in paths])
+        blobs.append([Path(p).read_bytes() for p in paths])
     assert blobs[0] == blobs[1] == blobs[2]
 
 
@@ -330,6 +352,18 @@ def test_cli_exact_rejects_bad_sizes(capsys):
 )
 def test_cli_exact_reports_bad_sizes_in_one_line(argv, expected, capsys):
     _assert_one_error_line(["exact", *argv], expected, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["exact", "tfim", "--qubits", "4", "--J", "nan", "--h", "1"], "error: J must be finite, got nan"),
+        (["metric-check", "--seed", "-1"], "error: seed must be >= 0, got -1"),
+    ],
+    ids=["exact-J-nan", "metric-check-seed"],
+)
+def test_cli_flags_go_through_the_config_check(argv, expected, capsys):
+    _assert_one_error_line(argv, expected, capsys)
 
 
 def test_cli_preset_desk_scale_smoke(tmp_path, capsys, monkeypatch):
@@ -481,6 +515,7 @@ _BAD_INPUTS = [
         id="preset-bond-order-on-tfim",
     ),
     pytest.param("preset", ["tfim-fig2", "--seed-offset", "-5"], "seeds must be >= 0", id="preset-negative-seed-offset"),
+    pytest.param("preset", ["tfim-fig2", "--seeds", "0"], "--seeds must be >= 1, got 0", id="preset-seeds-0"),
     # The path becomes a comment, leaving `out =`.
     pytest.param("run", [("out = ", "out =  # ")], "out must not be empty", id="run-empty-out"),
     pytest.param(
@@ -711,6 +746,13 @@ _BAD_CONFIGS = [
         "unknown optimizer kind 'ADAM' for entry 'QNSTEIN2'",
         id="unknown-optimizer-kind",
     ),
+    pytest.param(
+        [("kind = tfim", "kind = heisenberg")],
+        lambda cfg: {"problem_kind": "heisenberg"},
+        "unknown problem kind 'heisenberg'",
+        id="unknown-problem-kind",
+    ),
+    pytest.param([("seeds = 0, 1", "seeds =")], lambda cfg: {"seeds": ()}, "seeds needs at least one value", id="no-seeds"),
     *[
         pytest.param(
             _label_edits(label),
@@ -740,12 +782,33 @@ def test_file_and_replace_share_every_check(edits, changes, expected, tmp_path):
         ("max_steps", True, "key 'max_steps' expects int, got True"),
         ("shots", 100.5, "key 'shots' expects int or none, got 100.5"),
         ("update_metric_on_block", 1, "key 'update_metric_on_block' expects bool, got 1"),
+        ("eta", True, "key 'eta' expects float, got True"),
+        ("c", "0.05", "key 'c' expects float, got '0.05'"),
+        ("beta", None, "key 'beta' expects float, got None"),
+        ("blocking_multiplier", -1.0, "blocking_multiplier must be >= 0, got -1.0"),
     ],
-    ids=["samples-float", "steps-bool", "shots-float", "update-metric-int"],
+    ids=["samples-float", "steps-bool", "shots-float", "update-metric-int", "eta-bool", "c-str", "beta-none",
+         "multiplier-negative"],
 )
 def test_optimizer_config_checks_int_and_bool_fields_on_construction(field, value, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):
         OptimizerConfig(**{field: value})
+
+
+# A file reads each parameter by name and as a float, so only `replace` can
+# give these.
+@pytest.mark.parametrize(
+    "params, expected",
+    [
+        ((("J", True), ("h", -2.0)), "key 'J' expects float, got True"),
+        ((("J", "1"), ("h", -2.0)), "key 'J' expects float, got '1'"),
+        ((("K", -1.0), ("h", -2.0)), "tfim takes parameters ('J', 'h'), got ('K', 'h')"),
+    ],
+    ids=["J-bool", "J-str", "wrong-names"],
+)
+def test_replace_checks_problem_parameters(params, expected, tmp_path):
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        replace(small_config(tmp_path), problem_params=params)
 
 
 @pytest.mark.parametrize("edits, changes, expected", _REPEATED_AND_NON_FINITE)

@@ -73,6 +73,19 @@ def test_stochastic_estimators_reject_bad_arguments(estimator, key, value):
     assert rng.random() == np.random.default_rng(0).random()
 
 
+@pytest.mark.parametrize(
+    "matrix, expected",
+    [
+        (np.zeros((2, 3)), "^metric must be square, got shape \\(2, 3\\)$"),
+        (np.array([[np.inf, 0.0], [0.0, 1.0]]), "^metric estimate has non-finite entries$"),
+    ],
+    ids=["non-square", "non-finite"],
+)
+def test_metric_estimate_rejects_bad_matrices(matrix, expected):
+    with pytest.raises(ValueError, match=expected):
+        MetricEstimate(matrix, "x", 0, 0)
+
+
 def test_metric_estimate_requires_exact_symmetry():
     with pytest.raises(ValueError):
         MetricEstimate(np.array([[0.0, 1e-14], [0.0, 0.0]]), "x", 0, 0)

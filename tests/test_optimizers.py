@@ -80,6 +80,11 @@ def test_average_metric_dimension_mismatch():
         average_metric(np.eye(2), np.eye(3), 1)
 
 
+def test_average_metric_rejects_negative_k():
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        average_metric(None, np.eye(2), -1)
+
+
 def test_natural_step_identity_metric_is_gd():
     rng = np.random.default_rng(1)
     theta = rng.normal(size=5)

@@ -40,6 +40,11 @@ def test_tfim_term_count():
     assert len(zz) == 2 and len(x) == 3
 
 
+def test_sum_needs_a_qubit():
+    with pytest.raises(ValueError, match="^qubit_count must be >= 1, got 0$"):
+        PauliSum.from_terms([], 0)
+
+
 def test_tfim_rejects_single_site():
     with pytest.raises(ValueError):
         build_tfim(1, -1.0, -2.0)

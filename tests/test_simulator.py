@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -319,6 +320,15 @@ def test_gate_validation():
         Circuit((Gate("RY", (3,), 0),), 2, 1)
     with pytest.raises(ValueError):
         Circuit((Gate("RY", (0,), 0),), 1, 2)  # param 1 never referenced
+    with pytest.raises(ValueError, match="^unknown gate kind 'CZ'$"):
+        Gate("CZ", (0, 1))
+    with pytest.raises(ValueError, match=re.escape("RY takes 1 site(s), got (0, 1)")):
+        Gate("RY", (0, 1), 0)
+    for qubits in (0, 21):
+        with pytest.raises(ValueError, match=re.escape(f"qubit_count must be in [1, 20], got {qubits}")):
+            Circuit((), qubits, 0)
+    with pytest.raises(ValueError, match="^param_index 1 out of range$"):
+        Circuit((Gate("RY", (0,), 1),), 1, 1)
 
 
 def test_expectation_basics():
@@ -440,8 +450,10 @@ def test_sampled_expectation_unbiased_multi_term():
 def test_sampled_expectation_rejects_zero_shots():
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
     s = np.array([1.0 + 0j, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^shots must be >= 1, got 0$"):
         sampled_expectation(s, z, 0, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="^shots must be >= 1, got 0$"):
+        sampled_zero_probability(s, 0, np.random.default_rng(0))
 
 
 def test_zero_probability_cases():
