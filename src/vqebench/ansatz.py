@@ -18,8 +18,7 @@ from .pauli import PauliSum
 from .simulator import (
     Circuit,
     Gate,
-    _INVERSE_KIND,
-    _apply_gates,
+    _compile,
     apply_adjoint_circuit,
     apply_circuit,
     expectation,
@@ -118,7 +117,7 @@ def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
         Gate("RX", (b,), p[4]),
         Gate("RZ", (b,), p[5]),
     ]
-    gates += [Gate(_INVERSE_KIND[g.kind], g.sites) for g in reversed(magic)]
+    gates += [Gate("Sdg" if g.kind == "S" else g.kind, g.sites) for g in reversed(magic)]
     return gates
 
 
@@ -128,9 +127,7 @@ def so4_gate(alpha) -> np.ndarray:
     if alpha.shape != (6,):
         raise ValueError(f"SO(4) gate takes 6 parameters, got shape {alpha.shape}")
     # Row j of the block starts as basis state j and ends as column j of U.
-    block = np.eye(4, dtype=complex)
-    _apply_gates(block, 2, so4_block_gates(0, 1, range(6)), alpha)
-    return block.T
+    return _compile(2, so4_block_gates(0, 1, range(6))).run(np.eye(4), alpha).T
 
 
 def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Circuit:

@@ -67,10 +67,10 @@ class MetricEstimate:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError(f"metric must be square, got shape {m.shape}")
-        if not np.array_equal(m, m.T):
-            raise ValueError("metric estimate must be exactly symmetric")
         if not np.all(np.isfinite(m)):
             raise ValueError("metric estimate has non-finite entries")
+        if not np.array_equal(m, m.T):
+            raise ValueError("metric estimate must be exactly symmetric")
         self.matrix = m
 
 

@@ -46,14 +46,15 @@ class PauliString:
         if not self.axes or any(a not in "IXYZ" for a in self.axes):
             raise ValueError(f"invalid axes string {self.axes!r}")
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return set(self.axes) == {"I"}
 
     # The one encoding of the string's action, cached because a Hamiltonian is
     # fixed for a run. Site 0 is the top bit of the basis index j; (P psi)[j] =
     # phase * action_signs[j] * psi[j ^ flip_mask], and outcome j in P's
-    # measurement basis has eigenvalue eigenvalue_signs[j] (int8 vectors).
+    # measurement basis has eigenvalue eigenvalue_signs[j] (int8 vectors). The
+    # exact expectation reads the same action as weight[j] * psi[gather_index[j]].
 
     @cached_property
     def flip_mask(self) -> int:
@@ -71,9 +72,22 @@ class PauliString:
     def eigenvalue_signs(self) -> np.ndarray:
         return _parity_signs(self.axes, "XYZ")
 
+    @cached_property
+    def weight(self) -> np.ndarray:
+        return _read_only(self.phase * self.action_signs)
+
+    @cached_property
+    def gather_index(self) -> np.ndarray:
+        return _read_only(np.arange(2 ** len(self.axes)) ^ self.flip_mask)
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         """The unweighted string applied to an amplitude vector (a new array)."""
-        return self.phase * (self.action_signs * amps[np.arange(amps.size) ^ self.flip_mask])
+        return self.weight * (amps[self.gather_index] if self.flip_mask else amps)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False  # shared by every caller of the cached encoding
+    return a
 
 
 def _parity_signs(axes: str, kinds: str) -> np.ndarray:
@@ -84,8 +98,7 @@ def _parity_signs(axes: str, kinds: str) -> np.ndarray:
     for site, a in enumerate(axes):
         if a in kinds:
             signs[idx >> (n - 1 - site) & 1 == 1] *= -1
-    signs.flags.writeable = False  # shared by every caller of the cached encoding
-    return signs
+    return _read_only(signs)
 
 
 @dataclass(frozen=True)

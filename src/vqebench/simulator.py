@@ -7,23 +7,28 @@ R_A(theta) = exp(-i * theta * A / 2).
 A state on n qubits is a 1-D complex array of 2**n amplitudes. Site 0 is the
 leftmost tensor factor, i.e. the most significant bit of the basis index.
 
-One kernel, `_apply_gate`, applies every gate, and it picks its update by the
-gate's structure. Diagonal gates scale halves of the register: RZ both
-halves, S and Sdg only the |1> half. Permutation gates (X, CNOT) swap two
-halves through one temporary. Only H, RX and RY take the generic 2x2 update.
-A circuit pass evaluates the cosine and sine of every half angle once, as
-complex scalars like the amplitudes, so that no product casts a float.
+A gate list runs as a plan of array ops, compiled once per `Circuit` and
+cached on it (a plain gate list is compiled per call). Each op maps a state or
+a (B, 2**n) block to a new array: a maximal run of X, CNOT, S and Sdg is one
+gather `x[perm]`, times phases in {1, i, -1, -i} unless all are 1; H, RX and
+RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
+RZ is one multiply by its diagonal. A pass fills every rotation's entries at
+once from the cosines and sines of its half angles. The adjoint plan reverses
+the ops, inverts the gathers and negates the angles.
 
-Operand order is part of the numerics. Every product is written
-`scalar * view` and assigned back, never `view * scalar` or `view *= scalar`:
-numpy's SIMD complex multiply (with FMA) is not bitwise commutative.
-`np.multiply(scalar, view, out=view)` is no substitute either; on a half of
-one amplitude it takes the in-place loop. Kept this way, the kernel gives the
-bits of the plain 2x2 update up to the sign of zero amplitudes.
+The bits are those of the plain 2x2 update up to the sign of zero amplitudes.
+A gather multiplies only by 0, +-1 and +-i, which is exact. Each entry of H,
+RX and RY is real or imaginary, so every product is one rounded real product
+and the sum rounds alike in either order. Only RZ's entries c -+ i s have two
+nonzero parts, and there operand order is part of the numerics: numpy's SIMD
+complex multiply (with FMA) is not bitwise commutative, so the diagonal is
+always the first operand, `d * x`, into a fresh array (an in-place `out=` can
+take numpy's scalar loop instead).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,17 +41,13 @@ ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
 
-# H's entries are +-_H, complex like the amplitudes so that no product casts.
-_H = complex(1.0 / np.sqrt(2.0))
-# The |1> half of a phase gate is multiplied by this; the |0> half is kept.
-_PHASES = {"S": 1j, "Sdg": -1j}
-# Self-inverse kinds map to themselves; S and Sdg swap.
-_INVERSE_KIND = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT"}
-# d/dtheta R_P(theta) = (-i/2) P R_P(theta). (-i/2) P is off-diagonal for X
-# and Y and diagonal for Z; these are its two nonzero entries, top row first.
-_GENERATORS = {"RX": (-0.5j, -0.5j), "RY": (-0.5, 0.5), "RZ": (-0.5j, 0.5j)}
-# Gates, in order, that map an X or Y eigenbasis onto Z (V = H S^dagger for Y).
-_TO_Z_BASIS = {"X": ("H",), "Y": ("Sdg", "H")}
+_H = 1.0 / np.sqrt(2.0)
+# A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
+# values [cos, sin, -sin, 0]: RX (c, -i s) and RY (c, s) act as a x + b y with
+# y the flipped (for RY signed) copy; RZ is the diagonal (c - i s, c + i s).
+_ENTRIES = {"RX": (0, 3, 3, 2), "RY": (0, 3, 1, 3), "RZ": (0, 2, 0, 1)}
+# d/dtheta R_P(theta) = (-i/2) P R_P(theta); (-i/2) P is this times y (RX, RY) or sign * x (RZ).
+_GENERATORS = {"RX": -0.5j, "RY": 0.5, "RZ": 0.5j}
 
 
 @dataclass(frozen=True)
@@ -96,6 +97,14 @@ class Circuit:
             missing = sorted(set(range(self.param_count)) - used)
             raise ValueError(f"parameter indices never referenced: {missing}")
 
+    @functools.cached_property  # compiled once, like a PauliString's encodings
+    def _plan(self) -> "_Plan":
+        return _compile(self.qubit_count, self.gates)
+
+    @functools.cached_property
+    def _adjoint_plan(self) -> "_Plan":
+        return self._plan.adjoint()
+
 
 def circuit_to_text(c: Circuit) -> str:
     """Structured dump: one gate per line as 'KIND sites... param', '-' if none."""
@@ -106,79 +115,96 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    t = a.copy()
-    a[...] = b
-    b[...] = t
+@functools.cache
+def _site(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(bit, flip, sign) over the 2**n basis indices j: the site's bit of j, j with
+    that bit flipped, and -1 or +1 (complex) for bit 0 or 1. Shared by every plan."""
+    j = np.arange(2**n)
+    bit = j >> (n - 1 - site) & 1
+    tables = bit, j ^ (1 << (n - 1 - site)), (2 * bit - 1).astype(complex)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
 
 
-def _mix(v0: np.ndarray, v1: np.ndarray, m00, m01, m10, m11) -> None:
-    """(v0, v1) <- (m00 v0 + m01 v1, m10 v0 + m11 v1) in place."""
-    a = v0.copy()
-    v0[...] = m00 * a + m01 * v1
-    v1[...] = m10 * a + m11 * v1
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """A gate list compiled to array ops; `params` and `entries` say where each
+    rotation slot's two entries (a.re, a.im, b.re, b.im) sit in a pass's values
+    [cos, sin, -sin, 0] of the slots' half angles."""
+
+    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
+    params: np.ndarray
+    entries: np.ndarray
+
+    def adjoint(self) -> "_Plan":
+        """The inverse gate list, run with negated angles: ops reversed, gathers inverted."""
+        ops = []
+        for kind, a, b, k, p in reversed(self.ops):
+            if kind == "gather":
+                a = np.argsort(a)
+                b = None if b is None else b.conj()[a]
+            ops.append((kind, a, b, k, p))
+        return _Plan(tuple(ops), self.params, self.entries)
+
+    def run(self, x: np.ndarray, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
+        """The plan applied to x, a state or a (B, 2**n) block, as a new array.
+
+        With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
+        rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
+        """
+        if self.params.size:
+            half = theta / 2.0
+            cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
+            coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
+            pairs = coef.tolist()
+        x = np.array(x, dtype=complex)
+        for kind, index, table, k, p in self.ops:
+            if kind == "RZ":
+                x = coef[k].take(index) * x  # coefficient first: see the module docstring
+            elif kind == "gather":
+                x = x.take(index, axis=-1)
+                if table is not None:
+                    x *= table
+            else:  # a x + b y, y the copy of x with the site flipped (and, for RY, signed)
+                a, b = (table, _H) if kind == "H" else pairs[k]
+                y = x.take(index, axis=-1)
+                if kind == "RY":
+                    y *= table
+                y *= b
+                x *= a
+                x += y
+            if derivatives and p is not None:
+                psi = x[0] if kind == "RZ" else x[0].take(index)
+                x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
+        return x
 
 
-def _apply_gate(amps: np.ndarray, n: int, kind: str, sites, c: complex = 1.0, s: complex = 0.0) -> None:
-    """Apply one gate in place; a rotation takes c, s = cos, sin of half its angle.
-
-    `amps` is a length-2**n state or a (B, 2**n) block of them. The register
-    is viewed as (pre, 2, post) with the target site in the middle, folding
-    any leading block axis into pre, so a single state takes the same
-    arithmetic as a block row.
-    """
-    if kind == "CNOT":
-        control, target = sites
-        a, b = sorted(sites)
-        view = amps.reshape(-1, 2, 2 ** (b - a - 1), 2, 2 ** (n - b - 1))
-        if control < target:
-            _swap(view[:, 1, :, 0], view[:, 1, :, 1])
-        else:
-            _swap(view[:, 0, :, 1], view[:, 1, :, 1])
-        return
-    view = amps.reshape(-1, 2, 2 ** (n - sites[0] - 1))
-    v0, v1 = view[:, 0], view[:, 1]
-    if kind == "RZ":
-        v0[...] = (c - 1j * s) * v0
-        v1[...] = (c + 1j * s) * v1
-    elif kind in _PHASES:
-        v1[...] = _PHASES[kind] * v1
-    elif kind == "X":
-        _swap(v0, v1)
-    elif kind == "H":
-        _mix(v0, v1, _H, _H, _H, -_H)
-    elif kind == "RY":
-        _mix(v0, v1, c, -s, s, c)
-    else:  # RX
-        _mix(v0, v1, c, -1j * s, -1j * s, c)
-
-
-def _half_angles(theta: np.ndarray, adjoint: bool = False) -> tuple[list, list]:
-    """cos and sin of half of every rotation angle (negated for the adjoint), as complex scalars."""
-    half = (-theta if adjoint else theta) / 2.0
-    return (np.cos(half) + 0j).tolist(), (np.sin(half) + 0j).tolist()
-
-
-def _apply_gates(amps: np.ndarray, n: int, gates, theta: np.ndarray, adjoint: bool = False) -> None:
-    """Apply `gates` in place to a length-2**n state or a (B, 2**n) block of them."""
-    cos, sin = _half_angles(theta, adjoint)
-    for g in reversed(gates) if adjoint else gates:
-        kind = _INVERSE_KIND.get(g.kind, g.kind) if adjoint else g.kind
-        i = g.param_index
-        if i is None:
-            _apply_gate(amps, n, kind, g.sites)
-        else:
-            _apply_gate(amps, n, kind, g.sites, cos[i], sin[i])
-
-
-def _add_generator_term(out: np.ndarray, psi: np.ndarray, n: int, kind: str, site: int) -> None:
-    """out += (-i/2) P psi for the Pauli P of rotation `kind` on `site`."""
-    k0, k1 = _GENERATORS[kind]
-    src = psi.reshape(-1, 2, 2 ** (n - site - 1))
-    dst = out.reshape(-1, 2, 2 ** (n - site - 1))
-    s0, s1 = (src[:, 0], src[:, 1]) if kind == "RZ" else (src[:, 1], src[:, 0])
-    dst[:, 0] += k0 * s0
-    dst[:, 1] += k1 * s1
+def _compile(n: int, gates) -> _Plan:
+    """One op per maximal run of X, CNOT, S and Sdg (a signed gather) and per H or rotation."""
+    j = np.arange(2**n)
+    perm, phase = j, np.ones(2**n, dtype=complex)  # the pending run maps x to phase * x[perm]
+    ops, params, entries = [], [], []
+    for g in (*gates, None):  # None closes the last run
+        if g is not None and g.kind in ("X", "CNOT", "S", "Sdg"):
+            bit, flip, _ = _site(n, g.sites[-1])
+            # The target flips where the control is set: always for X, never for S and Sdg.
+            step = np.where(_site(n, g.sites[0])[0] if g.kind == "CNOT" else g.kind == "X", flip, j)
+            perm, phase = perm[step], phase[step] * np.where(bit, {"S": 1j, "Sdg": -1j}.get(g.kind, 1), 1)
+            continue
+        if (perm != j).any() or (phase != 1).any():
+            ops.append(("gather", perm, None if (phase == 1).all() else phase, None, None))
+            perm, phase = j, np.ones(2**n, dtype=complex)
+        if g is None:
+            continue
+        bit, flip, sign = _site(n, g.sites[0])
+        tables = {"H": (flip, -_H * sign), "RX": (flip, None), "RY": (flip, sign), "RZ": (bit, sign)}[g.kind]
+        ops.append((g.kind, *tables, len(params), g.param_index))
+        if g.param_index is not None:
+            params.append(g.param_index)
+            entries.append(_ENTRIES[g.kind])
+    codes = np.array(entries, dtype=np.intp).reshape(-1, 4) * len(params) + np.arange(len(params))[:, None]
+    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes)
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -203,39 +229,27 @@ def apply_circuit(c: Circuit, theta) -> np.ndarray:
     theta = _check_theta(c, theta)
     state = np.zeros(2**c.qubit_count, dtype=complex)
     state[0] = 1.0
-    _apply_gates(state, c.qubit_count, c.gates, theta)
-    return state
+    return c._plan.run(state, theta)
 
 
 def apply_adjoint_circuit(c: Circuit, theta, state) -> np.ndarray:
     """Return U(theta)^dagger applied to a copy of `state` (inverted gates in reverse order)."""
     theta = _check_theta(c, theta)
-    out = np.array(_check_state(state, c.qubit_count), dtype=complex)
-    _apply_gates(out, c.qubit_count, c.gates, theta, adjoint=True)
-    return out
+    return c._adjoint_plan.run(_check_state(state, c.qubit_count), -theta)
 
 
 def derivative_states(c: Circuit, theta) -> np.ndarray:
     """Block [psi, d_1 psi, ..., d_d psi] of psi = U(theta)|0...0>, shape (d + 1, 2**n).
 
-    One pass of the block through the gate list: every gate acts on all rows
-    (the chain rule's U d psi part), and after a rotation on parameter i, row
+    One pass of the block through the plan: every op acts on all rows (the
+    chain rule's U d psi part), and after a rotation on parameter i, row
     i + 1 gains (-i/2) P psi for that gate's Pauli P. A parameter shared by
     several gates accumulates one such term per gate. Exact to rounding.
     """
     theta = _check_theta(c, theta)
-    n = c.qubit_count
-    block = np.zeros((c.param_count + 1, 2**n), dtype=complex)
+    block = np.zeros((c.param_count + 1, 2**c.qubit_count), dtype=complex)
     block[0, 0] = 1.0
-    cos, sin = _half_angles(theta)
-    for g in c.gates:
-        i = g.param_index
-        if i is None:
-            _apply_gate(block, n, g.kind, g.sites)
-        else:
-            _apply_gate(block, n, g.kind, g.sites, cos[i], sin[i])
-            _add_generator_term(block[i + 1], block[0], n, g.kind, g.sites[0])
-    return block
+    return c._plan.run(block, theta, derivatives=True)
 
 
 def require_one_gate_per_parameter(c: Circuit) -> None:
@@ -273,29 +287,34 @@ def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     return p / p.sum()
 
 
+@functools.cache
+def _measurement_plan(axes: str) -> _Plan:
+    """Plan rotating each X or Y site of a Pauli string onto Z: H for X, V = H S^dagger for Y."""
+    gates = [Gate(k, (site,)) for site, a in enumerate(axes) for k in {"X": ("H",), "Y": ("Sdg", "H")}.get(a, ())]
+    return _compile(len(axes), gates)
+
+
 def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator) -> float:
     """Shot-noise estimate of <s|H|s>.
 
     Each non-identity Pauli term is measured independently with the full shot
     budget: the state is rotated into the term's measurement basis, `shots`
     outcomes are drawn from the exact outcome distribution, and the term's
-    expectation is the sample mean of the +-1 eigenvalues. Constant terms are
-    added exactly. Unbiased for expectation(state, h).
+    expectation is the sample mean of the +-1 eigenvalues. Z-only terms share
+    one distribution, that of the state itself. Constant terms are added
+    exactly. Unbiased for expectation(state, h).
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    n = h.qubit_count
-    state = _check_state(state, n)
+    state = _check_state(state, h.qubit_count)
+    z_basis = _outcome_probabilities(state)
     total = 0.0
     for t in h.terms:
         if t.is_identity:
             total += t.coefficient
             continue
-        rotated = np.array(state, dtype=complex)
-        for site, axis in enumerate(t.axes):
-            for kind in _TO_Z_BASIS.get(axis, ()):
-                _apply_gate(rotated, n, kind, (site,))
-        counts = rng.multinomial(shots, _outcome_probabilities(rotated))
+        p = _outcome_probabilities(_measurement_plan(t.axes).run(state, None)) if t.flip_mask else z_basis
+        counts = rng.multinomial(shots, p)
         total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
     return total
 

@@ -78,8 +78,9 @@ def test_stochastic_estimators_reject_bad_arguments(estimator, key, value):
     [
         (np.zeros((2, 3)), "^metric must be square, got shape \\(2, 3\\)$"),
         (np.array([[np.inf, 0.0], [0.0, 1.0]]), "^metric estimate has non-finite entries$"),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^metric estimate has non-finite entries$"),
     ],
-    ids=["non-square", "non-finite"],
+    ids=["non-square", "non-finite", "nan"],
 )
 def test_metric_estimate_rejects_bad_matrices(matrix, expected):
     with pytest.raises(ValueError, match=expected):

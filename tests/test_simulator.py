@@ -4,10 +4,19 @@ import re
 import numpy as np
 import pytest
 
-from vqebench import ansatz, estimators, simulator
+from vqebench import ansatz, estimators, optimizers, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates, so4_gate
 from vqebench.estimators import exact_metric
-from vqebench.pauli import PAULI_MATRICES, PauliString, PauliSum, build_schwinger, build_tfim, to_dense
+from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
+from vqebench.pauli import (
+    PAULI_MATRICES,
+    PauliString,
+    PauliSum,
+    build_schwinger,
+    build_tfim,
+    exact_ground_energy,
+    to_dense,
+)
 from vqebench.simulator import (
     Circuit,
     Gate,
@@ -18,16 +27,13 @@ from vqebench.simulator import (
     expectation,
     sampled_expectation,
     sampled_zero_probability,
-    _INVERSE_KIND,
-    _TO_Z_BASIS,
-    _apply_gates,
     _check_state,
     _outcome_probabilities,
 )
 
 # Reference: the generic update. Every gate is a 2x2 matrix applied with a
 # copy, four products and two sums, and CNOT swaps through fancy indexing.
-# The structured kernels must give the same bits up to the sign of zeros.
+# The compiled plans must give the same bits up to the sign of zeros.
 
 _SQRT_HALF = 1.0 / np.sqrt(2.0)
 _FIXED_MATRICES = {
@@ -37,6 +43,10 @@ _FIXED_MATRICES = {
     "X": PAULI_MATRICES["X"],
 }
 _GENERATOR_MATRICES = {kind: -0.5j * PAULI_MATRICES[kind[1]] for kind in ("RX", "RY", "RZ")}
+# Self-inverse kinds map to themselves; S and Sdg swap.
+_INVERSE_KIND = {"H": "H", "S": "Sdg", "Sdg": "S", "X": "X", "CNOT": "CNOT"}
+# Gates, in order, that map an X or Y eigenbasis onto Z (V = H S^dagger for Y).
+_TO_Z_BASIS = {"X": ("H",), "Y": ("Sdg", "H")}
 
 
 def rotation_matrix(kind, angle):
@@ -50,6 +60,13 @@ def rotation_matrix(kind, angle):
     if kind == "RZ":
         return np.array([[c - 1j * s, 0.0], [0.0, c + 1j * s]])
     raise ValueError(f"not a rotation kind: {kind!r}")
+
+
+def _apply_gates(amps, n, gates, theta, adjoint=False):
+    """A plain gate list run in place through its plan, compiled for this call."""
+    plan = simulator._compile(n, gates)
+    theta = np.asarray(theta, dtype=float)
+    amps[...] = plan.adjoint().run(amps, -theta) if adjoint else plan.run(amps, theta)
 
 
 def _ref_apply_single(amps, n, matrix, site):
@@ -112,6 +129,45 @@ def _ref_sampled_expectation(state, h, shots, rng):
         counts = rng.multinomial(shots, _outcome_probabilities(rotated))
         total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
     return total
+
+
+def _ref_expectation(state, h):
+    """Term by term, each string applied as phase * (signs * amps[j ^ flip_mask])."""
+    amps = _check_state(state, h.qubit_count)
+    total = 0.0
+    for t in h.terms:
+        if t.is_identity:
+            total += t.coefficient
+        else:
+            applied = t.phase * (t.action_signs * amps[np.arange(amps.size) ^ t.flip_mask])
+            total += t.coefficient * np.real(np.vdot(amps, applied))
+    return float(total)
+
+
+def _ref_apply_circuit(c, theta):
+    state = np.zeros(2**c.qubit_count, dtype=complex)
+    state[0] = 1.0
+    _ref_apply_gates(state, c.qubit_count, c.gates, np.asarray(theta, dtype=float))
+    return state
+
+
+def _ref_apply_adjoint_circuit(c, theta, state):
+    out = np.array(_check_state(state, c.qubit_count), dtype=complex)
+    _ref_apply_gates(out, c.qubit_count, c.gates, np.asarray(theta, dtype=float), adjoint=True)
+    return out
+
+
+def use_reference_kernels(monkeypatch):
+    """Route every circuit, overlap and readout query through the references above."""
+    for module, name, ref in (
+        (ansatz, "apply_circuit", _ref_apply_circuit),
+        (estimators, "apply_circuit", _ref_apply_circuit),
+        (ansatz, "apply_adjoint_circuit", _ref_apply_adjoint_circuit),
+        (estimators, "derivative_states", _ref_derivative_states),
+        (ansatz, "expectation", _ref_expectation),
+        (ansatz, "sampled_expectation", _ref_sampled_expectation),
+    ):
+        monkeypatch.setattr(module, name, ref)
 
 
 def random_circuit(rng, n, n_gates):
@@ -254,6 +310,72 @@ def test_derivative_states_and_so4_gate_match_generic_update(n):
     assert np.array_equal(so4_gate(alpha), want.T)
 
 
+def fixed_run_circuit(rng, n, runs=6):
+    """Long runs of X, CNOT (both directions), S and Sdg between single H or rotation gates."""
+    gates, p = [], 0
+    for _ in range(runs):
+        for _ in range(int(rng.integers(3, 12))):
+            kind = str(rng.choice(["X", "S", "Sdg", "CNOT"] if n > 1 else ["X", "S", "Sdg"]))
+            sites = rng.choice(n, size=2, replace=False) if kind == "CNOT" else rng.integers(n, size=1)
+            gates.append(Gate(kind, tuple(int(q) for q in sites)))
+        kind = str(rng.choice(["H", "RX", "RY", "RZ"]))
+        gates.append(Gate(kind, (int(rng.integers(n)),), None if kind == "H" else p))
+        p += kind != "H"
+    gates.append(Gate("RZ", (n - 1,), p))
+    return Circuit(tuple(gates), n, p + 1)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_plans_of_long_fixed_runs_match_generic_update(n):
+    rng = np.random.default_rng(80 + n)
+    for _ in range(6):
+        c = fixed_run_circuit(rng, n)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, c.param_count)
+        block = rng.standard_normal((4, 2**n)) + 1j * rng.standard_normal((4, 2**n))
+        want = _ref_apply_circuit(c, theta)
+        assert np.array_equal(apply_circuit(c, theta), want)
+        for adjoint in (False, True):
+            got, ref = block.copy(), block.copy()
+            _apply_gates(got, n, c.gates, theta, adjoint)
+            _ref_apply_gates(ref, n, c.gates, theta, adjoint)
+            assert np.array_equal(got, ref)
+        for row in block:
+            assert np.array_equal(apply_adjoint_circuit(c, theta, row), _ref_apply_adjoint_circuit(c, theta, row))
+        assert np.array_equal(derivative_states(c, theta), _ref_derivative_states(c, theta))
+
+
+def test_a_circuit_compiles_its_plan_once(monkeypatch):
+    compiled = []
+
+    def counting_compile(n, gates):
+        compiled.append(len(gates))
+        return compile_plan(n, gates)
+
+    compile_plan = simulator._compile
+    monkeypatch.setattr(simulator, "_compile", counting_compile)
+    c = schwinger_ansatz(4, 1)
+    theta = np.linspace(-1.0, 1.0, c.param_count)
+    for _ in range(3):
+        psi = apply_circuit(c, theta)
+        apply_adjoint_circuit(c, theta, psi)
+        derivative_states(c, theta)
+    assert compiled == [len(c.gates)]
+
+
+def test_equal_but_distinct_circuits_each_get_a_correct_plan():
+    rng = np.random.default_rng(90)
+    first = fixed_run_circuit(rng, 3)
+    second = Circuit(first.gates, first.qubit_count, first.param_count)
+    other = fixed_run_circuit(rng, 3)
+    theta = rng.uniform(-np.pi, np.pi, first.param_count)
+    want = _ref_apply_circuit(first, theta)
+    assert second == first and second is not first
+    assert np.array_equal(apply_circuit(first, theta), want)
+    apply_circuit(other, rng.uniform(-np.pi, np.pi, other.param_count))
+    assert np.array_equal(apply_circuit(second, theta), want)
+    assert second._plan is not first._plan
+
+
 def _pinned_quantities(c, h, seed):
     """Bytes of every loss, overlap and metric query on c, and of the next draw."""
     rng = np.random.default_rng(seed)
@@ -262,8 +384,9 @@ def _pinned_quantities(c, h, seed):
     values = [
         loss(c, h, theta),
         loss(c, h, theta, shots=512, rng=rng),
-        fidelity(c, apply_circuit(c, theta), theta_prime, shots=512, rng=rng),
-        simulator.sampled_expectation(apply_circuit(c, theta_prime), h, 512, rng),
+        fidelity(c, ansatz.apply_circuit(c, theta), theta_prime, shots=512, rng=rng),
+        fidelity(c, ansatz.apply_circuit(c, theta), theta_prime),
+        ansatz.sampled_expectation(ansatz.apply_circuit(c, theta_prime), h, 512, rng),
         exact_metric(c, theta).matrix,
         rng.random(),
     ]
@@ -280,11 +403,24 @@ def _pinned_quantities(c, h, seed):
 )
 def test_queries_match_generic_update_bit_for_bit(monkeypatch, c, h):
     got = _pinned_quantities(c, h, 70)
-    monkeypatch.setattr(simulator, "_apply_gates", _ref_apply_gates)
-    monkeypatch.setattr(simulator, "sampled_expectation", _ref_sampled_expectation)
-    monkeypatch.setattr(ansatz, "sampled_expectation", _ref_sampled_expectation)
-    monkeypatch.setattr(estimators, "derivative_states", _ref_derivative_states)
+    use_reference_kernels(monkeypatch)
     assert got == _pinned_quantities(c, h, 70)
+
+
+def test_whole_runs_match_the_reference_kernels(monkeypatch):
+    # Three steps of every optimizer kind, with sampled losses and overlaps
+    # (shots) and exact references (GD, QNG), on TFIM and on Schwinger.
+    config = OptimizerConfig(samples=3, shots=256, max_steps=3)
+    tfim, schwinger = build_tfim(4, -1.0, -2.0), build_schwinger(4, 1.0, 0.5, 0.0)
+    problems = (
+        Problem(hardware_efficient(4, 2), tfim, exact_ground_energy(tfim)),
+        Problem(schwinger_ansatz(4, 1), schwinger, exact_ground_energy(schwinger)),
+    )
+    jobs = [(kind, problem) for problem in problems for kind in OPTIMIZER_KINDS]
+    got = [optimizers.run(kind, problem, config, seed=11) for kind, problem in jobs]
+    use_reference_kernels(monkeypatch)
+    assert got == [optimizers.run(kind, problem, config, seed=11) for kind, problem in jobs]
+    assert all(len(r.records) == 4 and not r.failed for r in got)
 
 
 def test_derivative_states_match_finite_differences():
@@ -403,6 +539,19 @@ def test_expectation_matches_dense_on_random_sums():
             amps /= np.linalg.norm(amps)
             dense = np.real(np.vdot(amps, to_dense(h) @ amps))
             assert abs(expectation(amps, h) - dense) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_expectation_matches_the_per_term_formula_bit_for_bit(n):
+    rng = np.random.default_rng(30 + n)
+    for h in (build_schwinger(n, 1.0, 0.5, 0.2), build_tfim(n, -1.0, -2.0)):
+        dense = to_dense(h)
+        for _ in range(20):
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            amps /= np.linalg.norm(amps)
+            value = expectation(amps, h)
+            assert value == _ref_expectation(amps, h)
+            assert abs(value - np.real(np.vdot(amps, dense @ amps))) < 1e-12
 
 
 @pytest.mark.parametrize(
