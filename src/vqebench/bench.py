@@ -21,10 +21,10 @@ from .optimizers import (
     OptimizerConfig,
     Problem,
     RunResult,
-    check_value,
     run,
 )
 from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, exact_ground_energy
+from .values import check_value, read_value, write_value
 
 WORKERS_ENV_VAR = "VQEBENCH_WORKERS"
 
@@ -86,17 +86,15 @@ class RunConfig:
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
-        checks = [(key, "float", value, None) for key, value in self.problem_params]
-        checks += [("qubits", "int", size, None) for size in self.sizes]
-        checks += [("layers", "int", self.layers, None)]
-        checks += [("seeds", "int", seed, (">=", 0)) for seed in self.seeds]
+        checks = [(key, "float", value) for key, value in self.problem_params]
+        checks += [("qubits", "int", size) for size in self.sizes]
+        checks += [("layers", "int", self.layers)]
+        checks += [("seeds", "int", seed) for seed in self.seeds]
         try:
             for check in checks:
                 check_value(*check)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.ansatz_kind not in ("hardware_efficient", "schwinger_so4"):
-            raise ConfigError(f"unknown ansatz kind {self.ansatz_kind!r}")
         # Named as in the file: a repeated entry would run twice or lose its overrides.
         _require_distinct("qubits", self.sizes)
         _require_distinct("kinds", [entry.label for entry in self.optimizers])
@@ -157,23 +155,16 @@ def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
     return sections
 
 
-# Each optimizer key's declared type, named as in the error text ("int | None"
-# reads "int or none"); annotations are strings under `from __future__ import annotations`.
-_OPTIMIZER_KEYS = {f.name: f.type.replace(" | None", " or none") for f in fields(OptimizerConfig)}
-_READERS = {
-    "float": float,
-    "int": int,
-    "bool": lambda text: bool(("false", "true").index(text.lower())),  # ValueError otherwise
-    "int or none": lambda text: None if text.lower() in ("none", "exact") else int(text),
-}
+# Each optimizer key's kind: its annotation, a string under `from __future__ import annotations`.
+_OPTIMIZER_KEYS = {f.name: f.type for f in fields(OptimizerConfig)}
 
 
 def _read(raw: str, line_no: int, kind: str, key: str):
-    """The value of `key` read as its declared type."""
+    """The value of `key` read as a `kind`."""
     try:
-        return _READERS[kind](raw)
-    except ValueError:
-        raise ConfigError(f"line {line_no}: key {key!r} expects {kind}, got {raw!r}") from None
+        return read_value(key, kind, raw)
+    except ValueError as exc:
+        raise ConfigError(f"line {line_no}: {exc}") from None
 
 
 def _int_list(raw: str, line_no: int, key: str) -> tuple[int, ...]:
@@ -269,41 +260,31 @@ def _take_section(sections, name: str):
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical config text; parse(serialize(parse(text))) is the identity."""
     lines = ["[problem]", f"kind = {cfg.problem_kind}"]
-    lines.append(f"qubits = {', '.join(str(s) for s in cfg.sizes)}")
+    lines.append(f"qubits = {', '.join(write_value('int', s) for s in cfg.sizes)}")
     for key, value in cfg.problem_params:
-        lines.append(f"{key} = {value!r}")
-    lines += ["", "[ansatz]", f"kind = {cfg.ansatz_kind}", f"layers = {cfg.layers}"]
+        lines.append(f"{key} = {write_value('float', value)}")
+    lines += ["", "[ansatz]", f"kind = {cfg.ansatz_kind}", f"layers = {write_value('int', cfg.layers)}"]
     if cfg.ansatz_kind == "schwinger_so4":
         lines.append(f"bond_order = {cfg.bond_order}")
     lines += ["", "[optimizer]"]
     lines.append(f"kinds = {', '.join(e.label for e in cfg.optimizers)}")
-    base = cfg.optimizer
-    for key in _OPTIMIZER_KEYS:
-        value = getattr(base, key)
-        lines.append(f"{key} = {_format_value(value)}")
+    for key, kind in _OPTIMIZER_KEYS.items():
+        lines.append(f"{key} = {write_value(kind, getattr(cfg.optimizer, key))}")
     for entry in cfg.optimizers:
         if entry.kind != entry.label or entry.overrides:
             lines += ["", f"[optimizer.{entry.label}]"]
             if entry.kind != entry.label:
                 lines.append(f"kind = {entry.kind}")
             for key, value in entry.overrides:
-                lines.append(f"{key} = {_format_value(value)}")
+                lines.append(f"{key} = {write_value(_OPTIMIZER_KEYS[key], value)}")
     lines += ["", "[run]"]
-    lines.append(f"seeds = {', '.join(str(s) for s in cfg.seeds)}")
+    lines.append(f"seeds = {', '.join(write_value('int', s) for s in cfg.seeds)}")
     out = cfg.out_dir
     # '#' starts a comment, and a value is read stripped from one line.
     if "#" in out or out != out.strip() or len(out.splitlines()) > 1:
         raise ConfigError(f"out {out!r} would not read back: it has a '#', a line break or outer whitespace")
     lines.append(f"out = {out}")
     return "\n".join(lines) + "\n"
-
-
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)  # a float's str is its repr
 
 
 def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
@@ -400,16 +381,15 @@ class BenchmarkResult:
 
 
 def _worker_count(n_jobs: int) -> int:
-    cap = os.environ.get(WORKERS_ENV_VAR)
-    if cap is not None:
-        try:
-            cap = int(cap)
-        except ValueError:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {cap!r}")
-        if cap < 1:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {cap}")
-        return min(cap, n_jobs)
-    return min(os.cpu_count() or 1, n_jobs)
+    text = os.environ.get(WORKERS_ENV_VAR)
+    if text is None:
+        return min(os.cpu_count() or 1, n_jobs)
+    try:
+        cap = read_value(WORKERS_ENV_VAR, "int", text)
+        check_value(WORKERS_ENV_VAR, "int", cap)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return min(cap, n_jobs)
 
 
 def run_benchmark(cfg: RunConfig) -> BenchmarkResult:

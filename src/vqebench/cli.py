@@ -23,7 +23,8 @@ from .estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from .optimizers import OptimizerConfig, check_value
+from .optimizers import OptimizerConfig
+from .values import check_value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -92,7 +93,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_preset(args) -> int:
-    check_value("--seeds", "int | None", args.seeds, (">=", 1))
+    check_value("--seeds", "int | None", args.seeds)
     cfg = bench.preset_config(args.name)
     seeds = cfg.seeds if args.seeds is None else range(args.seeds)
     steps = cfg.optimizer.max_steps if args.steps is None else args.steps
@@ -138,7 +139,7 @@ def _cmd_metric_check(args) -> int:
     # A run's own checks of c, b, samples, shots and seed, made before the exact
     # and shift-rule metrics spend their O(d^2) circuits.
     OptimizerConfig(c=args.c, b=args.b, samples=args.samples, shots=args.shots)
-    check_value("seed", "int", args.seed, (">=", 0))
+    check_value("seed", "int", args.seed)
     circuit = build_ansatz(AnsatzKind(args.ansatz, args.qubits, args.layers))
     d = circuit.param_count
     rng = np.random.default_rng(args.seed)

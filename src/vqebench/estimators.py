@@ -19,7 +19,6 @@ The ten stochastic estimators share the signature (f, theta, c, samples, rng).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +30,7 @@ from .simulator import (
     derivative_states,
     require_one_gate_per_parameter,
 )
+from .values import check_value
 
 
 class RowOracle:
@@ -79,11 +79,9 @@ def _symmetrize(m: np.ndarray) -> np.ndarray:
 
 
 def _checked(theta, c: float, samples: int) -> np.ndarray:
-    """theta as a float vector, once c and samples pass the stochastic estimators' check."""
-    if not (math.isfinite(c) and c > 0):
-        raise ValueError(f"c must be finite and > 0, got {c}")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    """theta as a float vector, once c and samples pass the config's rules for them."""
+    check_value("c", "float", c)
+    check_value("samples", "int", samples)
     return np.asarray(theta, dtype=float)
 
 

@@ -9,7 +9,6 @@ circuit-evaluation accounting in both raw-call and per-sample conventions.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -30,37 +29,10 @@ from .estimators import (
 )
 from .pauli import PauliSum
 from .simulator import Circuit, require_one_gate_per_parameter
+from .values import check_value
 
 OPTIMIZER_KINDS = ("GD", "QNG", "SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3")
 NATURAL_KINDS = frozenset({"QNG", "QNSPSA", "QNSTEIN2", "QNSTEIN3"})
-
-
-# The types each config annotation admits; a bool passes only as a bool, never as a number.
-_KINDS = {
-    "float": numbers.Real, "int": numbers.Integral, "int | None": (numbers.Integral, type(None)), "bool": bool,
-}
-
-
-def check_value(key: str, kind: str, value, bound: tuple[str, float] | None = None) -> None:
-    """Raise ValueError, naming `key`, unless `value` is a `kind` within `bound`.
-
-    `kind` is an annotation string: float (finite), int, bool or int | None.
-    `bound` is a (">" or ">=", low) pair; a None value (int | None) has no bound.
-    """
-    if not isinstance(value, _KINDS[kind]) or isinstance(value, bool) != (kind == "bool"):
-        raise ValueError(f"key {key!r} expects {kind.replace(' | None', ' or none')}, got {value!r}")
-    if kind == "float" and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
-    if bound is not None and value is not None:
-        op, low = bound
-        if not (value > low if op == ">" else value >= low):
-            raise ValueError(f"{key} must be {op} {low}, got {value}")
-
-
-_LOWER_BOUNDS = {
-    "eta": (">", 0), "c": (">", 0), "b": (">", 0), "beta": (">", 0),
-    "samples": (">=", 1), "shots": (">=", 1), "max_steps": (">=", 0), "blocking_multiplier": (">=", 0),
-}
 
 
 @dataclass(frozen=True)
@@ -87,7 +59,7 @@ class OptimizerConfig:
     def __post_init__(self):
         # Annotations are strings under `from __future__ import annotations`.
         for f in fields(self):
-            check_value(f.name, f.type, getattr(self, f.name), _LOWER_BOUNDS.get(f.name))
+            check_value(f.name, f.type, getattr(self, f.name))
 
     @property
     def blocking_active(self) -> bool:

@@ -52,21 +52,13 @@ class PauliString:
 
     # The one encoding of the string's action, cached because a Hamiltonian is
     # fixed for a run. Site 0 is the top bit of the basis index j; (P psi)[j] =
-    # phase * action_signs[j] * psi[j ^ flip_mask], and outcome j in P's
-    # measurement basis has eigenvalue eigenvalue_signs[j] (int8 vectors). The
-    # exact expectation reads the same action as weight[j] * psi[gather_index[j]].
+    # weight[j] * psi[gather_index[j]], with gather_index[j] = j ^ flip_mask and
+    # weight[j] = (-i)^(number of Y's) times -1 per Y or Z site whose bit is set
+    # in j. Outcome j in P's measurement basis has eigenvalue eigenvalue_signs[j].
 
     @cached_property
     def flip_mask(self) -> int:
         return int("".join("1" if a in "XY" else "0" for a in self.axes), 2)
-
-    @cached_property
-    def phase(self) -> complex:
-        return (1 + 0j, -1j, -1 + 0j, 1j)[self.axes.count("Y") % 4]
-
-    @cached_property
-    def action_signs(self) -> np.ndarray:
-        return _parity_signs(self.axes, "YZ")
 
     @cached_property
     def eigenvalue_signs(self) -> np.ndarray:
@@ -74,7 +66,8 @@ class PauliString:
 
     @cached_property
     def weight(self) -> np.ndarray:
-        return _read_only(self.phase * self.action_signs)
+        phase = (1 + 0j, -1j, -1 + 0j, 1j)[self.axes.count("Y") % 4]
+        return _read_only(phase * _parity_signs(self.axes, "YZ"))
 
     @cached_property
     def gather_index(self) -> np.ndarray:
@@ -92,12 +85,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def _parity_signs(axes: str, kinds: str) -> np.ndarray:
     """int8 (-1)^(number of sites with axis in `kinds` whose bit is set in j)."""
-    n = len(axes)
-    idx = np.arange(2**n)
-    signs = np.ones(2**n, dtype=np.int8)
+    signs = np.ones(2 ** len(axes), dtype=np.int8)
     for site, a in enumerate(axes):
         if a in kinds:
-            signs[idx >> (n - 1 - site) & 1 == 1] *= -1
+            # Viewed as (2**site, 2, rest), the middle axis is the site's bit of j.
+            signs.reshape(2**site, 2, -1)[:, 1] *= -1
     return _read_only(signs)
 
 
@@ -202,19 +194,18 @@ def pauli_string_matrix(axes: str) -> np.ndarray:
 
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS
-    (checked before anything is allocated). Each term fills
-    m[j, j ^ flip_mask] for every row j. The matrix is float64 (8 * 4**n
-    bytes) when every term has an even number of Y's, so a real phase, and
-    complex128 (16 * 4**n bytes) otherwise."""
+    (checked before anything is allocated). Each term adds its coefficient
+    times weight[j] to m[j, gather_index[j]] for every row j. The matrix is
+    float64 (8 * 4**n bytes) when every term has an even number of Y's, so a
+    real weight, and complex128 (16 * 4**n bytes) otherwise."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
-    real = all(t.phase.imag == 0 for t in h.terms)
+    real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
     idx = np.arange(2**n)
     m = np.zeros((2**n, 2**n), dtype=float if real else complex)
     for t in h.terms:
-        phase = t.phase.real if real else t.phase
-        m[idx, idx ^ t.flip_mask] += (t.coefficient * phase) * t.action_signs
+        m[idx, t.gather_index] += t.coefficient * (t.weight.real if real else t.weight)
     return m
 
 

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliSum
+from .values import check_value
 
 MAX_QUBITS = 20
 
@@ -304,8 +305,7 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
     one distribution, that of the state itself. Constant terms are added
     exactly. Unbiased for expectation(state, h).
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_value("shots", "int", shots)
     state = _check_state(state, h.qubit_count)
     z_basis = _outcome_probabilities(state)
     total = 0.0
@@ -321,7 +321,6 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
 
 def sampled_zero_probability(state, shots: int, rng: np.random.Generator) -> float:
     """All-zeros outcome frequency over `shots` draws from the full distribution."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    check_value("shots", "int", shots)
     counts = rng.multinomial(shots, _outcome_probabilities(_check_state(state)))
     return float(counts[0]) / shots

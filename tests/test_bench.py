@@ -184,6 +184,19 @@ def test_config_round_trip(tmp_path):
     exact = replace(cfg, optimizer=replace(cfg.optimizer, shots=None))
     assert "\nshots = none\n" in serialize_config(exact)
     assert parse_config(serialize_config(exact)) == exact
+    # numpy scalars pass every check, so the writer must write them as plain numbers.
+    numpy = replace(
+        cfg,
+        problem_params=tuple((key, np.float64(value)) for key, value in cfg.problem_params),
+        sizes=tuple(np.int64(size) for size in cfg.sizes),
+        layers=np.int64(cfg.layers),
+        seeds=tuple(np.int64(seed) for seed in cfg.seeds),
+        optimizer=replace(
+            cfg.optimizer, eta=np.float64(cfg.optimizer.eta), c=np.float32(0.5), samples=np.int64(2), shots=np.int32(64)
+        ),
+        optimizers=_override(cfg, beta=np.float64(0.25), samples=np.int64(3)),
+    )
+    assert parse_config(serialize_config(numpy)) == numpy
     for name in ("tfim-fig2", "schwinger-fig5", "appendixC"):
         cfg = preset_config(name)
         assert parse_config(serialize_config(cfg)) == cfg
@@ -300,10 +313,10 @@ def test_benchmark_parallel_matches_serial(tmp_path, monkeypatch):
 
 def test_worker_env_var_validation(monkeypatch):
     monkeypatch.setenv(bench.WORKERS_ENV_VAR, "zero")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^key 'VQEBENCH_WORKERS' expects int, got 'zero'$"):
         bench._worker_count(4)
     monkeypatch.setenv(bench.WORKERS_ENV_VAR, "0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^VQEBENCH_WORKERS must be >= 1, got 0$"):
         bench._worker_count(4)
     monkeypatch.setenv(bench.WORKERS_ENV_VAR, "3")
     assert bench._worker_count(10) == 3
@@ -737,7 +750,7 @@ _BAD_CONFIGS = [
     pytest.param(
         [("kind = hardware_efficient", "kind = ry1")],
         lambda cfg: {"ansatz_kind": "ry1"},
-        "unknown ansatz kind 'ry1'",
+        "ry1 takes qubits = 1 and layers = 1, got 2 and 1",
         id="ry1-ansatz",
     ),
     pytest.param(

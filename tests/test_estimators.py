@@ -60,13 +60,17 @@ STOCHASTIC_ESTIMATORS = (
 @pytest.mark.parametrize("estimator", STOCHASTIC_ESTIMATORS, ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize(
     "key, value",
-    [("c", 0.0), ("c", -0.1), ("c", np.nan), ("c", np.inf), ("samples", 0), ("samples", -1)],
+    [
+        ("c", 0.0), ("c", -0.1), ("c", np.nan), ("c", np.inf), ("c", True),
+        ("samples", 0), ("samples", -1), ("samples", 2.5), ("samples", True),
+    ],
 )
 def test_stochastic_estimators_reject_bad_arguments(estimator, key, value):
+    # The config's rules and messages for c and samples.
     args = {"c": 0.1, "samples": 5, key: value}
     oracle = RowOracle(lambda rows: np.ones(len(rows)))
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match=f"^{key} must be"):
+    with pytest.raises(ValueError, match=f"^({key} must be|key {key!r} expects (float|int), got {value!r}$)"):
         estimator(oracle, np.zeros(3), args["c"], args["samples"], rng)
     # Rejected before any draw or query.
     assert oracle.calls == 0

@@ -132,14 +132,20 @@ def _ref_sampled_expectation(state, h, shots, rng):
 
 
 def _ref_expectation(state, h):
-    """Term by term, each string applied as phase * (signs * amps[j ^ flip_mask])."""
+    """Term by term, each string applied as phase * (signs * amps[j ^ flip_mask]), where
+    phase is (-i)^(number of Y's) and signs[j] is -1 per Y or Z site whose bit is set in j."""
     amps = _check_state(state, h.qubit_count)
+    j = np.arange(amps.size)
     total = 0.0
     for t in h.terms:
         if t.is_identity:
             total += t.coefficient
         else:
-            applied = t.phase * (t.action_signs * amps[np.arange(amps.size) ^ t.flip_mask])
+            phase = (1 + 0j, -1j, -1 + 0j, 1j)[t.axes.count("Y") % 4]
+            n = len(t.axes)
+            bits = [j >> (n - 1 - site) & 1 for site, a in enumerate(t.axes) if a in "YZ"]
+            signs = np.prod([1 - 2 * bit for bit in bits], axis=0)
+            applied = phase * (signs * amps[j ^ t.flip_mask])
             total += t.coefficient * np.real(np.vdot(amps, applied))
     return float(total)
 
@@ -597,12 +603,24 @@ def test_sampled_expectation_unbiased_multi_term():
 
 
 def test_sampled_expectation_rejects_zero_shots():
+    # The config's rule for shots, checked before any draw: 5.5 shots would
+    # draw 5 and divide by 5.5, and True would run one shot.
     z = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
     s = np.array([1.0 + 0j, 0.0])
-    with pytest.raises(ValueError, match="^shots must be >= 1, got 0$"):
-        sampled_expectation(s, z, 0, np.random.default_rng(0))
-    with pytest.raises(ValueError, match="^shots must be >= 1, got 0$"):
-        sampled_zero_probability(s, 0, np.random.default_rng(0))
+    samplers = (
+        lambda shots, rng: sampled_expectation(s, z, shots, rng),
+        lambda shots, rng: sampled_zero_probability(s, shots, rng),
+    )
+    for shots, expected in [
+        (0, "shots must be >= 1, got 0"),
+        (5.5, "key 'shots' expects int, got 5.5"),
+        (True, "key 'shots' expects int, got True"),
+    ]:
+        for sampler in samplers:
+            rng = np.random.default_rng(0)
+            with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                sampler(shots, rng)
+            assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_zero_probability_cases():
