@@ -34,8 +34,13 @@ def check_value(key: str, kind: str, value) -> None:
     name, types = _KINDS[kind][:2]
     if not isinstance(value, types) or isinstance(value, bool) != (kind == "bool"):
         raise ValueError(f"key {key!r} expects {name}, got {value!r}")
-    if kind == "float" and not math.isfinite(value):
-        raise ValueError(f"{key} must be finite, got {value}")
+    if kind == "float":
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int beyond float range, such as 10**400
+            raise ValueError(f"{key} must be finite, got an int too large for a float") from None
+        if not finite:
+            raise ValueError(f"{key} must be finite, got {value}")
     if key in _BOUNDS and value is not None:
         op, low = _BOUNDS[key]
         if not (value > low if op == ">" else value >= low):

@@ -799,9 +799,10 @@ def test_file_and_replace_share_every_check(edits, changes, expected, tmp_path):
         ("c", "0.05", "key 'c' expects float, got '0.05'"),
         ("beta", None, "key 'beta' expects float, got None"),
         ("blocking_multiplier", -1.0, "blocking_multiplier must be >= 0, got -1.0"),
+        ("eta", 10**400, "eta must be finite, got an int too large for a float"),
     ],
     ids=["samples-float", "steps-bool", "shots-float", "update-metric-int", "eta-bool", "c-str", "beta-none",
-         "multiplier-negative"],
+         "multiplier-negative", "eta-huge-int"],
 )
 def test_optimizer_config_checks_int_and_bool_fields_on_construction(field, value, expected):
     with pytest.raises(ValueError, match=re.escape(expected)):
@@ -816,8 +817,9 @@ def test_optimizer_config_checks_int_and_bool_fields_on_construction(field, valu
         ((("J", True), ("h", -2.0)), "key 'J' expects float, got True"),
         ((("J", "1"), ("h", -2.0)), "key 'J' expects float, got '1'"),
         ((("K", -1.0), ("h", -2.0)), "tfim takes parameters ('J', 'h'), got ('K', 'h')"),
+        ((("J", 10**400), ("h", -2.0)), "J must be finite, got an int too large for a float"),
     ],
-    ids=["J-bool", "J-str", "wrong-names"],
+    ids=["J-bool", "J-str", "wrong-names", "J-huge-int"],
 )
 def test_replace_checks_problem_parameters(params, expected, tmp_path):
     with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):

@@ -237,3 +237,81 @@ def test_dense_is_real_exactly_when_every_phase_is():
     assert to_dense(PauliSum.from_terms([PauliString(1.0, "YY"), PauliString(0.5, "XZ")], 2)).dtype == np.float64
     odd = PauliSum.from_terms([PauliString(1.0, "YZ"), PauliString(0.5, "XX")], 2)
     assert to_dense(odd).dtype == np.complex128
+
+
+def _free_fermion_ground_energy(n, J, h):
+    """Open-chain TFIM E0: minus the summed singular values of the n x n
+    bidiagonal matrix with h on the diagonal and J just above it
+    (Lieb, Schultz & Mattis 1961; Pfeuty 1970). Independent of the dense oracle."""
+    bidiagonal = np.diag(np.full(n, float(h))) + np.diag(np.full(n - 1, float(J)), 1)
+    return -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
+
+
+# (-1, 0) has no field, so both spin-flip sectors hold the degenerate ground state.
+@pytest.mark.parametrize("J, h", [(-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0)])
+@pytest.mark.parametrize("n", range(2, 12))
+def test_tfim_ground_energy_matches_free_fermion_solution(n, J, h):
+    assert exact_ground_energy(build_tfim(n, J, h)) == pytest.approx(_free_fermion_ground_energy(n, J, h), abs=1e-10)
+
+
+def _random_sum(rng, n):
+    terms = [PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), n))) for _ in range(6)]
+    return PauliSum.from_terms(terms, n)
+
+
+def _symmetric_random_sum(rng, n):
+    """Random terms with an even number of Y and Z factors each."""
+    terms = []
+    while len(terms) < 6:
+        axes = "".join(rng.choice(list("IXYZ"), n))
+        if (axes.count("Y") + axes.count("Z")) % 2 == 0:
+            terms.append(PauliString(float(rng.normal()), axes))
+    return PauliSum.from_terms(terms, n)
+
+
+def test_spin_flip_rule_agrees_with_the_matrix():
+    rng = np.random.default_rng(17)
+    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
+    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4, 6)]
+    sums += [build_schwinger(4, 1.0, 0.0, 0.0)]  # no single-Z terms: symmetric
+    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    flags = []
+    for h in sums:
+        m = to_dense(h)
+        flags.append(h.spin_flip_symmetric)
+        assert h.spin_flip_symmetric == np.array_equal(m, m[::-1, ::-1]), [t.axes for t in h.terms]
+    assert any(flags) and not all(flags)
+
+
+def test_folded_ground_energy_matches_full_solve():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        h = _symmetric_random_sum(rng, int(rng.integers(1, 7)))
+        full = float(np.linalg.eigvalsh(to_dense(h))[0])
+        assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
+
+
+def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
+    # Each term has an even Y + Z count but an odd number of Y's: complex and symmetric.
+    h = PauliSum.from_terms(
+        [PauliString(1.0, "YZ"), PauliString(0.5, "ZY"), PauliString(0.3, "XX"), PauliString(-0.7, "XI")], 2
+    )
+    m = to_dense(h)
+    assert m.dtype == np.complex128 and h.spin_flip_symmetric
+    assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
+
+
+def test_folded_ground_energy_of_one_qubit():
+    # half = 1: each sector block is 1 x 1, b +- a.
+    h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)
+    assert h.spin_flip_symmetric
+    assert exact_ground_energy(h) == pytest.approx(0.2, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_schwinger_ground_energy_is_the_full_solve(n):
+    # Single-Z terms break the spin-flip symmetry, so the whole matrix is diagonalized.
+    h = build_schwinger(n, 1.0, 0.5, 0.0)
+    assert not h.spin_flip_symmetric
+    assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
