@@ -23,7 +23,7 @@ from .optimizers import (
     RunResult,
     run,
 )
-from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, exact_ground_energy
+from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, check_sites, exact_ground_energy
 from .values import check_value, read_value, write_value
 
 WORKERS_ENV_VAR = "VQEBENCH_WORKERS"
@@ -48,8 +48,8 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
-# Each problem kind's Hamiltonian builder and its parameter names, in the
-# builder's argument order after the qubit count.
+# Each problem kind (a model name of pauli.check_sites), its Hamiltonian builder
+# and its parameter names, in the builder's argument order after the qubit count.
 PROBLEMS = {
     "tfim": (build_tfim, ("J", "h")),
     "schwinger": (build_schwinger, ("x", "mu", "l")),
@@ -82,7 +82,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem_kind not in PROBLEMS:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
-        builder, expected = PROBLEMS[self.problem_kind]
+        _, expected = PROBLEMS[self.problem_kind]
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
@@ -103,9 +103,9 @@ class RunConfig:
             raise ConfigError("out must not be empty")
         for size in self.sizes:
             try:
-                # The ansatz spec and the Hamiltonian builder apply their own size rules.
+                # The ansatz spec and the model own their size rules.
                 AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
-                builder(size, *(value for _, value in self.problem_params))
+                check_sites(self.problem_kind, size)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         for entry in self.optimizers:

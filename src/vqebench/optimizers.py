@@ -275,8 +275,10 @@ def step(
     else:
         candidate = state.theta - config.eta * grad
 
+    # A non-finite candidate has no state to measure: it is taken unchecked, so
+    # the run ends failed with its partial trace, as it does in exact mode.
     blocked = False
-    if config.blocking_active:
+    if config.blocking_active and np.isfinite(candidate).all():
         candidate_loss = loss(
             problem.circuit, problem.hamiltonian, candidate, shots=config.shots, rng=rng
         )

@@ -26,6 +26,8 @@ PAULI_MATRICES = {
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
+_H = 1.0 / np.sqrt(2.0)  # the Hadamard entry, in measurement rotations and gate kernels
+
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that).
 # exact_ground_energy holds about 1.5x it for a spin-flip-symmetric sum and
 # about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14
@@ -50,48 +52,6 @@ class PauliString:
     @cached_property
     def is_identity(self) -> bool:
         return set(self.axes) == {"I"}
-
-    # The one encoding of the string's action, cached because a Hamiltonian is
-    # fixed for a run. Site 0 is the top bit of the basis index j; (P psi)[j] =
-    # weight[j] * psi[gather_index[j]], with gather_index[j] = j ^ flip_mask and
-    # weight[j] = (-i)^(number of Y's) times -1 per Y or Z site whose bit is set
-    # in j. Outcome j in P's measurement basis has eigenvalue eigenvalue_signs[j].
-
-    @cached_property
-    def flip_mask(self) -> int:
-        return int("".join("1" if a in "XY" else "0" for a in self.axes), 2)
-
-    @cached_property
-    def eigenvalue_signs(self) -> np.ndarray:
-        return _parity_signs(self.axes, "XYZ")
-
-    @cached_property
-    def weight(self) -> np.ndarray:
-        phase = (1 + 0j, -1j, -1 + 0j, 1j)[self.axes.count("Y") % 4]
-        return _read_only(phase * _parity_signs(self.axes, "YZ"))
-
-    @cached_property
-    def gather_index(self) -> np.ndarray:
-        return _read_only(np.arange(2 ** len(self.axes)) ^ self.flip_mask)
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        """The unweighted string applied to an amplitude vector (a new array)."""
-        return self.weight * (amps[self.gather_index] if self.flip_mask else amps)
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False  # shared by every caller of the cached encoding
-    return a
-
-
-def _parity_signs(axes: str, kinds: str) -> np.ndarray:
-    """int8 (-1)^(number of sites with axis in `kinds` whose bit is set in j)."""
-    signs = np.ones(2 ** len(axes), dtype=np.int8)
-    for site, a in enumerate(axes):
-        if a in kinds:
-            # Viewed as (2**site, 2, rest), the middle axis is the site's bit of j.
-            signs.reshape(2**site, 2, -1)[:, 1] *= -1
-    return _read_only(signs)
 
 
 @dataclass(frozen=True)
@@ -129,6 +89,69 @@ class PauliSum:
         number of Y and Z factors, so its matrix equals its 180-degree rotation."""
         return all((t.axes.count("Y") + t.axes.count("Z")) % 2 == 0 for t in self.terms)
 
+    @cached_property
+    def _encoding(self) -> tuple[np.ndarray, np.ndarray]:
+        """The term tables (gather, signs), one row per term in term order, compiled on
+        first use and cached on the sum like a circuit's plan. Site 0 is the top bit
+        of the basis index j. With v = [psi, -i psi, -psi, i psi], (P psi)[j] =
+        v[gather[j]]: j ^ (the X and Y sites) in the copy scaled by (-i)^(number of
+        Y's) times -1 per Y or Z site set in j. P's outcome j has eigenvalue signs[j]."""
+        j = np.arange(2**self.qubit_count)
+
+        def masks(kinds):  # per term, the bits of j of the sites with axis in kinds
+            bits = [int("".join("01"[a in kinds] for a in t.axes), 2) for t in self.terms]
+            return np.array(bits, dtype=np.intp).reshape(-1, 1)
+
+        def parity(kinds):  # 1 where an odd number of those bits is set in j (uint8)
+            return np.bitwise_count(j & masks(kinds)) & 1
+
+        gather = j ^ masks("XY")
+        gather += (np.bitwise_count(masks("Y")) + 2 * parity("YZ")) % 4 * np.intp(j.size)  # which copy
+        return gather, 1 - 2 * parity("XYZ").astype(np.int8)
+
+    @cached_property
+    def _rotations(self) -> tuple[tuple, np.ndarray]:
+        """Measurement-basis rotations (H on X sites, H S^dagger on Y sites), stacked:
+        one tuple of ops per op sequence over its rows (H: flat index of the flipped
+        amplitude and int8 sign of x; S^dagger: None and the phases), and each term's
+        distribution row among [the unrotated state, the groups' rows...]."""
+        n, j = self.qubit_count, np.arange(2**self.qubit_count)
+        keys = ["".join(a if a in "XY" else "I" for a in t.axes) for t in self.terms]
+        groups: dict[str, list[str]] = {}
+        for key in dict.fromkeys(k for k in keys if k.strip("I")):
+            groups.setdefault(key.replace("I", ""), []).append(key)
+        order, ops_by_group = [key for members in groups.values() for key in members], []
+        for sequence, members in groups.items():
+            sites = np.array([[s for s, a in enumerate(key) if a != "I"] for key in members])
+            ops = []
+            for m, axis in enumerate(sequence):
+                shift = (n - 1 - sites[:, m])[:, None]
+                bit = j >> shift & 1
+                if axis == "Y":
+                    ops.append((None, np.where(bit, -1j, 1 + 0j)))
+                # A first op reads the state itself; a later one its own row of the stack.
+                flip = (j ^ 1 << shift) + (j.size * np.arange(len(members))[:, None] if ops else 0)
+                ops.append((flip, (1 - 2 * bit).astype(np.int8)))
+            ops_by_group.append(tuple(ops))
+        return tuple(ops_by_group), np.array([order.index(k) + 1 if k in order else 0 for k in keys])
+
+    def _applied(self, amps: np.ndarray) -> np.ndarray:
+        """Every term's P psi at once, one row per term."""
+        return np.concatenate((amps, -1j * amps, -amps, 1j * amps)).take(self._encoding[0])
+
+    def _rotated(self, state: np.ndarray):
+        """The state in every distinct measurement basis: one block of rows per op sequence."""
+        for ops in self._rotations[0]:
+            x = np.asarray(state, dtype=complex)  # the first op gives each row its own copy
+            for index, table in ops:
+                if index is None:  # S^dagger: a phase
+                    x = table * x
+                else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
+                    y = x.take(index) * _H
+                    y += table * (x * _H)
+                    x = y
+            yield x
+
 
 def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:
     """Axes string with each (site, axis) pair set and I elsewhere."""
@@ -138,13 +161,21 @@ def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:
     return "".join(axes)
 
 
+def check_sites(model: str, n: int) -> None:
+    """Each model's size rule, checked without building it: a chain needs a bond
+    (n >= 2), and the Schwinger model's staggered fermions pair sites (even n)."""
+    if n < 2:
+        raise ValueError(f"{model} needs at least 2 sites, got n={n}")
+    if model == "schwinger" and n % 2 != 0:
+        raise ValueError(f"schwinger problem needs even qubit counts, got {n}")
+
+
 def build_tfim(n: int, J: float, h: float) -> PauliSum:
     """Transverse-field Ising chain with open boundaries.
 
     H = J * sum_{i=0}^{n-2} Z_i Z_{i+1} + h * sum_{i=0}^{n-1} X_i
     """
-    if n < 2:
-        raise ValueError(f"TFIM needs at least 2 sites (no bond exists for n={n})")
+    check_sites("tfim", n)
     terms = []
     for i in range(n - 1):
         terms.append(PauliString(J, _axes(n, (i, "Z"), (i + 1, "Z"))))
@@ -165,11 +196,7 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     into a single constant so that absolute energies (not just gaps) are
     reproduced.
     """
-    if n < 2:
-        raise ValueError(f"Schwinger model needs at least 2 sites, got n={n}")
-    if n % 2 != 0:
-        # Staggered fermions pair sites.
-        raise ValueError(f"schwinger problem needs even qubit counts, got {n}")
+    check_sites("schwinger", n)
     terms = []
     ident = "I" * n
     for k in range(n - 1):
@@ -202,17 +229,19 @@ def pauli_string_matrix(axes: str) -> np.ndarray:
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS
     (checked before anything is allocated). Each term adds its coefficient
-    times weight[j] to m[j, gather_index[j]] for every row j. The matrix is
-    float64 (8 * 4**n bytes) when every term has an even number of Y's, so a
-    real weight, and complex128 (16 * 4**n bytes) otherwise."""
+    times the unit of copy gather[j] // 2**n of psi to m[j, gather[j] % 2**n]
+    for every row j (see the term tables). The matrix is float64 (8 * 4**n
+    bytes) when every term has an even number of Y's, so a real weight, and
+    complex128 (16 * 4**n bytes) otherwise."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
     idx = np.arange(2**n)
     m = np.zeros((2**n, 2**n), dtype=float if real else complex)
-    for t in h.terms:
-        m[idx, t.gather_index] += t.coefficient * (t.weight.real if real else t.weight)
+    for t, gather in zip(h.terms, h._encoding[0]):
+        weight = np.array([1, -1j, -1, 1j]).take(gather // idx.size)
+        m[idx, gather % idx.size] += t.coefficient * (weight.real if real else weight)
     return m
 
 

@@ -69,6 +69,21 @@ def test_parse_small_config(tmp_path):
     assert cfg.seeds == (0, 1)
 
 
+def test_a_config_checks_sizes_without_building_hamiltonians(monkeypatch):
+    # The size rule is checked by pauli.check_sites; only build_problem builds the terms.
+    def refuse(*args):
+        raise AssertionError("a Hamiltonian was built")
+
+    monkeypatch.setitem(bench.PROBLEMS, "tfim", (refuse, ("J", "h")))
+    monkeypatch.setitem(bench.PROBLEMS, "schwinger", (refuse, ("x", "mu", "l")))
+    cfg = replace(preset_config("tfim-fig2"), sizes=(12, 17, 20))
+    replace(preset_config("schwinger-fig5"), sizes=(4, 6))
+    with pytest.raises(ConfigError, match="^schwinger problem needs even qubit counts, got 5$"):
+        replace(preset_config("schwinger-fig5"), ansatz_kind="hardware_efficient", sizes=(5,))
+    with pytest.raises(ConfigError, match="^tfim needs at least 2 sites, got n=1$"):
+        replace(cfg, ansatz_kind="ry1", layers=1, sizes=(1,))
+
+
 def test_preset_tfim_fig2_values():
     cfg = preset_config("tfim-fig2")
     assert cfg.problem_kind == "tfim"

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -285,6 +288,24 @@ def test_run_marks_nonfinite_failure():
     result = run("GD", problem, config, seed=1)
     assert result.failed
     assert 1 <= len(result.records) <= 6
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", ["SPSA", "STEIN", "QNSTEIN2"])
+def test_a_diverging_sampled_run_ends_failed_with_its_trace(kind):
+    # eta = 1e308 overflows a step into a non-finite candidate, whose state is
+    # NaN. Blocking must not sample it (the multinomial would raise and take
+    # the whole grid down): the run ends failed with its partial trace, as
+    # QNSTEIN2 already does without shots.
+    config = OptimizerConfig(eta=1e308, shots=100, max_steps=5)
+    result = run(kind, tfim_problem(), config, seed=0)
+    energies = [r.energy for r in result.records]
+    assert result.failed
+    assert not math.isfinite(energies[-1])
+    assert all(math.isfinite(e) for e in energies[:-1])
+    if kind == "QNSTEIN2":
+        exact = run(kind, tfim_problem(), replace(config, shots=None), seed=0)
+        assert exact.failed and len(exact.records) == len(result.records) == 2
 
 
 def test_unknown_kind_rejected():

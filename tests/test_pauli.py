@@ -172,15 +172,17 @@ def test_dense_hermitian_on_random_sums():
 def test_string_encoding_matches_kron_reference():
     rng = np.random.default_rng(13)
     for n in (1, 2, 3):
-        for axes in itertools.product("IXYZ", repeat=n):
-            axes = "".join(axes)
-            t = PauliString(1.0, axes)
+        # Every string on n sites, one stacked row each in term order.
+        h = PauliSum.from_terms([PauliString(1.0, "".join(a)) for a in itertools.product("IXYZ", repeat=n)], n)
+        gather, signs = h._encoding
+        assert signs.dtype == np.int8
+        for t, g, s in zip(h.terms, gather, signs, strict=True):
             psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
-            assert np.array_equal(t.apply(psi), pauli_string_matrix(axes) @ psi)
+            v = np.concatenate((psi, -1j * psi, -psi, 1j * psi))
+            assert np.array_equal(v[g], pauli_string_matrix(t.axes) @ psi)
             # Measured in its own eigenbasis the string reads as Z on its support.
-            z_on_support = pauli_string_matrix(axes.translate(str.maketrans("XY", "ZZ")))
-            assert t.eigenvalue_signs.dtype == np.int8
-            assert np.array_equal(t.eigenvalue_signs, np.real(np.diag(z_on_support)))
+            z_on_support = pauli_string_matrix(t.axes.translate(str.maketrans("XY", "ZZ")))
+            assert np.array_equal(s, np.real(np.diag(z_on_support)))
 
 
 def test_merging_invariance():

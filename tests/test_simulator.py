@@ -114,6 +114,13 @@ def _ref_derivative_states(c, theta):
     return block
 
 
+def _ref_signs(axes, kinds):
+    """(-1)^(number of sites with axis in `kinds` whose bit is set in j), for every j."""
+    n = len(axes)
+    j = np.arange(2**n)
+    return np.prod([1 - 2 * (j >> (n - 1 - site) & 1) for site, a in enumerate(axes) if a in kinds], axis=0)
+
+
 def _ref_sampled_expectation(state, h, shots, rng):
     n = h.qubit_count
     state = _check_state(state, n)
@@ -127,7 +134,7 @@ def _ref_sampled_expectation(state, h, shots, rng):
             for kind in _TO_Z_BASIS.get(axis, ()):
                 _ref_apply_single(rotated, n, _FIXED_MATRICES[kind], site)
         counts = rng.multinomial(shots, _outcome_probabilities(rotated))
-        total += t.coefficient * float(counts @ t.eigenvalue_signs) / shots
+        total += t.coefficient * float(counts @ _ref_signs(t.axes, "XYZ")) / shots
     return total
 
 
@@ -142,10 +149,8 @@ def _ref_expectation(state, h):
             total += t.coefficient
         else:
             phase = (1 + 0j, -1j, -1 + 0j, 1j)[t.axes.count("Y") % 4]
-            n = len(t.axes)
-            bits = [j >> (n - 1 - site) & 1 for site, a in enumerate(t.axes) if a in "YZ"]
-            signs = np.prod([1 - 2 * bit for bit in bits], axis=0)
-            applied = phase * (signs * amps[j ^ t.flip_mask])
+            flips = int("".join("1" if a in "XY" else "0" for a in t.axes), 2)
+            applied = phase * (_ref_signs(t.axes, "YZ") * amps[j ^ flips])
             total += t.coefficient * np.real(np.vdot(amps, applied))
     return float(total)
 
@@ -558,6 +563,48 @@ def test_expectation_matches_the_per_term_formula_bit_for_bit(n):
             value = expectation(amps, h)
             assert value == _ref_expectation(amps, h)
             assert abs(value - np.real(np.vdot(amps, dense @ amps))) < 1e-12
+
+
+def random_sums(rng, n):
+    """Random sums on n sites: one mixing I, X, Y and Z with an identity term, a
+    term with one Y (a complex weight), terms that repeat another's flip mask
+    under other letters (X <-> Y, I <-> Z) and terms that repeat its rotation
+    (I <-> Z only); and one with no X or Y at all."""
+    mixed = ["".join(rng.choice(list("IXYZ"), n)) for _ in range(6)]
+    twins = [axes.translate(str.maketrans("XYIZ", "YXZI")) for axes in mixed[:3]]
+    twins += [axes.translate(str.maketrans("IZ", "ZI")) for axes in mixed[3:]]
+    z_only = ["".join(rng.choice(list("IZ"), n)) for _ in range(4)]
+    for axes in (["I" * n, "Y" + "Z" * (n - 1), *mixed, *twins], ["I" * n, *z_only]):
+        yield PauliSum.from_terms([PauliString(float(rng.normal()), a) for a in axes], n)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_energies_match_the_per_term_references_bit_for_bit(n):
+    # Every string is applied, rotated and sampled from one set of stacked
+    # tables; each value must equal the per-term reference, and a sampled one
+    # must also leave the generator where the reference leaves it.
+    rng = np.random.default_rng(40 + n)
+    for h in random_sums(rng, n):
+        for _ in range(4):
+            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+            amps /= np.linalg.norm(amps)
+            assert expectation(amps, h) == _ref_expectation(amps, h)
+            got, want = np.random.default_rng(n), np.random.default_rng(n)
+            assert sampled_expectation(amps, h, 257, got) == _ref_sampled_expectation(amps, h, 257, want)
+            assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_stacked_row_sums_equal_one_dimensional_sums(n):
+    # The sampler normalizes a block of rotated states row by row; each row's
+    # distribution must be the one a lone state gets from p / p.sum().
+    rng = np.random.default_rng(n)
+    block = rng.standard_normal((7, 2**n)) + 1j * rng.standard_normal((7, 2**n))
+    sums = (np.abs(block) ** 2).sum(axis=-1)
+    for amps, total, p in zip(block, sums, _outcome_probabilities(block), strict=True):
+        alone = np.abs(amps.copy()) ** 2
+        assert total == alone.sum()
+        assert np.array_equal(p, alone / alone.sum())
 
 
 @pytest.mark.parametrize(
