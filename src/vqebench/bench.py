@@ -7,6 +7,7 @@ seeds, and emits stable CSV files.
 
 from __future__ import annotations
 
+import functools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -23,7 +24,7 @@ from .optimizers import (
     RunResult,
     run,
 )
-from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, check_sites, exact_ground_energy
+from .pauli import MAX_DENSE_QUBITS, PauliSum, build_schwinger, build_tfim, exact_ground_energy
 from .values import check_value, read_value, write_value
 
 WORKERS_ENV_VAR = "VQEBENCH_WORKERS"
@@ -48,8 +49,8 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
-# Each problem kind (a model name of pauli.check_sites), its Hamiltonian builder
-# and its parameter names, in the builder's argument order after the qubit count.
+# Each problem kind's Hamiltonian builder and its parameter names, in the
+# builder's argument order after the qubit count.
 PROBLEMS = {
     "tfim": (build_tfim, ("J", "h")),
     "schwinger": (build_schwinger, ("x", "mu", "l")),
@@ -82,7 +83,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem_kind not in PROBLEMS:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
-        _, expected = PROBLEMS[self.problem_kind]
+        builder, expected = PROBLEMS[self.problem_kind]
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
@@ -103,9 +104,9 @@ class RunConfig:
             raise ConfigError("out must not be empty")
         for size in self.sizes:
             try:
-                # The ansatz spec and the model own their size rules.
+                # The ansatz spec and the builder apply their own size rules (the builder: finite terms too).
                 AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
-                check_sites(self.problem_kind, size)
+                _hamiltonian(builder, size, *(float(value) for _, value in self.problem_params))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
         for entry in self.optimizers:
@@ -117,6 +118,12 @@ class RunConfig:
                 optimizer_config(self, entry)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid [optimizer.{entry.label}] values: {exc}") from exc
+
+
+@functools.cache
+def _hamiltonian(builder, size: int, *values: float) -> PauliSum:
+    """A model's Hamiltonian, built once per process for its config checks, replaces and build_problem."""
+    return builder(size, *values)
 
 
 def _require_distinct(key: str, values) -> None:
@@ -294,7 +301,7 @@ def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
 
 def build_problem(cfg: RunConfig, size: int) -> Problem:
     builder, _ = PROBLEMS[cfg.problem_kind]
-    h = builder(size, *(value for _, value in cfg.problem_params))
+    h = _hamiltonian(builder, size, *(float(value) for _, value in cfg.problem_params))
     circuit = build_ansatz(AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order))
     return Problem(circuit=circuit, hamiltonian=h, ground_energy=exact_ground_energy(h))
 

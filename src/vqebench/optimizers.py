@@ -275,8 +275,7 @@ def step(
     else:
         candidate = state.theta - config.eta * grad
 
-    # A non-finite candidate has no state to measure: it is taken unchecked, so
-    # the run ends failed with its partial trace, as it does in exact mode.
+    # A non-finite candidate has no state to measure: taken unchecked, it ends the run failed.
     blocked = False
     if config.blocking_active and np.isfinite(candidate).all():
         candidate_loss = loss(

@@ -26,8 +26,6 @@ PAULI_MATRICES = {
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-_H = 1.0 / np.sqrt(2.0)  # the Hadamard entry, in measurement rotations and gate kernels
-
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that).
 # exact_ground_energy holds about 1.5x it for a spin-flip-symmetric sum and
 # about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14
@@ -90,37 +88,44 @@ class PauliSum:
         return all((t.axes.count("Y") + t.axes.count("Z")) % 2 == 0 for t in self.terms)
 
     @cached_property
-    def _encoding(self) -> tuple[np.ndarray, np.ndarray]:
-        """The term tables (gather, signs), one row per term in term order, compiled on
-        first use and cached on the sum like a circuit's plan. Site 0 is the top bit
-        of the basis index j. With v = [psi, -i psi, -psi, i psi], (P psi)[j] =
-        v[gather[j]]: j ^ (the X and Y sites) in the copy scaled by (-i)^(number of
-        Y's) times -1 per Y or Z site set in j. P's outcome j has eigenvalue signs[j]."""
+    def term_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gather, signs), one row per term in term order, compiled on first use and
+        cached on the sum like a circuit's plan. Site 0 is the top bit of the basis
+        index j. With v = [psi, -i psi, -psi, i psi], (P psi)[j] = v[gather[j]]: j ^ (the
+        X and Y sites) in the copy scaled by (-i)^(number of Y's) times -1 per Y or Z
+        site set in j. P's outcome j in its measurement basis has eigenvalue signs[j]."""
         j = np.arange(2**self.qubit_count)
+        odd = np.zeros(j.size, dtype=np.int8)  # 1 where j has an odd number of bits set
+        for b in range(self.qubit_count):
+            odd[1 << b : 2 << b] = 1 - odd[: 1 << b]
 
         def masks(kinds):  # per term, the bits of j of the sites with axis in kinds
             bits = [int("".join("01"[a in kinds] for a in t.axes), 2) for t in self.terms]
             return np.array(bits, dtype=np.intp).reshape(-1, 1)
 
-        def parity(kinds):  # 1 where an odd number of those bits is set in j (uint8)
-            return np.bitwise_count(j & masks(kinds)) & 1
-
+        y_counts = np.array([t.axes.count("Y") for t in self.terms], dtype=np.intp).reshape(-1, 1)
         gather = j ^ masks("XY")
-        gather += (np.bitwise_count(masks("Y")) + 2 * parity("YZ")) % 4 * np.intp(j.size)  # which copy
-        return gather, 1 - 2 * parity("XYZ").astype(np.int8)
+        gather += (y_counts + 2 * odd.take(j & masks("YZ"))) % 4 * j.size  # which copy
+        return gather, 1 - 2 * odd.take(j & masks("XYZ"))
+
+    def apply_terms(self, amps: np.ndarray) -> np.ndarray:
+        """Every term's unweighted string applied to amps, one row per term (a new array)."""
+        return np.concatenate((amps, -1j * amps, -amps, 1j * amps)).take(self.term_tables[0])
 
     @cached_property
-    def _rotations(self) -> tuple[tuple, np.ndarray]:
-        """Measurement-basis rotations (H on X sites, H S^dagger on Y sites), stacked:
-        one tuple of ops per op sequence over its rows (H: flat index of the flipped
-        amplitude and int8 sign of x; S^dagger: None and the phases), and each term's
-        distribution row among [the unrotated state, the groups' rows...]."""
+    def measurement_tables(self) -> tuple[tuple, np.ndarray]:
+        """The rotations into the terms' measurement bases (H on X sites, H S^dagger on Y
+        sites), one group of stacked rows per op sequence, and each term's row among the
+        groups' rows in group order. An op is (None, phases) for S^dagger, or for H each
+        row's flat flipped index (a first op reads the state itself) and int8 sign of x.
+        Z-only and identity terms share the group with no ops: the state itself."""
         n, j = self.qubit_count, np.arange(2**self.qubit_count)
         keys = ["".join(a if a in "XY" else "I" for a in t.axes) for t in self.terms]
         groups: dict[str, list[str]] = {}
-        for key in dict.fromkeys(k for k in keys if k.strip("I")):
+        for key in dict.fromkeys(keys):
             groups.setdefault(key.replace("I", ""), []).append(key)
-        order, ops_by_group = [key for members in groups.values() for key in members], []
+        row = {key: r for r, key in enumerate(key for members in groups.values() for key in members)}
+        tables = []
         for sequence, members in groups.items():
             sites = np.array([[s for s, a in enumerate(key) if a != "I"] for key in members])
             ops = []
@@ -129,28 +134,10 @@ class PauliSum:
                 bit = j >> shift & 1
                 if axis == "Y":
                     ops.append((None, np.where(bit, -1j, 1 + 0j)))
-                # A first op reads the state itself; a later one its own row of the stack.
                 flip = (j ^ 1 << shift) + (j.size * np.arange(len(members))[:, None] if ops else 0)
                 ops.append((flip, (1 - 2 * bit).astype(np.int8)))
-            ops_by_group.append(tuple(ops))
-        return tuple(ops_by_group), np.array([order.index(k) + 1 if k in order else 0 for k in keys])
-
-    def _applied(self, amps: np.ndarray) -> np.ndarray:
-        """Every term's P psi at once, one row per term."""
-        return np.concatenate((amps, -1j * amps, -amps, 1j * amps)).take(self._encoding[0])
-
-    def _rotated(self, state: np.ndarray):
-        """The state in every distinct measurement basis: one block of rows per op sequence."""
-        for ops in self._rotations[0]:
-            x = np.asarray(state, dtype=complex)  # the first op gives each row its own copy
-            for index, table in ops:
-                if index is None:  # S^dagger: a phase
-                    x = table * x
-                else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
-                    y = x.take(index) * _H
-                    y += table * (x * _H)
-                    x = y
-            yield x
+            tables.append(tuple(ops))
+        return tuple(tables), np.array([row[key] for key in keys], dtype=np.intp)
 
 
 def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:
@@ -161,21 +148,13 @@ def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:
     return "".join(axes)
 
 
-def check_sites(model: str, n: int) -> None:
-    """Each model's size rule, checked without building it: a chain needs a bond
-    (n >= 2), and the Schwinger model's staggered fermions pair sites (even n)."""
-    if n < 2:
-        raise ValueError(f"{model} needs at least 2 sites, got n={n}")
-    if model == "schwinger" and n % 2 != 0:
-        raise ValueError(f"schwinger problem needs even qubit counts, got {n}")
-
-
 def build_tfim(n: int, J: float, h: float) -> PauliSum:
     """Transverse-field Ising chain with open boundaries.
 
     H = J * sum_{i=0}^{n-2} Z_i Z_{i+1} + h * sum_{i=0}^{n-1} X_i
     """
-    check_sites("tfim", n)
+    if n < 2:
+        raise ValueError(f"TFIM needs at least 2 sites (no bond exists for n={n})")
     terms = []
     for i in range(n - 1):
         terms.append(PauliString(J, _axes(n, (i, "Z"), (i + 1, "Z"))))
@@ -196,7 +175,11 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     into a single constant so that absolute energies (not just gaps) are
     reproduced.
     """
-    check_sites("schwinger", n)
+    if n < 2:
+        raise ValueError(f"Schwinger model needs at least 2 sites, got n={n}")
+    if n % 2 != 0:
+        # Staggered fermions pair sites.
+        raise ValueError(f"schwinger problem needs even qubit counts, got {n}")
     terms = []
     ident = "I" * n
     for k in range(n - 1):
@@ -228,18 +211,17 @@ def pauli_string_matrix(axes: str) -> np.ndarray:
 
 def to_dense(h: PauliSum) -> np.ndarray:
     """Dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS
-    (checked before anything is allocated). Each term adds its coefficient
-    times the unit of copy gather[j] // 2**n of psi to m[j, gather[j] % 2**n]
-    for every row j (see the term tables). The matrix is float64 (8 * 4**n
-    bytes) when every term has an even number of Y's, so a real weight, and
-    complex128 (16 * 4**n bytes) otherwise."""
+    (checked before anything is allocated). Each term adds its coefficient times
+    copy gather[j] // 2**n's unit (see term_tables) to m[j, gather[j] % 2**n]. The
+    matrix is float64 (8 * 4**n bytes) when every term has an even number of Y's,
+    so a real weight, and complex128 (16 * 4**n bytes) otherwise."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
     idx = np.arange(2**n)
     m = np.zeros((2**n, 2**n), dtype=float if real else complex)
-    for t, gather in zip(h.terms, h._encoding[0]):
+    for t, gather in zip(h.terms, h.term_tables[0]):
         weight = np.array([1, -1j, -1, 1j]).take(gather // idx.size)
         m[idx, gather % idx.size] += t.coefficient * (weight.real if real else weight)
     return m

@@ -13,10 +13,11 @@ a (B, 2**n) block to a new array: a maximal run of X, CNOT, S and Sdg is one
 gather `x[perm]`, times phases in {1, i, -1, -i} unless all are 1; H, RX and
 RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
-once from the cosines and sines of its half angles, and every RZ diagonal with
-one gather of those. The adjoint plan reverses the ops, inverts the gathers
-and negates the angles. Energies read the stacked term tables of a `PauliSum`
-(one gather applies every string; one pass per op sequence rotates them).
+once from the cosines and sines of its half angles. The adjoint plan reverses
+the ops, inverts the gathers and negates the angles. Energies read the stacked
+term tables of a `PauliSum`: one gather applies every string, and one pass per
+op sequence rotates the state into every measurement basis, its H op the same
+`(y +- x) / sqrt(2)` products as a plan's.
 
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
@@ -34,11 +35,11 @@ no faster: 123-154 against 127-135 us for 11 rows at n = 6).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import _H, PauliSum
+from .pauli import PauliSum
 from .values import check_value
 
 MAX_QUBITS = 20
@@ -47,6 +48,7 @@ ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
 
+_H = 1.0 / np.sqrt(2.0)
 # A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
 # values [cos, sin, -sin, 0]: RX (c, -i s) and RY (c, s) act as a x + b y with
 # y the flipped (for RY signed) copy; RZ is the diagonal (c - i s, c + i s).
@@ -126,7 +128,7 @@ def _site(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     that bit flipped, and -1 or +1 (complex) for bit 0 or 1. Shared by every plan,
     and left writeable: numpy's take copies a read-only index on every call."""
     j = np.arange(2**n)
-    bit = (j >> (n - 1 - site) & 1).astype(np.int8)
+    bit = j >> (n - 1 - site) & 1
     return bit, j ^ (1 << (n - 1 - site)), (2 * bit - 1).astype(complex)
 
 
@@ -134,13 +136,11 @@ def _site(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Plan:
     """A gate list compiled to array ops; `params` and `entries` say where each
     rotation slot's two entries (a.re, a.im, b.re, b.im) sit in a pass's values
-    [cos, sin, -sin, 0] of the slots' half angles, and `diagonals` where each RZ
-    op's diagonal sits in the flattened (slot, entry) array of a pass."""
+    [cos, sin, -sin, 0] of the slots' half angles."""
 
-    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot or RZ row, param)
+    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
     params: np.ndarray
     entries: np.ndarray
-    diagonals: np.ndarray
 
     def adjoint(self) -> "_Plan":
         """The inverse gate list, run with negated angles: ops reversed, gathers inverted."""
@@ -150,7 +150,7 @@ class _Plan:
                 a = np.argsort(a)
                 b = None if b is None else b.conj()[a]
             ops.append((kind, a, b, k, p))
-        return replace(self, ops=tuple(ops))
+        return _Plan(tuple(ops), self.params, self.entries)
 
     def run(self, x: np.ndarray, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
@@ -162,11 +162,11 @@ class _Plan:
             half = theta / 2.0
             cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
             coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
-            pairs, diagonals = coef.tolist(), coef.take(self.diagonals)  # one row per RZ op
+            pairs = coef.tolist()
         x = np.array(x, dtype=complex)
         for kind, index, table, k, p in self.ops:
             if kind == "RZ":
-                x = diagonals[k] * x  # diagonal first: see the module docstring
+                x = coef[k].take(index) * x  # coefficient first: see the module docstring
             elif kind == "gather":
                 x = x.take(index, axis=-1)
                 if table is not None:
@@ -189,7 +189,7 @@ def _compile(n: int, gates) -> _Plan:
     """One op per maximal run of X, CNOT, S and Sdg (a signed gather) and per H or rotation."""
     j = np.arange(2**n)
     perm, phase = j, np.ones(2**n, dtype=complex)  # the pending run maps x to phase * x[perm]
-    ops, params, entries, diagonals = [], [], [], []
+    ops, params, entries = [], [], []
     for g in (*gates, None):  # None closes the last run
         if g is not None and g.kind in ("X", "CNOT", "S", "Sdg"):
             bit, flip, _ = _site(n, g.sites[-1])
@@ -203,16 +203,13 @@ def _compile(n: int, gates) -> _Plan:
         if g is None:
             continue
         bit, flip, sign = _site(n, g.sites[0])
-        tables = {"H": (flip, -_H * sign), "RX": (flip, None), "RY": (flip, sign), "RZ": (None, sign)}[g.kind]
-        ops.append((g.kind, *tables, len(diagonals) if g.kind == "RZ" else len(params), g.param_index))
-        if g.kind == "RZ":  # its diagonal is entry a where the bit is 0 and b where it is 1
-            diagonals.append(2 * len(params) + bit.astype(np.intp))
+        tables = {"H": (flip, -_H * sign), "RX": (flip, None), "RY": (flip, sign), "RZ": (bit, sign)}[g.kind]
+        ops.append((g.kind, *tables, len(params), g.param_index))
         if g.param_index is not None:
             params.append(g.param_index)
             entries.append(_ENTRIES[g.kind])
     codes = np.array(entries, dtype=np.intp).reshape(-1, 4) * len(params) + np.arange(len(params))[:, None]
-    diagonals = np.array(diagonals, dtype=np.intp).reshape(-1, 2**n)
-    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes, diagonals)
+    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes)
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -282,7 +279,7 @@ def expectation(state, h: PauliSum) -> float:
     """Exact <s|H|s>, real for Hermitian H. Constant terms are added exactly."""
     amps = _check_state(state, h.qubit_count)
     total = 0.0
-    for t, row in zip(h.terms, h._applied(amps)):
+    for t, row in zip(h.terms, h.apply_terms(amps)):
         total += t.coefficient if t.is_identity else t.coefficient * np.vdot(amps, row).real
     return float(total)
 
@@ -292,6 +289,19 @@ def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
     p = np.abs(np.asarray(amps, dtype=complex)) ** 2
     p /= p.sum(axis=-1, keepdims=True)
     return p
+
+
+def _rotate(state: np.ndarray, ops: tuple) -> np.ndarray:
+    """The state rotated by one group of `PauliSum.measurement_tables`, one row per basis."""
+    x = np.asarray(state, dtype=complex)[None]
+    for index, table in ops:
+        if index is None:  # S^dagger: a phase
+            x = table * x
+        else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
+            y = x.take(index) * _H
+            y += table * (x * _H)
+            x = y
+    return x
 
 
 def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator) -> float:
@@ -306,10 +316,10 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
     """
     check_value("shots", "int", shots)
     state = _check_state(state, h.qubit_count)
-    distributions = [_outcome_probabilities(state)]
-    distributions += [p for rotated in h._rotated(state) for p in _outcome_probabilities(rotated)]
+    groups, rows = h.measurement_tables
+    distributions = [p for ops in groups for p in _outcome_probabilities(_rotate(state, ops))]
     total = 0.0
-    for t, row, signs in zip(h.terms, h._rotations[1], h._encoding[1]):
+    for t, row, signs in zip(h.terms, rows, h.term_tables[1]):
         if t.is_identity:
             total += t.coefficient
         else:

@@ -12,6 +12,7 @@ from vqebench.bench import (
     RUN_CSV_HEADER,
     ConfigError,
     OptimizerEntry,
+    build_problem,
     emit_csv,
     parse_config,
     preset_config,
@@ -20,6 +21,7 @@ from vqebench.bench import (
 )
 from vqebench.cli import main
 from vqebench.optimizers import OptimizerConfig
+from vqebench.pauli import build_tfim
 
 SMALL_CONFIG = """
 [problem]
@@ -69,19 +71,23 @@ def test_parse_small_config(tmp_path):
     assert cfg.seeds == (0, 1)
 
 
-def test_a_config_checks_sizes_without_building_hamiltonians(monkeypatch):
-    # The size rule is checked by pauli.check_sites; only build_problem builds the terms.
-    def refuse(*args):
-        raise AssertionError("a Hamiltonian was built")
+def test_a_config_and_build_problem_share_one_build_per_size(monkeypatch):
+    # The config check builds each size's Hamiltonian (its size rule and finite
+    # coefficients); every replace and build_problem reuse that build.
+    builds = []
 
-    monkeypatch.setitem(bench.PROBLEMS, "tfim", (refuse, ("J", "h")))
-    monkeypatch.setitem(bench.PROBLEMS, "schwinger", (refuse, ("x", "mu", "l")))
-    cfg = replace(preset_config("tfim-fig2"), sizes=(12, 17, 20))
-    replace(preset_config("schwinger-fig5"), sizes=(4, 6))
-    with pytest.raises(ConfigError, match="^schwinger problem needs even qubit counts, got 5$"):
-        replace(preset_config("schwinger-fig5"), ansatz_kind="hardware_efficient", sizes=(5,))
-    with pytest.raises(ConfigError, match="^tfim needs at least 2 sites, got n=1$"):
-        replace(cfg, ansatz_kind="ry1", layers=1, sizes=(1,))
+    def counted(n, J, h):
+        builds.append(n)
+        return build_tfim(n, J, h)
+
+    monkeypatch.setitem(bench.PROBLEMS, "tfim", (counted, ("J", "h")))
+    cfg = replace(preset_config("tfim-fig2"), sizes=(4, 6))
+    cfg = replace(cfg, seeds=(0,))
+    assert builds == [4, 6]
+    problem = build_problem(cfg, 6)
+    assert builds == [4, 6]
+    assert problem.hamiltonian is build_problem(replace(cfg, problem_params=(("J", -1), ("h", -2))), 6).hamiltonian
+    assert builds == [4, 6]
 
 
 def test_preset_tfim_fig2_values():
@@ -762,6 +768,25 @@ _BAD_CONFIGS = [
         "schwinger problem needs even qubit counts, got 3",
         id="odd-schwinger-problem",
     ),
+    # Finite parameters whose coefficients overflow: l * l, and the merged
+    # constant n * mu / 2 at n = 4.
+    *[
+        pytest.param(
+            [(_TFIM, _SCHWINGER.replace(old, new))],
+            lambda cfg, params=params, sizes=sizes: {
+                "problem_kind": "schwinger",
+                "problem_params": params,
+                "sizes": sizes,
+            },
+            "non-finite coefficient inf",
+            id=f"overflowing-{key}",
+        )
+        for key, old, new, params, sizes in [
+            ("l", "l = 0.0", "l = 1e200", (("x", 1.0), ("mu", 0.5), ("l", 1e200)), (2,)),
+            ("mu", "qubits = 2\nx = 1.0\nmu = 0.5", "qubits = 4\nx = 1.0\nmu = 1.7e308",
+             (("x", 1.0), ("mu", 1.7e308), ("l", 0.0)), (4,)),
+        ]
+    ],
     pytest.param(
         [("kind = hardware_efficient", "kind = ry1")],
         lambda cfg: {"ansatz_kind": "ry1"},

@@ -174,7 +174,7 @@ def test_string_encoding_matches_kron_reference():
     for n in (1, 2, 3):
         # Every string on n sites, one stacked row each in term order.
         h = PauliSum.from_terms([PauliString(1.0, "".join(a)) for a in itertools.product("IXYZ", repeat=n)], n)
-        gather, signs = h._encoding
+        gather, signs = h.term_tables
         assert signs.dtype == np.int8
         for t, g, s in zip(h.terms, gather, signs, strict=True):
             psi = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
@@ -183,6 +183,19 @@ def test_string_encoding_matches_kron_reference():
             # Measured in its own eigenbasis the string reads as Z on its support.
             z_on_support = pauli_string_matrix(t.axes.translate(str.maketrans("XY", "ZZ")))
             assert np.array_equal(s, np.real(np.diag(z_on_support)))
+
+
+def test_term_tables_need_only_numpy_1_24(monkeypatch):
+    # np.bitwise_count is new in numpy 2.0; the tables must not need it.
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    h = build_schwinger(6, 1.0, 0.5, 0.3)
+    gather, signs = h.term_tables
+    psi = np.random.default_rng(3).normal(size=64) + 0j
+    for t, row in zip(h.terms, h.apply_terms(psi), strict=True):
+        assert np.array_equal(row, pauli_string_matrix(t.axes) @ psi)
+    groups, rows = h.measurement_tables
+    z_rows = {r for t, r in zip(h.terms, rows) if not set(t.axes) & set("XY")}
+    assert z_rows == {0} and groups[0] == ()  # Z-only terms and the constant share the unrotated state
 
 
 def test_merging_invariance():
