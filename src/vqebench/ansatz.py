@@ -22,6 +22,7 @@ from .simulator import (
     apply_adjoint_circuit,
     apply_circuit,
     expectation,
+    inverse_gates,
     sampled_expectation,
     sampled_zero_probability,
 )
@@ -92,24 +93,19 @@ def hardware_efficient(n: int, layers: int) -> Circuit:
     return Circuit(gates=tuple(gates), qubit_count=n, param_count=p)
 
 
-# Magic-basis change M built from S, S-dagger, H, and CNOT. Conjugating a
-# pair of single-qubit SU(2) rotations by M yields a real orthogonal
-# (det +1) two-qubit gate up to global phase.
-def _magic_basis_gates(a: int, b: int) -> list[Gate]:
-    return [Gate("S", (a,)), Gate("S", (b,)), Gate("H", (a,)), Gate("CNOT", (a, b))]
-
-
 def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
     """Gate sequence for one SO(4) block on sites (a, b).
 
-    M followed by independent RZ-RX-RZ Euler rotations on each site, followed
-    by M-dagger; takes exactly six parameter indices.
+    The magic-basis change M (S, S, H, CNOT), then independent RZ-RX-RZ Euler
+    rotations on each site, then M-dagger; takes exactly six parameter indices.
+    Conjugating a pair of single-qubit SU(2) rotations by M yields a real
+    orthogonal (det +1) two-qubit gate up to global phase.
     """
     p = list(param_indices)
     if len(p) != 6:
         raise ValueError(f"SO(4) block takes 6 parameters, got {len(p)}")
-    magic = _magic_basis_gates(a, b)
-    gates = magic + [
+    magic = [Gate("S", (a,)), Gate("S", (b,)), Gate("H", (a,)), Gate("CNOT", (a, b))]
+    rotations = [
         Gate("RZ", (a,), p[0]),
         Gate("RX", (a,), p[1]),
         Gate("RZ", (a,), p[2]),
@@ -117,8 +113,7 @@ def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
         Gate("RX", (b,), p[4]),
         Gate("RZ", (b,), p[5]),
     ]
-    gates += [Gate("Sdg" if g.kind == "S" else g.kind, g.sites) for g in reversed(magic)]
-    return gates
+    return magic + rotations + inverse_gates(magic)
 
 
 def so4_gate(alpha) -> np.ndarray:

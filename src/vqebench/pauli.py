@@ -27,7 +27,7 @@ PAULI_MATRICES = {
 COEFF_PRUNE_THRESHOLD = 1e-12
 
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that).
-# exact_ground_energy holds about 1.5x it for a spin-flip-symmetric sum and
+# exact_ground_energy holds about 1x it for a spin-flip-symmetric sum and
 # about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14
 # for a complex one), so this is the largest size at which any sum fits an
 # 8 GB machine.
@@ -235,13 +235,15 @@ def exact_ground_energy(h: PauliSum) -> float:
     [JBJ, JAJ]], J the exchange matrix. Its spectrum is the union of those of
     the two Hermitian sector blocks A + BJ and A - BJ (Cantoni & Butler, Linear
     Algebra Appl. 13, 275 (1976)), so two half-size solves replace the full one:
-    a quarter of the flops, and at most 1.5x the matrix held instead of 2x. Any
-    other sum is diagonalized whole."""
+    a quarter of the flops. The blocks overwrite the top-left and bottom-right
+    quadrants in place, so about 1x the matrix is held, plus LAPACK's working
+    copy of the block being solved (a quarter of it); a whole solve holds 2x.
+    Any other sum is diagonalized whole."""
     m = to_dense(h)
     if not h.spin_flip_symmetric:
         return float(np.linalg.eigvalsh(m)[0])
     half = len(m) // 2
-    a, bj = m[:half, :half], m[:half, half:][:, ::-1]
-    blocks = (a + bj, a - bj)
-    del m, a, bj  # hold only the two blocks while they are diagonalized
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in blocks)
+    a, bj, jaj = m[:half, :half], m[:half, half:][:, ::-1], m[half:, half:]
+    np.subtract(a, bj, out=jaj)  # JAJ is never read: the fold needs only the top half
+    a += bj
+    return min(float(np.linalg.eigvalsh(b)[0]) for b in (a, jaj))

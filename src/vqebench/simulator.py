@@ -13,8 +13,8 @@ a (B, 2**n) block to a new array: a maximal run of X, CNOT, S and Sdg is one
 gather `x[perm]`, times phases in {1, i, -1, -i} unless all are 1; H, RX and
 RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
-once from the cosines and sines of its half angles. The adjoint plan reverses
-the ops, inverts the gathers and negates the angles. Energies read the stacked
+once from the cosines and sines of its half angles. The adjoint plan is the
+compiled `inverse_gates` list, run at -theta. Energies read the stacked
 term tables of a `PauliSum`: one gather applies every string, and one pass per
 op sequence rotates the state into every measurement basis, its H op the same
 `(y +- x) / sqrt(2)` products as a plan's.
@@ -90,6 +90,8 @@ class Circuit:
     param_count: int
 
     def __post_init__(self):
+        check_value("qubit_count", "int", self.qubit_count)
+        check_value("param_count", "int", self.param_count)
         if not 1 <= self.qubit_count <= MAX_QUBITS:
             raise ValueError(f"qubit_count must be in [1, {MAX_QUBITS}], got {self.qubit_count}")
         used = set()
@@ -110,7 +112,14 @@ class Circuit:
 
     @functools.cached_property
     def _adjoint_plan(self) -> "_Plan":
-        return self._plan.adjoint()
+        return _compile(self.qubit_count, inverse_gates(self.gates))
+
+
+def inverse_gates(gates) -> list[Gate]:
+    """The inverse of a gate list when its rotations run at -theta: the gates in
+    reverse order, S and Sdg swapped. H, X and CNOT are their own inverses, and a
+    rotation keeps its parameter index."""
+    return [Gate({"S": "Sdg", "Sdg": "S"}.get(g.kind, g.kind), g.sites, g.param_index) for g in reversed(gates)]
 
 
 def circuit_to_text(c: Circuit) -> str:
@@ -141,16 +150,6 @@ class _Plan:
     ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
     params: np.ndarray
     entries: np.ndarray
-
-    def adjoint(self) -> "_Plan":
-        """The inverse gate list, run with negated angles: ops reversed, gathers inverted."""
-        ops = []
-        for kind, a, b, k, p in reversed(self.ops):
-            if kind == "gather":
-                a = np.argsort(a)
-                b = None if b is None else b.conj()[a]
-            ops.append((kind, a, b, k, p))
-        return _Plan(tuple(ops), self.params, self.entries)
 
     def run(self, x: np.ndarray, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
@@ -203,7 +202,7 @@ def _compile(n: int, gates) -> _Plan:
         if g is None:
             continue
         bit, flip, sign = _site(n, g.sites[0])
-        tables = {"H": (flip, -_H * sign), "RX": (flip, None), "RY": (flip, sign), "RZ": (bit, sign)}[g.kind]
+        tables = {"RX": (flip, None), "RY": (flip, sign), "RZ": (bit, sign)}.get(g.kind) or (flip, -_H * sign)
         ops.append((g.kind, *tables, len(params), g.param_index))
         if g.param_index is not None:
             params.append(g.param_index)
@@ -312,7 +311,8 @@ def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator
     outcomes are drawn from the exact outcome distribution, and the term's
     expectation is the sample mean of the +-1 eigenvalues. Terms with the same
     rotation (Z-only terms: none) share one distribution. Constant terms are
-    added exactly. Unbiased for expectation(state, h).
+    added exactly. The outcome distribution is normalized, so this is unbiased
+    for expectation(state, h) only for a unit-norm state.
     """
     check_value("shots", "int", shots)
     state = _check_state(state, h.qubit_count)

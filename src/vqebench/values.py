@@ -26,6 +26,7 @@ _BOUNDS = {
     "eta": (">", 0), "c": (">", 0), "b": (">", 0), "beta": (">", 0),
     "samples": (">=", 1), "shots": (">=", 1), "max_steps": (">=", 0), "blocking_multiplier": (">=", 0),
     "seeds": (">=", 0), "seed": (">=", 0), "--seeds": (">=", 1), "VQEBENCH_WORKERS": (">=", 1),
+    "param_count": (">=", 0),
 }
 
 

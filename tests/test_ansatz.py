@@ -13,7 +13,14 @@ from vqebench.ansatz import (
     so4_gate,
 )
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim, to_dense
-from vqebench.simulator import apply_adjoint_circuit, apply_circuit, expectation, sampled_zero_probability
+from vqebench.simulator import (
+    Gate,
+    apply_adjoint_circuit,
+    apply_circuit,
+    expectation,
+    inverse_gates,
+    sampled_zero_probability,
+)
 
 
 def gate_kinds(circuit):
@@ -70,6 +77,16 @@ def test_so4_composition_stays_orthogonal():
     g = phase_normalized(so4_gate(rng.uniform(-np.pi, np.pi, 6)) @ so4_gate(rng.uniform(-np.pi, np.pi, 6)))
     assert np.max(np.abs(g.imag)) < 1e-9
     assert np.max(np.abs(g.real @ g.real.T - np.eye(4))) < 1e-9
+
+
+def test_so4_block_is_m_then_rotations_then_m_dagger():
+    gates = so4_block_gates(2, 3, range(6, 12))
+    assert gates[:4] == [Gate("S", (2,)), Gate("S", (3,)), Gate("H", (2,)), Gate("CNOT", (2, 3))]
+    assert [(g.kind, g.sites, g.param_index) for g in gates[4:10]] == [
+        ("RZ", (2,), 6), ("RX", (2,), 7), ("RZ", (2,), 8), ("RZ", (3,), 9), ("RX", (3,), 10), ("RZ", (3,), 11),
+    ]
+    assert gates[10:] == inverse_gates(gates[:4])
+    assert gates[10:] == [Gate("CNOT", (2, 3)), Gate("H", (2,)), Gate("Sdg", (3,)), Gate("Sdg", (2,))]
 
 
 def test_so4_wrong_parameter_count():

@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -928,6 +930,26 @@ def test_cli_metric_check_single_qubit(capsys):
 )
 def test_cli_metric_check_rejects_bad_arguments(flag, value, capsys):
     _assert_one_error_line(["metric-check", "--samples", "20", flag, value], f" {flag[2:]} ", capsys)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_cli_exits_quietly_when_its_reader_has_gone(unbuffered):
+    # As in `vqebench metric-check ... | head -1`, but with a pipe whose read end
+    # is closed before the command writes, so that every write fails, not a racy few.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(bench.__file__).parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["metric-check", "--ansatz", "hardware_efficient", "--qubits", "3", "--layers", "2", "--samples", "20"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "vqebench.cli", *argv], env=env, stdout=write_end, stderr=subprocess.PIPE, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 def test_cli_unknown_subcommand_exits_2():

@@ -317,6 +317,19 @@ def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
     assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
 
 
+def test_the_fold_holds_about_one_matrix():
+    # The sector blocks overwrite two quadrants of the matrix: no half-size copies.
+    h = build_tfim(10, -1.0, -2.0)
+    matrix_bytes = to_dense(h).nbytes
+    tracemalloc.start()
+    try:
+        exact_ground_energy(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * matrix_bytes
+
+
 def test_folded_ground_energy_of_one_qubit():
     # half = 1: each sector block is 1 x 1, b +- a.
     h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)

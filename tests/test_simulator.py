@@ -25,6 +25,7 @@ from vqebench.simulator import (
     circuit_to_text,
     derivative_states,
     expectation,
+    inverse_gates,
     sampled_expectation,
     sampled_zero_probability,
     _check_state,
@@ -64,9 +65,9 @@ def rotation_matrix(kind, angle):
 
 def _apply_gates(amps, n, gates, theta, adjoint=False):
     """A plain gate list run in place through its plan, compiled for this call."""
-    plan = simulator._compile(n, gates)
+    plan = simulator._compile(n, inverse_gates(gates) if adjoint else gates)
     theta = np.asarray(theta, dtype=float)
-    amps[...] = plan.adjoint().run(amps, -theta) if adjoint else plan.run(amps, theta)
+    amps[...] = plan.run(amps, -theta if adjoint else theta)
 
 
 def _ref_apply_single(amps, n, matrix, site):
@@ -359,7 +360,7 @@ def test_a_circuit_compiles_its_plan_once(monkeypatch):
     compiled = []
 
     def counting_compile(n, gates):
-        compiled.append(len(gates))
+        compiled.append(list(gates))
         return compile_plan(n, gates)
 
     compile_plan = simulator._compile
@@ -370,7 +371,7 @@ def test_a_circuit_compiles_its_plan_once(monkeypatch):
         psi = apply_circuit(c, theta)
         apply_adjoint_circuit(c, theta, psi)
         derivative_states(c, theta)
-    assert compiled == [len(c.gates)]
+    assert compiled == [list(c.gates), inverse_gates(c.gates)]  # the forward plan, then the adjoint
 
 
 def test_equal_but_distinct_circuits_each_get_a_correct_plan():
@@ -476,6 +477,34 @@ def test_gate_validation():
             Circuit((), qubits, 0)
     with pytest.raises(ValueError, match="^param_index 1 out of range$"):
         Circuit((Gate("RY", (0,), 1),), 1, 1)
+
+
+@pytest.mark.parametrize(
+    "gates, qubits, params, expected",
+    [
+        ((), 1, -1, "param_count must be >= 0, got -1"),
+        ((Gate("RY", (0,), 0),), 1, True, "key 'param_count' expects int, got True"),
+        ((), True, 0, "key 'qubit_count' expects int, got True"),
+        ((), 2.0, 0, "key 'qubit_count' expects int, got 2.0"),
+    ],
+    ids=["negative-params", "bool-params", "bool-qubits", "float-qubits"],
+)
+def test_circuit_sizes_must_be_ints(gates, qubits, params, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        Circuit(gates, qubits, params)
+
+
+def test_inverse_gates_reverse_the_list_and_swap_s_and_sdg():
+    gates = [
+        Gate("S", (0,)), Gate("RY", (1,), 0), Gate("Sdg", (1,)), Gate("CNOT", (0, 1)),
+        Gate("H", (1,)), Gate("X", (0,)), Gate("RX", (0,), 1), Gate("RZ", (1,), 0),
+    ]
+    assert inverse_gates(gates) == [
+        Gate("RZ", (1,), 0), Gate("RX", (0,), 1), Gate("X", (0,)), Gate("H", (1,)),
+        Gate("CNOT", (0, 1)), Gate("S", (1,)), Gate("RY", (1,), 0), Gate("Sdg", (0,)),
+    ]
+    for circuit in (gates, edge_site_circuit(5).gates, schwinger_ansatz(4, 1).gates):
+        assert inverse_gates(inverse_gates(circuit)) == list(circuit)
 
 
 def test_expectation_basics():
