@@ -174,8 +174,13 @@ def _read(raw: str, line_no: int, kind: str, key: str):
         raise ConfigError(f"line {line_no}: {exc}") from None
 
 
-def _int_list(raw: str, line_no: int, key: str) -> tuple[int, ...]:
-    return tuple(_read(item.strip(), line_no, "int", key) for item in raw.split(",") if item.strip())
+def _list(raw: str, line_no: int, key: str, kind: str | None = None) -> tuple:
+    """The comma-separated items of `key`, each read as a `kind` if one is given.
+    An empty value has no items; an empty item is an error, never skipped."""
+    items = tuple(item.strip() for item in raw.split(",")) if raw else ()
+    if "" in items:
+        raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
+    return items if kind is None else tuple(_read(item, line_no, kind, key) for item in items)
 
 
 def _require(section: dict, section_name: str, key: str):
@@ -209,7 +214,7 @@ def parse_config(text: str) -> RunConfig:
     problem_kind, line_no = _require(problem, "problem", "kind")
     if problem_kind not in PROBLEMS:
         raise ConfigError(f"line {line_no}: unknown problem kind {problem_kind!r}")
-    sizes = _int_list(*_require(problem, "problem", "qubits"), "qubits")
+    sizes = _list(*_require(problem, "problem", "qubits"), "qubits", "int")
     _, names = PROBLEMS[problem_kind]
     params = tuple(
         (key, _read(*_require(problem, "problem", key), "float", key)) for key in names
@@ -223,21 +228,21 @@ def parse_config(text: str) -> RunConfig:
     _reject_unknown(ansatz, "ansatz")
 
     optimizer = _take_section(sections, "optimizer")
-    raw_labels, _ = _require(optimizer, "optimizer", "kinds")
+    labels = _list(*_require(optimizer, "optimizer", "kinds"), "kinds")
     base_values = _optimizer_values(optimizer, "optimizer")
     try:
         base = OptimizerConfig(**base_values)
     except ValueError as exc:
         raise ConfigError(f"invalid [optimizer] values: {exc}") from exc
     entries = []
-    for label in (s.strip() for s in raw_labels.split(",") if s.strip()):
+    for label in labels:
         overrides = sections.pop(f"optimizer.{label}", {})
         kind, _ = overrides.pop("kind", (label, None))
         values = _optimizer_values(overrides, f"optimizer.{label}")
         entries.append(OptimizerEntry(label=label, kind=kind, overrides=tuple(sorted(values.items()))))
 
     run_section = _take_section(sections, "run")
-    seeds = _int_list(*_require(run_section, "run", "seeds"), "seeds")
+    seeds = _list(*_require(run_section, "run", "seeds"), "seeds", "int")
     out_dir, _ = _require(run_section, "run", "out")
     _reject_unknown(run_section, "run")
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -187,6 +188,10 @@ def main(argv=None) -> int:
         return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (BrokenProcessPool, MemoryError) as exc:  # a worker died, or memory ran out
+        # Their messages can be empty or vague, so the line names the exception too.
+        print(f"error: {type(exc).__name__}{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 1
 
 

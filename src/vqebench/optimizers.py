@@ -75,27 +75,6 @@ class Problem:
     ground_energy: float
 
 
-@dataclass
-class EvalCounters:
-    """Cumulative circuit-evaluation counts, split by query type and convention.
-
-    A loss query costs one circuit under both conventions; only overlap
-    queries are counted differently.
-    """
-
-    loss: int = 0
-    overlap_raw: int = 0
-    overlap_charged: int = 0
-
-    @property
-    def total_raw(self) -> int:
-        return self.loss + self.overlap_raw
-
-    @property
-    def total_charged(self) -> int:
-        return self.loss + self.overlap_charged
-
-
 @dataclass(frozen=True)
 class RunRecord:
     """One trace row: energies, error vs exact ground state, cumulative costs.
@@ -116,13 +95,21 @@ class RunRecord:
 
 @dataclass
 class OptimizerState:
+    """A run in progress: parameters, running metric, and cumulative circuit totals."""
+
     theta: np.ndarray
-    metric_avg: np.ndarray | None
-    metric_count: int
-    k: int
-    loss_current: float
-    counters: EvalCounters
-    trace: list[RunRecord]
+    loss_current: float = math.nan
+    metric_avg: np.ndarray | None = None
+    metric_count: int = 0
+    k: int = 0
+    circuits_raw: int = 0
+    circuits_charged: int = 0
+    trace: list[RunRecord] = field(default_factory=list)
+
+    def add_circuits(self, raw: int, charged: int | None = None) -> None:
+        """Charge circuits; a loss query costs the same under both conventions."""
+        self.circuits_raw += raw
+        self.circuits_charged += raw if charged is None else charged
 
 
 @dataclass(frozen=True)
@@ -212,12 +199,12 @@ def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
     d = problem.circuit.param_count
     if kind in ("GD", "QNG"):
         grad = exact_parameter_shift_gradient(problem, state.theta)
-        state.counters.loss += 2 * d
+        state.add_circuits(2 * d)
         return grad
     oracle = _loss_oracle(problem, config.shots, rng)
     estimator = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
     grad = estimator(oracle, state.theta, config.c, config.samples, rng)
-    state.counters.loss += oracle.calls
+    state.add_circuits(oracle.calls)
     return grad
 
 
@@ -238,8 +225,8 @@ def _record(state, problem, config, blocked: bool, started: float) -> None:
             loss=state.loss_current if config.blocking_active else energy,
             energy=energy,
             energy_error=energy - problem.ground_energy,
-            circuits_charged=state.counters.total_charged,
-            circuits_raw=state.counters.total_raw,
+            circuits_charged=state.circuits_charged,
+            circuits_raw=state.circuits_raw,
             blocked=blocked,
             wall_time=time.perf_counter() - started,
         )
@@ -267,8 +254,7 @@ def step(
     metric_avg_candidate = None
     if kind in NATURAL_KINDS:
         estimate = _estimate_metric(kind, state, problem, config, rng)
-        state.counters.overlap_raw += estimate.raw_evals
-        state.counters.overlap_charged += estimate.charged_evals
+        state.add_circuits(estimate.raw_evals, estimate.charged_evals)
         metric_avg_candidate = average_metric(state.metric_avg, estimate.matrix, state.metric_count)
         metric_reg = regularize_metric(metric_avg_candidate, config.beta)
         candidate = natural_step(state.theta, grad, metric_reg, config.eta)
@@ -281,7 +267,7 @@ def step(
         candidate_loss = loss(
             problem.circuit, problem.hamiltonian, candidate, shots=config.shots, rng=rng
         )
-        state.counters.loss += 1
+        state.add_circuits(1)
         tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
         if blocking_check(candidate_loss, state.loss_current, tol):
             state.theta = candidate
@@ -313,20 +299,12 @@ def run(kind: str, problem: Problem, config: OptimizerConfig, seed: int) -> RunR
     rng = np.random.default_rng(seed)
     started = time.perf_counter()
     theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
-    state = OptimizerState(
-        theta=theta0,
-        metric_avg=None,
-        metric_count=0,
-        k=0,
-        loss_current=math.nan,
-        counters=EvalCounters(),
-        trace=[],
-    )
+    state = OptimizerState(theta0)
     if config.blocking_active:
         state.loss_current = loss(
             problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng
         )
-        state.counters.loss += 1
+        state.add_circuits(1)
     _record(state, problem, config, False, started)
     while _finite(state.trace[-1]) and state.k < config.max_steps:
         step(kind, state, problem, config, rng)

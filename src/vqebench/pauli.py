@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .values import check_value
+
 # Site 0 is the leftmost tensor factor (most significant bit of the basis
 # index). All tests assert this convention.
 PAULI_MATRICES = {
@@ -65,6 +67,7 @@ class PauliSum:
 
     @classmethod
     def from_terms(cls, terms, qubit_count: int) -> "PauliSum":
+        check_value("qubit_count", "int", qubit_count)
         if qubit_count < 1:
             raise ValueError(f"qubit_count must be >= 1, got {qubit_count}")
         merged: dict[str, float] = {}

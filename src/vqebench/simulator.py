@@ -95,10 +95,15 @@ class Circuit:
         if not 1 <= self.qubit_count <= MAX_QUBITS:
             raise ValueError(f"qubit_count must be in [1, {MAX_QUBITS}], got {self.qubit_count}")
         used = set()
-        for g in self.gates:
-            if any(not 0 <= s < self.qubit_count for s in g.sites):
-                raise ValueError(f"gate {g} has a site outside [0, {self.qubit_count})")
+        for g in self.gates:  # a plain int skips check_value, which is the costlier call
+            for s in g.sites:
+                if type(s) is not int:
+                    check_value("sites", "int", s)
+                if not 0 <= s < self.qubit_count:
+                    raise ValueError(f"gate {g} has a site outside [0, {self.qubit_count})")
             if g.param_index is not None:
+                if type(g.param_index) is not int:
+                    check_value("param_index", "int", g.param_index)
                 if not 0 <= g.param_index < self.param_count:
                     raise ValueError(f"param_index {g.param_index} out of range")
                 used.add(g.param_index)

@@ -154,8 +154,16 @@ def test_parse_rejects_unknown_key_with_line_number():
         ("layers = 1", "= 1", "line 10: empty key"),
         ("eta = 0.05", "eta = 0.05\neta = 0.1", "line 15: duplicate key 'eta' in [optimizer]"),
         ("[run]", "[extra]\n\n[run]", "unknown section [extra]"),
+        ("seeds = 0, 1", "seeds = 0,,3", "line 28: key 'seeds' has an empty item"),
+        ("seeds = 0, 1", "seeds = 0, , 3", "line 28: key 'seeds' has an empty item"),
+        ("qubits = 2", "qubits = 2,", "line 4: key 'qubits' has an empty item"),
+        ("kinds = GD, QNSTEIN2", "kinds = GD,,QNSTEIN2", "line 13: key 'kinds' has an empty item"),
+        ("kinds = GD, QNSTEIN2", "kinds = , GD", "line 13: key 'kinds' has an empty item"),
     ],
-    ids=["empty-section", "no-equals", "empty-key", "duplicate-key", "unknown-section"],
+    ids=[
+        "empty-section", "no-equals", "empty-key", "duplicate-key", "unknown-section",
+        "empty-seed", "blank-seed", "trailing-comma-qubits", "empty-kind", "leading-comma-kinds",
+    ],
 )
 def test_parse_rejects_malformed_lines(old, new, expected):
     text = SMALL_CONFIG.format(out="x")
@@ -400,6 +408,26 @@ def test_cli_exact_reports_bad_sizes_in_one_line(argv, expected, capsys):
 )
 def test_cli_flags_go_through_the_config_check(argv, expected, capsys):
     _assert_one_error_line(argv, expected, capsys)
+
+
+def _die(*job):
+    os._exit(1)  # a worker killed mid-job, as by the OOM killer
+
+
+def test_cli_reports_a_dead_worker_in_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv(bench.WORKERS_ENV_VAR, "2")
+    monkeypatch.setattr(bench, "run", _die)  # the pool is handed bench.run
+    argv = ["preset", "tfim-fig2", "--qubits", "2", "--seeds", "1", "--steps", "1", "--out", str(tmp_path)]
+    _assert_one_error_line(argv, "error: BrokenProcessPool: A process in the process pool", capsys)
+
+
+def test_cli_reports_running_out_of_memory_in_one_line(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(bench, "run_benchmark", fail)
+    argv = ["preset", "tfim-fig2", "--qubits", "2", "--seeds", "1", "--steps", "1", "--out", str(tmp_path)]
+    _assert_one_error_line(argv, "error: MemoryError", capsys)
 
 
 def test_cli_preset_desk_scale_smoke(tmp_path, capsys, monkeypatch):

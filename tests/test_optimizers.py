@@ -7,7 +7,6 @@ import pytest
 from vqebench.ansatz import hardware_efficient, loss
 from vqebench.optimizers import (
     OPTIMIZER_KINDS,
-    EvalCounters,
     OptimizerConfig,
     OptimizerState,
     Problem,
@@ -217,6 +216,25 @@ def test_run_deterministic_traces():
     assert a == b  # bit-identical records, counters included
 
 
+@pytest.mark.parametrize("kind", ["GD", "QNSPSA", "QNSTEIN3"])
+def test_stepping_a_fresh_state_matches_run(kind):
+    # run = draw theta0, read the initial loss (one circuit), record, then step.
+    problem = tfim_problem()
+    config = OptimizerConfig(samples=4, shots=64, blocking=True, max_steps=5)
+    rng = np.random.default_rng(11)
+    theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
+    loss0 = loss(problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng)
+    assert math.isnan(OptimizerState(theta0).loss_current)
+    state = OptimizerState(theta0, loss0)
+    assert (state.k, state.metric_avg, state.metric_count, state.trace) == (0, None, 0, [])
+    state.add_circuits(1)
+    assert (state.circuits_raw, state.circuits_charged) == (1, 1)
+    for _ in range(config.max_steps):
+        step(kind, state, problem, config, rng)
+    expected = run(kind, problem, config, seed=11)
+    assert tuple(state.trace) == expected.records[1:]  # totals included
+
+
 def test_gd_converges_on_small_tfim():
     problem = tfim_problem()
     config = OptimizerConfig(eta=0.01, shots=None, blocking=False, max_steps=300)
@@ -260,7 +278,7 @@ def test_blocked_step_metric_average(update_metric_on_block):
     rng = np.random.default_rng(5)
     theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
     loss0 = loss(problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng)
-    state = OptimizerState(theta0, None, 0, 0, loss0, EvalCounters(), [])
+    state = OptimizerState(theta0, loss0)
     blocked_steps = 0
     for _ in range(config.max_steps):
         before_avg, before_count = state.metric_avg, state.metric_count
@@ -312,7 +330,7 @@ def test_unknown_kind_rejected():
     problem = tfim_problem()
     with pytest.raises(ValueError):
         run("ADAM", problem, OptimizerConfig(max_steps=0), seed=0)
-    state = OptimizerState(np.zeros(2), None, 0, 0, 0.0, EvalCounters(), [])
+    state = OptimizerState(np.zeros(2))
     with pytest.raises(ValueError):
         step("NEWTON", state, problem, OptimizerConfig(), np.random.default_rng(0))
 

@@ -45,6 +45,15 @@ def test_sum_needs_a_qubit():
         PauliSum.from_terms([], 0)
 
 
+@pytest.mark.parametrize("qubits", [2.0, True])
+def test_sum_size_must_be_an_int(qubits):
+    # A float size used to be accepted, and expectation then failed inside numpy.
+    terms = [PauliString(1.0, "ZZ")]
+    with pytest.raises(ValueError, match=f"^key 'qubit_count' expects int, got {qubits}$"):
+        PauliSum.from_terms(terms, qubits)
+    assert PauliSum.from_terms(terms, np.int64(2)).qubit_count == 2
+
+
 def test_tfim_rejects_single_site():
     with pytest.raises(ValueError):
         build_tfim(1, -1.0, -2.0)

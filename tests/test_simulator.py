@@ -486,12 +486,27 @@ def test_gate_validation():
         ((Gate("RY", (0,), 0),), 1, True, "key 'param_count' expects int, got True"),
         ((), True, 0, "key 'qubit_count' expects int, got True"),
         ((), 2.0, 0, "key 'qubit_count' expects int, got 2.0"),
+        ((Gate("RY", (0.5,), 0),), 2, 1, "key 'sites' expects int, got 0.5"),
+        ((Gate("RY", (True,), 0),), 2, 1, "key 'sites' expects int, got True"),
+        ((Gate("CNOT", (0, 1.0)),), 2, 0, "key 'sites' expects int, got 1.0"),
+        ((Gate("RY", (0,), 0.0),), 1, 1, "key 'param_index' expects int, got 0.0"),
+        ((Gate("RY", (0,), False),), 1, 1, "key 'param_index' expects int, got False"),
     ],
-    ids=["negative-params", "bool-params", "bool-qubits", "float-qubits"],
+    ids=[
+        "negative-params", "bool-params", "bool-qubits", "float-qubits",
+        "float-site", "bool-site", "float-target", "float-index", "bool-index",
+    ],
 )
 def test_circuit_sizes_must_be_ints(gates, qubits, params, expected):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         Circuit(gates, qubits, params)
+
+
+def test_numpy_int_sites_and_indices_still_run():
+    c = Circuit((Gate("RY", (np.int64(1),), np.int64(0)),), 2, 1)
+    np.testing.assert_array_equal(
+        apply_circuit(c, [0.3]), apply_circuit(Circuit((Gate("RY", (1,), 0),), 2, 1), [0.3])
+    )
 
 
 def test_inverse_gates_reverse_the_list_and_swap_s_and_sdg():
