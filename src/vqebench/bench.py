@@ -94,21 +94,18 @@ class RunConfig:
         try:
             for check in checks:
                 check_value(*check)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        # Named as in the file: a repeated entry would run twice or lose its overrides.
-        _require_distinct("qubits", self.sizes)
-        _require_distinct("kinds", [entry.label for entry in self.optimizers])
-        _require_distinct("seeds", self.seeds)
-        if not self.out_dir:
-            raise ConfigError("out must not be empty")
-        for size in self.sizes:
-            try:
+            # Named as in the file: a repeated entry would run twice or lose its overrides.
+            _require_distinct("qubits", self.sizes)
+            _require_distinct("kinds", [entry.label for entry in self.optimizers])
+            _require_distinct("seeds", self.seeds)
+            if not self.out_dir:
+                raise ValueError("out must not be empty")
+            for size in self.sizes:
                 # The ansatz spec and the builder apply their own size rules (the builder: finite terms too).
                 AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
                 _hamiltonian(builder, size, *(float(value) for _, value in self.problem_params))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for entry in self.optimizers:
             if not _LABEL.fullmatch(entry.label):
                 raise ConfigError(f"optimizer label {entry.label!r} must be a plain name ({_LABEL.pattern})")
@@ -128,9 +125,9 @@ def _hamiltonian(builder, size: int, *values: float) -> PauliSum:
 
 def _require_distinct(key: str, values) -> None:
     if not values:
-        raise ConfigError(f"{key} needs at least one value")
+        raise ValueError(f"{key} needs at least one value")
     if len(set(values)) != len(values):
-        raise ConfigError(f"{key} must be distinct, got {list(values)}")
+        raise ValueError(f"{key} must be distinct, got {list(values)}")
 
 
 def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
@@ -166,27 +163,22 @@ def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 _OPTIMIZER_KEYS = {f.name: f.type for f in fields(OptimizerConfig)}
 
 
-def _read(raw: str, line_no: int, kind: str, key: str):
-    """The value of `key` read as a `kind`."""
+def _take(section: dict, section_name: str, key: str, kind: str | None = None, items: bool = False, default=None):
+    """Pop `key` from its section and return its value read as a `kind` (left as text
+    without one), or with `items` its comma-separated items, each read so. An empty
+    value has no items; an empty item is an error, never skipped. A missing key
+    gives `default`, and is an error without one."""
+    raw, line_no = section.pop(key, (default, None))
+    if raw is None:
+        raise ConfigError(f"missing key {key!r} in section [{section_name}]")
+    texts = (tuple(item.strip() for item in raw.split(",")) if raw else ()) if items else (raw,)
+    if items and "" in texts:
+        raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
     try:
-        return read_value(key, kind, raw)
+        values = tuple(text if kind is None else read_value(key, kind, text) for text in texts)
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: {exc}") from None
-
-
-def _list(raw: str, line_no: int, key: str, kind: str | None = None) -> tuple:
-    """The comma-separated items of `key`, each read as a `kind` if one is given.
-    An empty value has no items; an empty item is an error, never skipped."""
-    items = tuple(item.strip() for item in raw.split(",")) if raw else ()
-    if "" in items:
-        raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
-    return items if kind is None else tuple(_read(item, line_no, kind, key) for item in items)
-
-
-def _require(section: dict, section_name: str, key: str):
-    if key not in section:
-        raise ConfigError(f"missing key {key!r} in section [{section_name}]")
-    return section.pop(key)
+    return values if items else values[0]
 
 
 def _reject_unknown(section: dict, section_name: str):
@@ -197,7 +189,7 @@ def _reject_unknown(section: dict, section_name: str):
 
 def _optimizer_values(section: dict, section_name: str) -> dict:
     _reject_unknown({k: v for k, v in section.items() if k not in _OPTIMIZER_KEYS}, section_name)
-    return {key: _read(raw, line_no, _OPTIMIZER_KEYS[key], key) for key, (raw, line_no) in section.items()}
+    return {key: _take(section, section_name, key, _OPTIMIZER_KEYS[key]) for key in list(section)}
 
 
 def parse_config(text: str) -> RunConfig:
@@ -211,24 +203,23 @@ def parse_config(text: str) -> RunConfig:
     sections = _raw_sections(text)
 
     problem = _take_section(sections, "problem")
-    problem_kind, line_no = _require(problem, "problem", "kind")
+    _, line_no = problem.get("kind", (None, None))
+    problem_kind = _take(problem, "problem", "kind")
     if problem_kind not in PROBLEMS:
         raise ConfigError(f"line {line_no}: unknown problem kind {problem_kind!r}")
-    sizes = _list(*_require(problem, "problem", "qubits"), "qubits", "int")
+    sizes = _take(problem, "problem", "qubits", "int", items=True)
     _, names = PROBLEMS[problem_kind]
-    params = tuple(
-        (key, _read(*_require(problem, "problem", key), "float", key)) for key in names
-    )
+    params = tuple((key, _take(problem, "problem", key, "float")) for key in names)
     _reject_unknown(problem, "problem")
 
     ansatz = _take_section(sections, "ansatz")
-    ansatz_kind, _ = _require(ansatz, "ansatz", "kind")
-    layers = _read(*_require(ansatz, "ansatz", "layers"), "int", "layers")
-    bond_order, _ = ansatz.pop("bond_order", ("even_first", None))
+    ansatz_kind = _take(ansatz, "ansatz", "kind")
+    layers = _take(ansatz, "ansatz", "layers", "int")
+    bond_order = _take(ansatz, "ansatz", "bond_order", default="even_first")
     _reject_unknown(ansatz, "ansatz")
 
     optimizer = _take_section(sections, "optimizer")
-    labels = _list(*_require(optimizer, "optimizer", "kinds"), "kinds")
+    labels = _take(optimizer, "optimizer", "kinds", items=True)
     base_values = _optimizer_values(optimizer, "optimizer")
     try:
         base = OptimizerConfig(**base_values)
@@ -236,14 +227,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"invalid [optimizer] values: {exc}") from exc
     entries = []
     for label in labels:
-        overrides = sections.pop(f"optimizer.{label}", {})
-        kind, _ = overrides.pop("kind", (label, None))
-        values = _optimizer_values(overrides, f"optimizer.{label}")
+        name = f"optimizer.{label}"
+        overrides = sections.pop(name, {})
+        kind = _take(overrides, name, "kind", default=label)
+        values = _optimizer_values(overrides, name)
         entries.append(OptimizerEntry(label=label, kind=kind, overrides=tuple(sorted(values.items()))))
 
     run_section = _take_section(sections, "run")
-    seeds = _list(*_require(run_section, "run", "seeds"), "seeds", "int")
-    out_dir, _ = _require(run_section, "run", "out")
+    seeds = _take(run_section, "run", "seeds", "int", items=True)
+    out_dir = _take(run_section, "run", "out")
     _reject_unknown(run_section, "run")
 
     if sections:

@@ -65,24 +65,22 @@ class PauliSum:
     terms: tuple[PauliString, ...]
     qubit_count: int
 
+    def __post_init__(self):
+        check_value("qubit_count", "int", self.qubit_count)
+        if self.qubit_count < 1:
+            raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
+        for t in self.terms:
+            if len(t.axes) != self.qubit_count:
+                raise ValueError(f"term {t.axes!r} has {len(t.axes)} sites, expected {self.qubit_count}")
+
     @classmethod
     def from_terms(cls, terms, qubit_count: int) -> "PauliSum":
-        check_value("qubit_count", "int", qubit_count)
-        if qubit_count < 1:
-            raise ValueError(f"qubit_count must be >= 1, got {qubit_count}")
+        # Checked before merging, so a term that merging would prune is checked too.
         merged: dict[str, float] = {}
-        for t in terms:
-            if len(t.axes) != qubit_count:
-                raise ValueError(
-                    f"term {t.axes!r} has {len(t.axes)} sites, expected {qubit_count}"
-                )
+        for t in cls(tuple(terms), qubit_count).terms:
             merged[t.axes] = merged.get(t.axes, 0.0) + t.coefficient
-        kept = tuple(
-            PauliString(coefficient=c, axes=a)
-            for a, c in sorted(merged.items())
-            if abs(c) > COEFF_PRUNE_THRESHOLD
-        )
-        return cls(terms=kept, qubit_count=qubit_count)
+        kept = sorted((a, c) for a, c in merged.items() if abs(c) > COEFF_PRUNE_THRESHOLD)
+        return cls(terms=tuple(PauliString(coefficient=c, axes=a) for a, c in kept), qubit_count=qubit_count)
 
     @property
     def spin_flip_symmetric(self) -> bool:
@@ -156,6 +154,8 @@ def build_tfim(n: int, J: float, h: float) -> PauliSum:
 
     H = J * sum_{i=0}^{n-2} Z_i Z_{i+1} + h * sum_{i=0}^{n-1} X_i
     """
+    if type(n) is not int:  # a plain int skips check_value, the costlier call
+        check_value("n", "int", n)
     if n < 2:
         raise ValueError(f"TFIM needs at least 2 sites (no bond exists for n={n})")
     terms = []
@@ -178,6 +178,8 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     into a single constant so that absolute energies (not just gaps) are
     reproduced.
     """
+    if type(n) is not int:  # a plain int skips check_value, the costlier call
+        check_value("n", "int", n)
     if n < 2:
         raise ValueError(f"Schwinger model needs at least 2 sites, got n={n}")
     if n % 2 != 0:

@@ -52,6 +52,29 @@ def test_hardware_efficient_guards():
         hardware_efficient(2, 0)
 
 
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: hardware_efficient(2, True), "key 'layers' expects int, got True"),
+        (lambda: hardware_efficient(2.0, 1), "key 'qubit_count' expects int, got 2.0"),
+        (lambda: schwinger_ansatz(4, 2.0), "key 'layers' expects int, got 2.0"),
+        (lambda: AnsatzKind("hardware_efficient", 2, 1.5), "key 'layers' expects int, got 1.5"),
+        (lambda: AnsatzKind("ry1", True, 1), "key 'qubit_count' expects int, got True"),
+    ],
+    ids=["he-bool-layers", "he-float-qubits", "so4-float-layers", "spec-float-layers", "ry1-bool-qubits"],
+)
+def test_ansatz_sizes_must_be_ints(build, expected):
+    # hardware_efficient(2, True) used to build one layer, and a float size
+    # failed inside range with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        build()
+
+
+def test_ansatz_sizes_take_numpy_ints():
+    assert hardware_efficient(np.int64(3), np.int64(2)) == hardware_efficient(3, 2)
+    assert schwinger_ansatz(np.int64(4), np.int64(1)) == schwinger_ansatz(4, 1)
+
+
 def phase_normalized(matrix):
     idx = np.unravel_index(np.argmax(np.abs(matrix)), matrix.shape)
     return matrix * (np.abs(matrix[idx]) / matrix[idx])

@@ -172,6 +172,42 @@ def test_parse_rejects_malformed_lines(old, new, expected):
         parse_config(text.replace(old, new))
 
 
+_TFIM_PROBLEM_KEYS = "kind = tfim\nqubits = 2\nJ = -1.0\nh = -2.0"
+
+
+@pytest.mark.parametrize(
+    "old, new, expected",
+    [
+        ("kind = tfim\n", "", "missing key 'kind' in section [problem]"),
+        ("qubits = 2\n", "", "missing key 'qubits' in section [problem]"),
+        ("J = -1.0\n", "", "missing key 'J' in section [problem]"),
+        ("h = -2.0\n", "", "missing key 'h' in section [problem]"),
+        (_TFIM_PROBLEM_KEYS, "kind = schwinger\nqubits = 2\nmu = 0.5\nl = 0.0", "missing key 'x' in section [problem]"),
+        (_TFIM_PROBLEM_KEYS, "kind = schwinger\nqubits = 2\nx = 1.0\nl = 0.0", "missing key 'mu' in section [problem]"),
+        (_TFIM_PROBLEM_KEYS, "kind = schwinger\nqubits = 2\nx = 1.0\nmu = 0.5", "missing key 'l' in section [problem]"),
+        ("kind = hardware_efficient\n", "", "missing key 'kind' in section [ansatz]"),
+        ("layers = 1\n", "", "missing key 'layers' in section [ansatz]"),
+        ("kinds = GD, QNSTEIN2\n", "", "missing key 'kinds' in section [optimizer]"),
+        ("seeds = 0, 1\n", "", "missing key 'seeds' in section [run]"),
+        ("out = x\n", "", "missing key 'out' in section [run]"),
+        # An override section whose label is not in `kinds` belongs to no entry.
+        ("[optimizer.QNSTEIN2]", "[optimizer.SPSA]", "unknown section [optimizer.SPSA]"),
+        # Checked before the model parameters it names are read.
+        ("kind = tfim\nqubits = 2\nJ", "kind = heisenberg\nqubits = 2\nJ", "line 3: unknown problem kind 'heisenberg'"),
+    ],
+    ids=[
+        "problem-kind", "problem-qubits", "problem-J", "problem-h", "problem-x", "problem-mu", "problem-l",
+        "ansatz-kind", "ansatz-layers", "optimizer-kinds", "run-seeds", "run-out", "orphan-override",
+        "unknown-problem-kind",
+    ],
+)
+def test_parse_names_each_missing_key_and_orphan_section(old, new, expected):
+    text = SMALL_CONFIG.format(out="x")
+    assert old in text
+    with pytest.raises(ConfigError, match=f"^{re.escape(expected)}$"):
+        parse_config(text.replace(old, new))
+
+
 def test_parse_rejects_bad_types_and_values():
     bad = SMALL_CONFIG.format(out="x").replace("shots = 64", "shots = many")
     with pytest.raises(ConfigError, match="shots"):

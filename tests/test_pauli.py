@@ -54,6 +54,44 @@ def test_sum_size_must_be_an_int(qubits):
     assert PauliSum.from_terms(terms, np.int64(2)).qubit_count == 2
 
 
+@pytest.mark.parametrize("build", [PauliSum, PauliSum.from_terms], ids=["constructor", "from_terms"])
+def test_sum_checks_its_size_and_term_lengths(build):
+    # The constructor used to check nothing: a ZZ term in a 3-site sum was then
+    # read on sites 1 and 2, so <100|ZZ|100> came out +1 where ZZI gives -1.
+    with pytest.raises(ValueError, match="^qubit_count must be >= 1, got 0$"):
+        build((), 0)
+    with pytest.raises(ValueError, match="^key 'qubit_count' expects int, got 2.0$"):
+        build((PauliString(1.0, "ZZ"),), 2.0)
+    with pytest.raises(ValueError, match="^term 'ZZ' has 2 sites, expected 3$"):
+        build((PauliString(1.0, "ZZ"),), 3)
+    assert build((PauliString(1.0, "ZZI"),), 3).qubit_count == 3
+
+
+def test_from_terms_checks_a_term_it_would_prune():
+    with pytest.raises(ValueError, match="^term 'ZZ' has 2 sites, expected 3$"):
+        PauliSum.from_terms([PauliString(1e-13, "ZZ")], 3)
+
+
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: build_tfim(3.0, -1, -2), "key 'n' expects int, got 3.0"),
+        (lambda: build_tfim(True, -1, -2), "key 'n' expects int, got True"),
+        (lambda: build_schwinger(4.0, 1, 0.5, 0), "key 'n' expects int, got 4.0"),
+    ],
+    ids=["tfim-float", "tfim-bool", "schwinger-float"],
+)
+def test_model_sizes_must_be_ints(build, expected):
+    # A float size used to fail inside range or string repetition with a bare TypeError.
+    with pytest.raises(ValueError, match=f"^{expected}$"):
+        build()
+
+
+def test_model_sizes_take_numpy_ints():
+    assert build_tfim(np.int64(3), -1, -2) == build_tfim(3, -1, -2)
+    assert build_schwinger(np.int64(4), 1, 0.5, 0) == build_schwinger(4, 1, 0.5, 0)
+
+
 def test_tfim_rejects_single_site():
     with pytest.raises(ValueError):
         build_tfim(1, -1.0, -2.0)
