@@ -49,9 +49,8 @@ class AnsatzKind:
     def __post_init__(self):
         if self.kind not in ANSATZ_KINDS:
             raise ValueError(f"unknown ansatz kind {self.kind!r}")
-        for key, value in (("qubit_count", self.qubit_count), ("layers", self.layers)):
-            if type(value) is not int:  # a plain int skips check_value, the costlier call
-                check_value(key, "int", value)
+        check_value("qubit_count", "int", self.qubit_count)
+        check_value("layers", "int", self.layers)
         if self.kind == "ry1" and (self.qubit_count, self.layers) != (1, 1):
             raise ValueError(f"ry1 takes qubits = 1 and layers = 1, got {self.qubit_count} and {self.layers}")
         if self.kind != "ry1" and self.qubit_count < 2:

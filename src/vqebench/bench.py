@@ -163,17 +163,21 @@ def _raw_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 _OPTIMIZER_KEYS = {f.name: f.type for f in fields(OptimizerConfig)}
 
 
-def _take(section: dict, section_name: str, key: str, kind: str | None = None, items: bool = False, default=None):
-    """Pop `key` from its section and return its value read as a `kind` (left as text
-    without one), or with `items` its comma-separated items, each read so. An empty
-    value has no items; an empty item is an error, never skipped. A missing key
-    gives `default`, and is an error without one."""
+def _take(section: dict, section_name: str, key: str, kind=None, items=False, default=None, choices=None):
+    """Pop `key` from its section and return its value read as a `kind` (text without
+    one), or with `items` its comma-separated items, each read so; an empty value has
+    no items, and an empty item is an error. A missing key gives `default`, an error
+    without one; a value outside `choices`, when given, is an error too."""
     raw, line_no = section.pop(key, (default, None))
     if raw is None:
         raise ConfigError(f"missing key {key!r} in section [{section_name}]")
-    texts = (tuple(item.strip() for item in raw.split(",")) if raw else ()) if items else (raw,)
-    if items and "" in texts:
-        raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
+    if choices is not None and raw not in choices:
+        raise ConfigError(f"line {line_no}: unknown {section_name} {key} {raw!r}")
+    texts = [raw]
+    if items:
+        texts = [item.strip() for item in raw.split(",")] if raw else []
+        if "" in texts:
+            raise ConfigError(f"line {line_no}: key {key!r} has an empty item")
     try:
         values = tuple(text if kind is None else read_value(key, kind, text) for text in texts)
     except ValueError as exc:
@@ -203,10 +207,7 @@ def parse_config(text: str) -> RunConfig:
     sections = _raw_sections(text)
 
     problem = _take_section(sections, "problem")
-    _, line_no = problem.get("kind", (None, None))
-    problem_kind = _take(problem, "problem", "kind")
-    if problem_kind not in PROBLEMS:
-        raise ConfigError(f"line {line_no}: unknown problem kind {problem_kind!r}")
+    problem_kind = _take(problem, "problem", "kind", choices=PROBLEMS)
     sizes = _take(problem, "problem", "qubits", "int", items=True)
     _, names = PROBLEMS[problem_kind]
     params = tuple((key, _take(problem, "problem", key, "float")) for key in names)

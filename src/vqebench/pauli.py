@@ -79,8 +79,12 @@ class PauliSum:
         merged: dict[str, float] = {}
         for t in cls(tuple(terms), qubit_count).terms:
             merged[t.axes] = merged.get(t.axes, 0.0) + t.coefficient
-        kept = sorted((a, c) for a, c in merged.items() if abs(c) > COEFF_PRUNE_THRESHOLD)
-        return cls(terms=tuple(PauliString(coefficient=c, axes=a) for a, c in kept), qubit_count=qubit_count)
+        kept = tuple(
+            PauliString(coefficient=c, axes=a)
+            for a, c in sorted(merged.items())
+            if abs(c) > COEFF_PRUNE_THRESHOLD
+        )
+        return cls(terms=kept, qubit_count=qubit_count)
 
     @property
     def spin_flip_symmetric(self) -> bool:
@@ -154,8 +158,7 @@ def build_tfim(n: int, J: float, h: float) -> PauliSum:
 
     H = J * sum_{i=0}^{n-2} Z_i Z_{i+1} + h * sum_{i=0}^{n-1} X_i
     """
-    if type(n) is not int:  # a plain int skips check_value, the costlier call
-        check_value("n", "int", n)
+    check_value("n", "int", n)
     if n < 2:
         raise ValueError(f"TFIM needs at least 2 sites (no bond exists for n={n})")
     terms = []
@@ -178,8 +181,7 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     into a single constant so that absolute energies (not just gaps) are
     reproduced.
     """
-    if type(n) is not int:  # a plain int skips check_value, the costlier call
-        check_value("n", "int", n)
+    check_value("n", "int", n)
     if n < 2:
         raise ValueError(f"Schwinger model needs at least 2 sites, got n={n}")
     if n % 2 != 0:
