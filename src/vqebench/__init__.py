@@ -14,7 +14,6 @@ from .ansatz import (
     loss,
     schwinger_ansatz,
     single_qubit_ry,
-    so4_gate,
 )
 from .bench import (
     BenchmarkResult,

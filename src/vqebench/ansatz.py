@@ -18,7 +18,6 @@ from .pauli import PauliSum
 from .simulator import (
     Circuit,
     Gate,
-    _compile,
     apply_adjoint_circuit,
     apply_circuit,
     expectation,
@@ -117,15 +116,6 @@ def so4_block_gates(a: int, b: int, param_indices) -> list[Gate]:
         Gate("RZ", (b,), p[5]),
     ]
     return magic + rotations + inverse_gates(magic)
-
-
-def so4_gate(alpha) -> np.ndarray:
-    """4x4 matrix of one SO(4) block for six rotation angles."""
-    alpha = np.asarray(alpha, dtype=float)
-    if alpha.shape != (6,):
-        raise ValueError(f"SO(4) gate takes 6 parameters, got shape {alpha.shape}")
-    # Row j of the block starts as basis state j and ends as column j of U.
-    return _compile(2, so4_block_gates(0, 1, range(6))).run(np.eye(4), alpha).T
 
 
 def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Circuit:

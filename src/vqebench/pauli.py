@@ -15,24 +15,15 @@ import numpy as np
 
 from .values import check_value
 
-# Site 0 is the leftmost tensor factor (most significant bit of the basis
-# index). All tests assert this convention.
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
 # Coefficients below this magnitude are dropped after merging; symbolic
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that).
-# exact_ground_energy holds about 1x it for a spin-flip-symmetric sum and
-# about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13, 8.6 GB at n = 14
-# for a complex one), so this is the largest size at which any sum fits an
-# 8 GB machine.
+# exact_ground_energy holds at most 3/4 of it for a spin-flip-symmetric sum,
+# which builds only the top half, and about 2x for any other (0.5 GB at n = 12,
+# 2.1 GB at n = 13, 8.6 GB at n = 14 for a complex one), so this is the largest
+# size at which any sum fits an 8 GB machine.
 MAX_DENSE_QUBITS = 13
 
 
@@ -208,29 +199,28 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     return PauliSum.from_terms(terms, n)
 
 
-def pauli_string_matrix(axes: str) -> np.ndarray:
-    """Dense matrix of one unweighted Pauli string; a test reference only."""
-    m = PAULI_MATRICES[axes[0]]
-    for a in axes[1:]:
-        m = np.kron(m, PAULI_MATRICES[a])
-    return m
-
-
-def to_dense(h: PauliSum) -> np.ndarray:
-    """Dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS
-    (checked before anything is allocated). Each term adds its coefficient times
-    copy gather[j] // 2**n's unit (see term_tables) to m[j, gather[j] % 2**n]. The
-    matrix is float64 (8 * 4**n bytes) when every term has an even number of Y's,
-    so a real weight, and complex128 (16 * 4**n bytes) otherwise."""
+def to_dense(h: PauliSum, rows: int | None = None) -> np.ndarray:
+    """The first `rows` rows (default: all 2**n) of the dense Hermitian matrix of a
+    PauliSum, for n up to MAX_DENSE_QUBITS (checked before anything is allocated).
+    Each term adds its coefficient times copy gather[j] // 2**n's unit (see
+    term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is float64
+    (8 bytes an entry) when every term has an even number of Y's, so a real weight,
+    and complex128 (16 bytes) otherwise; the whole of it takes 8 or 16 * 4**n bytes."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
+    size = 2**n
+    if rows is None:
+        rows = size
+    check_value("rows", "int", rows)
+    if not 1 <= rows <= size:
+        raise ValueError(f"rows must be in [1, {size}], got {rows}")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
-    idx = np.arange(2**n)
-    m = np.zeros((2**n, 2**n), dtype=float if real else complex)
-    for t, gather in zip(h.terms, h.term_tables[0]):
-        weight = np.array([1, -1j, -1, 1j]).take(gather // idx.size)
-        m[idx, gather % idx.size] += t.coefficient * (weight.real if real else weight)
+    idx = np.arange(rows)
+    m = np.zeros((rows, size), dtype=float if real else complex)
+    for t, gather in zip(h.terms, h.term_tables[0][:, :rows]):
+        weight = np.array([1, -1j, -1, 1j]).take(gather // size)
+        m[idx, gather % size] += t.coefficient * (weight.real if real else weight)
     return m
 
 
@@ -242,15 +232,18 @@ def exact_ground_energy(h: PauliSum) -> float:
     [JBJ, JAJ]], J the exchange matrix. Its spectrum is the union of those of
     the two Hermitian sector blocks A + BJ and A - BJ (Cantoni & Butler, Linear
     Algebra Appl. 13, 275 (1976)), so two half-size solves replace the full one:
-    a quarter of the flops. The blocks overwrite the top-left and bottom-right
-    quadrants in place, so about 1x the matrix is held, plus LAPACK's working
-    copy of the block being solved (a quarter of it); a whole solve holds 2x.
-    Any other sum is diagonalized whole."""
-    m = to_dense(h)
+    a quarter of the flops. Only the top half [A | B] is built, and the blocks
+    are formed over A and B in place through one quarter-size copy of BJ, freed
+    before the solves. So at most 3/4 of the matrix is held, then 1/2 of it plus
+    LAPACK's working copy of the block being solved (a quarter of it); a whole
+    solve holds 2x. Any other sum is diagonalized whole."""
     if not h.spin_flip_symmetric:
-        return float(np.linalg.eigvalsh(m)[0])
-    half = len(m) // 2
-    a, bj, jaj = m[:half, :half], m[:half, half:][:, ::-1], m[half:, half:]
-    np.subtract(a, bj, out=jaj)  # JAJ is never read: the fold needs only the top half
+        return float(np.linalg.eigvalsh(to_dense(h))[0])
+    half = 2**h.qubit_count // 2
+    top = to_dense(h, rows=half)
+    a, b = top[:, :half], top[:, half:]
+    bj = b[:, ::-1].copy()
+    np.subtract(a, bj, out=b)
     a += bj
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in (a, jaj))
+    del bj
+    return min(float(np.linalg.eigvalsh(block)[0]) for block in (a, b))

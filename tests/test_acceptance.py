@@ -33,9 +33,10 @@ from vqebench.pauli import (
     build_schwinger,
     build_tfim,
     exact_ground_energy,
-    pauli_string_matrix,
     to_dense,
 )
+
+from dense_reference import pauli_string_matrix
 
 SCHWINGER_4_GROUND = 0.20639550666515885  # dense-diagonalization fixture
 

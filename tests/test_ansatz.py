@@ -10,7 +10,6 @@ from vqebench.ansatz import (
     schwinger_ansatz,
     single_qubit_ry,
     so4_block_gates,
-    so4_gate,
 )
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim, to_dense
 from vqebench.simulator import (
@@ -21,6 +20,8 @@ from vqebench.simulator import (
     inverse_gates,
     sampled_zero_probability,
 )
+
+from dense_reference import so4_gate
 
 
 def gate_kinds(circuit):

@@ -1,4 +1,5 @@
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,9 +12,10 @@ from vqebench.pauli import (
     build_schwinger,
     build_tfim,
     exact_ground_energy,
-    pauli_string_matrix,
     to_dense,
 )
+
+from dense_reference import pauli_string_matrix
 
 # Dense diagonalization fixture for the n=4 Schwinger benchmark point.
 SCHWINGER_4_GROUND = 0.20639550666515885
@@ -174,6 +176,44 @@ def test_to_dense_tfim_structure():
     # -2 on every single-bit-flip pair, 0 on the double flip
     assert m[0, 1] == m[0, 2] == m[1, 3] == m[2, 3] == -2
     assert m[0, 3] == m[1, 2] == 0
+
+
+def _complex_sum():
+    # Odd numbers of Y's give imaginary weights.
+    return PauliSum.from_terms([PauliString(1.0, "YZI"), PauliString(0.5, "XXY"), PauliString(-0.3, "ZIZ")], 3)
+
+
+@pytest.mark.parametrize(
+    "h, dtype",
+    [
+        (build_tfim(4, -1.0, -2.0), np.float64),
+        (build_schwinger(4, 1.0, 0.5, 0.25), np.float64),
+        (_complex_sum(), np.complex128),
+    ],
+    ids=["tfim", "schwinger", "complex"],
+)
+def test_to_dense_rows_are_the_top_of_the_matrix(h, dtype):
+    whole = to_dense(h)
+    assert whole.dtype == dtype
+    for rows in (1, len(whole) // 2, len(whole)):
+        top = to_dense(h, rows=rows)
+        assert top.dtype == dtype and np.array_equal(top, whole[:rows])
+
+
+@pytest.mark.parametrize(
+    "rows, expected",
+    [
+        (0, "rows must be in [1, 8], got 0"),
+        (9, "rows must be in [1, 8], got 9"),
+        (-1, "rows must be in [1, 8], got -1"),
+        (4.0, "key 'rows' expects int, got 4.0"),
+        (True, "key 'rows' expects int, got True"),
+    ],
+)
+def test_to_dense_refuses_rows_outside_the_matrix(rows, expected):
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        to_dense(_complex_sum(), rows=rows)
+    assert to_dense(_complex_sum(), rows=np.int64(4)).shape == (4, 8)
 
 
 def test_to_dense_rejects_large_systems():
@@ -364,8 +404,30 @@ def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
     assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
 
 
-def test_the_fold_holds_about_one_matrix():
-    # The sector blocks overwrite two quadrants of the matrix: no half-size copies.
+def _whole_matrix_fold_ground_energy(h):
+    """The fold over the whole matrix: the sector blocks overwrite its top-left
+    and bottom-right quadrants."""
+    m = to_dense(h)
+    half = len(m) // 2
+    a, bj, jaj = m[:half, :half], m[:half, half:][:, ::-1], m[half:, half:]
+    np.subtract(a, bj, out=jaj)
+    a += bj
+    return min(float(np.linalg.eigvalsh(b)[0]) for b in (a, jaj))
+
+
+def test_folded_ground_energy_is_the_whole_matrix_fold():
+    # Folding the top half alone gives the same blocks, so the same bits.
+    rng = np.random.default_rng(19)
+    sums = [build_tfim(n, J, h) for n in range(2, 12) for J, h in ((-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0))]
+    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
+    sums += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
+    for h in sums:
+        assert h.spin_flip_symmetric
+        assert exact_ground_energy(h) == _whole_matrix_fold_ground_energy(h), [t.axes for t in h.terms]
+
+
+def test_the_fold_holds_three_quarters_of_the_matrix():
+    # Only the top half is built, plus one quarter-size copy of BJ.
     h = build_tfim(10, -1.0, -2.0)
     matrix_bytes = to_dense(h).nbytes
     tracemalloc.start()
@@ -374,7 +436,7 @@ def test_the_fold_holds_about_one_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * matrix_bytes
+    assert peak <= 0.8 * matrix_bytes
 
 
 def test_folded_ground_energy_of_one_qubit():

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from vqebench import ansatz, estimators, optimizers, simulator
-from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates, so4_gate
+from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
 from vqebench.estimators import exact_metric
 from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
 from vqebench.pauli import (
-    PAULI_MATRICES,
     PauliString,
     PauliSum,
     build_schwinger,
@@ -31,6 +30,8 @@ from vqebench.simulator import (
     _check_state,
     _outcome_probabilities,
 )
+
+from dense_reference import PAULI_MATRICES, so4_gate
 
 # Reference: the generic update. Every gate is a 2x2 matrix applied with a
 # copy, four products and two sums, and CNOT swaps through fancy indexing.
