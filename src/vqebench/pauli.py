@@ -20,11 +20,17 @@ from .values import check_value
 COEFF_PRUNE_THRESHOLD = 1e-12
 
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that).
-# exact_ground_energy holds at most 3/4 of it for a spin-flip-symmetric sum,
-# which builds only the top half, and about 2x for any other (0.5 GB at n = 12,
-# 2.1 GB at n = 13, 8.6 GB at n = 14 for a complex one), so this is the largest
-# size at which any sum fits an 8 GB machine.
+# exact_ground_energy holds about 1/2 of it for a spin-flip-symmetric sum (the
+# lower triangles of both sector blocks in one array, then LAPACK's copy of one
+# of them), and about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13,
+# 8.6 GB at n = 14 for a complex one), so this is the largest size at which any
+# sum fits an 8 GB machine.
 MAX_DENSE_QUBITS = 13
+
+# The spin-flip fold builds the top half of the matrix in row blocks of this
+# many bytes of float64 entries (twice that for a complex sum), so one block
+# holds the whole top half at n <= 9.
+DENSE_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -199,13 +205,14 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     return PauliSum.from_terms(terms, n)
 
 
-def to_dense(h: PauliSum, rows: int | None = None) -> np.ndarray:
-    """The first `rows` rows (default: all 2**n) of the dense Hermitian matrix of a
-    PauliSum, for n up to MAX_DENSE_QUBITS (checked before anything is allocated).
-    Each term adds its coefficient times copy gather[j] // 2**n's unit (see
-    term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is float64
-    (8 bytes an entry) when every term has an even number of Y's, so a real weight,
-    and complex128 (16 bytes) otherwise; the whole of it takes 8 or 16 * 4**n bytes."""
+def to_dense(h: PauliSum, rows: int | None = None, start: int = 0) -> np.ndarray:
+    """Rows start to start + rows (default: all 2**n rows) of the dense Hermitian
+    matrix of a PauliSum, for n up to MAX_DENSE_QUBITS (checked before anything is
+    allocated). Each term adds its coefficient times copy gather[j] // 2**n's unit
+    (see term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is
+    float64 (8 bytes an entry) when every term has an even number of Y's, so a real
+    weight, and complex128 (16 bytes) otherwise; the whole of it takes 8 or 16 * 4**n
+    bytes. A block is bit for bit those rows of the whole matrix."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
@@ -215,10 +222,13 @@ def to_dense(h: PauliSum, rows: int | None = None) -> np.ndarray:
     check_value("rows", "int", rows)
     if not 1 <= rows <= size:
         raise ValueError(f"rows must be in [1, {size}], got {rows}")
+    check_value("start", "int", start)
+    if not 0 <= start <= size - rows:
+        raise ValueError(f"start must be in [0, {size - rows}] for {rows} rows, got {start}")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
     idx = np.arange(rows)
     m = np.zeros((rows, size), dtype=float if real else complex)
-    for t, gather in zip(h.terms, h.term_tables[0][:, :rows]):
+    for t, gather in zip(h.terms, h.term_tables[0][:, start : start + rows]):
         weight = np.array([1, -1j, -1, 1j]).take(gather // size)
         m[idx, gather % size] += t.coefficient * (weight.real if real else weight)
     return m
@@ -232,18 +242,25 @@ def exact_ground_energy(h: PauliSum) -> float:
     [JBJ, JAJ]], J the exchange matrix. Its spectrum is the union of those of
     the two Hermitian sector blocks A + BJ and A - BJ (Cantoni & Butler, Linear
     Algebra Appl. 13, 275 (1976)), so two half-size solves replace the full one:
-    a quarter of the flops. Only the top half [A | B] is built, and the blocks
-    are formed over A and B in place through one quarter-size copy of BJ, freed
-    before the solves. So at most 3/4 of the matrix is held, then 1/2 of it plus
-    LAPACK's working copy of the block being solved (a quarter of it); a whole
-    solve holds 2x. Any other sum is diagonalized whole."""
+    a quarter of the flops. The eigensolver reads only a block's lower triangle,
+    so both fit in one (2**(n-1) + 1) x 2**(n-1) array: A + BJ on and below the
+    diagonal of its rows 1.., the lower triangle of packed[1:], and A - BJ on and
+    above the diagonal of its rows ..-1, the lower triangle of packed[:-1].T. The
+    top half [A | B] is built and folded in row blocks of about DENSE_BLOCK_BYTES,
+    so at most a quarter of the matrix is held, plus LAPACK's working copy of the
+    block being solved (another quarter); a whole solve holds 2x. Any other sum is
+    diagonalized whole."""
     if not h.spin_flip_symmetric:
         return float(np.linalg.eigvalsh(to_dense(h))[0])
     half = 2**h.qubit_count // 2
-    top = to_dense(h, rows=half)
-    a, b = top[:, :half], top[:, half:]
-    bj = b[:, ::-1].copy()
-    np.subtract(a, bj, out=b)
-    a += bj
-    del bj
-    return min(float(np.linalg.eigvalsh(block)[0]) for block in (a, b))
+    step = max(1, DENSE_BLOCK_BYTES // (8 * 2 * half))
+    packed = None
+    for start in range(0, half, step):
+        top = to_dense(h, rows=min(step, half - start), start=start)
+        if packed is None:  # after the first build, whose size guard refuses before this
+            packed = np.empty((half + 1, half), dtype=top.dtype)
+        a, bj = top[:, :half], top[:, half:][:, ::-1]
+        lower = np.tri(len(top), half, start, dtype=bool)
+        np.copyto(packed[1 + start : 1 + start + len(top)], a + bj, where=lower)
+        np.copyto(packed[:-1].T[start : start + len(top)], a - bj, where=lower)
+    return min(float(np.linalg.eigvalsh(block)[0]) for block in (packed[1:], packed[:-1].T))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,12 @@ from vqebench.estimators import (
     stein_metric_3eval,
 )
 from vqebench.simulator import Circuit, Gate, apply_adjoint_circuit, apply_circuit, sampled_zero_probability
+
+from estimator_moments import (
+    gaussian_quadratic_form_moment,
+    spsa_metric_variance,
+    stein_metric_variance,
+)
 
 
 @pytest.fixture
@@ -575,3 +583,55 @@ def test_all_estimators_return_exactly_symmetric_matrices(quad):
         exact_metric(circuit, theta),
     ):
         assert np.array_equal(est.matrix, est.matrix.T)
+
+
+@pytest.mark.parametrize("d", [1, 3, 12])
+def test_gaussian_moment_of_the_squared_norm(d):
+    # With every A_k = I the product is ||u||^(2m), a chi-square moment d (d + 2) ... (d + 2m - 2).
+    for m in range(1, 5):
+        expected = np.prod([d + 2 * k for k in range(m)])
+        assert gaussian_quadratic_form_moment([np.eye(d)] * m) == pytest.approx(expected, rel=1e-12)
+
+
+def test_spsa_metric_variance_is_the_enumerated_one():
+    # Every pair of Rademacher vectors at d = 4 is equally likely, so the mean over all
+    # of them is the expectation itself.
+    rng = np.random.default_rng(41)
+    f = rng.normal(size=(4, 4))
+    f = f + f.T
+    signs = np.array(list(itertools.product((-1.0, 1.0), repeat=4)))
+    total = 0.0
+    for d1, d2 in itertools.product(signs, repeat=2):
+        outer = np.outer(d1, d2)
+        total += np.sum(((d1 @ f @ d2) * (outer + outer.T) / 2.0 - f) ** 2)
+    assert spsa_metric_variance(f) == pytest.approx(total / len(signs) ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "estimator, variance, seed",
+    [
+        (stein_metric_2eval, stein_metric_variance, 1),
+        (stein_metric_3eval, stein_metric_variance, 2),
+        (spsa_metric, spsa_metric_variance, 3),
+    ],
+    ids=["stein2", "stein3", "spsa"],
+)
+def test_metric_per_sample_variance_matches_closed_form(estimator, variance, seed):
+    # Protocol, fixed before any result was seen. F is the exact metric of
+    # hardware_efficient(6, 2) (d = 12) at theta uniform in [0, 2 pi) (seed 0); the
+    # oracle is the quadratic overlap 1 - delta^T F delta; c = 0.05. R = 2000
+    # estimates of N = 100 samples each; Z = N ||F_hat - F||_F^2 has mean exactly
+    # the per-sample variance V, since the samples are independent and unbiased.
+    # Pass when |mean Z - V| <= 4 SE, SE = std(Z) / sqrt(R), and 4 SE <= V / 10,
+    # so a formula off by more than a tenth cannot pass.
+    theta = np.random.default_rng(0).uniform(0.0, 2.0 * np.pi, 12)
+    f = exact_metric(hardware_efficient(6, 2), theta).matrix
+    oracle = RowOracle(lambda rows: 1.0 - np.einsum("bi,ij,bj->b", rows, f, rows))
+    rng = np.random.default_rng(seed)
+    samples, repeats = 100, 2000
+    z = np.array(
+        [samples * np.sum((estimator(oracle, theta, 0.05, samples, rng).matrix - f) ** 2) for _ in range(repeats)]
+    )
+    expected, se = variance(f), z.std(ddof=1) / np.sqrt(repeats)
+    assert 4.0 * se <= expected / 10.0
+    assert abs(z.mean() - expected) <= 4.0 * se, (z.mean(), expected, se)
