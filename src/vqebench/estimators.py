@@ -59,7 +59,6 @@ class MetricEstimate:
     """
 
     matrix: np.ndarray
-    kind: str
     raw_evals: int
     charged_evals: int
 
@@ -201,7 +200,7 @@ def stein_metric_2eval(f, theta, c: float, samples: int, rng: np.random.Generato
     Raw cost N + 1 overlap queries; charged cost 2 per sample.
     """
     hess = stein_hessian_2eval(f, np.zeros(len(theta)), c, samples, rng)
-    return MetricEstimate(-0.5 * hess, "stein2", raw_evals=samples + 1, charged_evals=2 * samples)
+    return MetricEstimate(-0.5 * hess, raw_evals=samples + 1, charged_evals=2 * samples)
 
 
 def stein_metric_3eval(f, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
@@ -212,7 +211,7 @@ def stein_metric_3eval(f, theta, c: float, samples: int, rng: np.random.Generato
     Raw cost 2N + 1 overlap queries; charged cost 3 per sample.
     """
     hess = stein_hessian_3eval(f, np.zeros(len(theta)), c, samples, rng)
-    return MetricEstimate(-0.5 * hess, "stein3", raw_evals=2 * samples + 1, charged_evals=3 * samples)
+    return MetricEstimate(-0.5 * hess, raw_evals=2 * samples + 1, charged_evals=3 * samples)
 
 
 def spsa_metric(f, theta, c: float, samples: int, rng: np.random.Generator) -> MetricEstimate:
@@ -222,7 +221,7 @@ def spsa_metric(f, theta, c: float, samples: int, rng: np.random.Generator) -> M
     displacement; 4 overlap queries per sample, two Rademacher vectors.
     """
     hess = spsa2_hessian(f, np.zeros(len(theta)), c, samples, rng)
-    return MetricEstimate(-0.5 * hess, "spsa", raw_evals=4 * samples, charged_evals=4 * samples)
+    return MetricEstimate(-0.5 * hess, raw_evals=4 * samples, charged_evals=4 * samples)
 
 
 def displacement_fidelity_oracle(
@@ -271,12 +270,7 @@ def parameter_shift_metric(
     second_deriv = (values[:, 0] - values[:, 1] - values[:, 2] + values[:, 3]) / 4.0
     matrix = np.zeros((d, d))
     matrix[j1, j2] = matrix[j2, j1] = -0.5 * second_deriv
-    return MetricEstimate(
-        matrix=matrix,
-        kind="parameter_shift",
-        raw_evals=fid.calls,
-        charged_evals=fid.calls,
-    )
+    return MetricEstimate(matrix, raw_evals=fid.calls, charged_evals=fid.calls)
 
 
 def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
@@ -291,9 +285,4 @@ def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
     gram = derivs.conj() @ derivs.T
     berry = derivs.conj() @ psi
     matrix = np.real(gram - np.outer(berry, berry.conj()))
-    return MetricEstimate(
-        matrix=_symmetrize(matrix),
-        kind="exact",
-        raw_evals=0,
-        charged_evals=0,
-    )
+    return MetricEstimate(_symmetrize(matrix), raw_evals=0, charged_evals=0)

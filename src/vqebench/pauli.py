@@ -2,7 +2,9 @@
 
 Builds the transverse-field Ising and lattice Schwinger Hamiltonians as
 real-weighted sums of Pauli strings, and provides a dense exact-diagonalization
-oracle for ground-truth energies at small system sizes.
+oracle for ground-truth energies at small system sizes. The measurement pass of
+a sampled energy, `PauliSum.outcome_distributions`, is here too: it alone reads
+the sum's cached basis-rotation tables.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ MAX_DENSE_QUBITS = 13
 # many bytes of float64 entries (twice that for a complex sum), so one block
 # holds the whole top half at n <= 9.
 DENSE_BLOCK_BYTES = 2**20
+
+_H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
 
 
 @dataclass(frozen=True)
@@ -115,7 +119,7 @@ class PauliSum:
         return np.concatenate((amps, -1j * amps, -amps, 1j * amps)).take(self.term_tables[0])
 
     @cached_property
-    def measurement_tables(self) -> tuple[tuple, np.ndarray]:
+    def _measurement_tables(self) -> tuple[tuple, np.ndarray]:
         """The rotations into the terms' measurement bases (H on X sites, H S^dagger on Y
         sites), one group of stacked rows per op sequence, and each term's row among the
         groups' rows in group order. An op is (None, phases) for S^dagger, or for H each
@@ -140,6 +144,30 @@ class PauliSum:
                 ops.append((flip, (1 - 2 * bit).astype(np.int8)))
             tables.append(tuple(ops))
         return tuple(tables), np.array([row[key] for key in keys], dtype=np.intp)
+
+    def outcome_distributions(self, amps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each term's (Born probabilities of amps in its measurement basis, eigenvalue sign
+        of each outcome) in term order, from one pass per op sequence of the stacked rows."""
+        groups, rows = self._measurement_tables
+        distributions = []
+        for ops in groups:
+            x = np.asarray(amps, dtype=complex)[None]
+            for index, table in ops:
+                if index is None:  # S^dagger: a phase
+                    x = table * x
+                else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
+                    y = x.take(index) * _H
+                    y += table * (x * _H)
+                    x = y
+            distributions.extend(_outcome_probabilities(x))
+        return [(distributions[r], signs) for r, signs in zip(rows, self.term_tables[1])]
+
+
+def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
+    """Born probabilities of a state, or of each row of a block."""
+    p = np.abs(np.asarray(amps, dtype=complex)) ** 2
+    p /= p.sum(axis=-1, keepdims=True)
+    return p
 
 
 def _axes(qubit_count: int, *site_axes: tuple[int, str]) -> str:

@@ -15,9 +15,9 @@ RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
 once from the cosines and sines of its half angles. The adjoint plan is the
 compiled `inverse_gates` list, run at -theta. Energies read the stacked
-term tables of a `PauliSum`: one gather applies every string, and one pass per
-op sequence rotates the state into every measurement basis, its H op the same
-`(y +- x) / sqrt(2)` products as a plan's.
+term tables of a `PauliSum`: one gather applies every string, and
+`PauliSum.outcome_distributions` (the measurement pass, which owns the
+rotation tables) gives each term's distribution; this module only draws.
 
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, _H, _outcome_probabilities
 from .values import check_value
 
 MAX_QUBITS = 20
@@ -48,7 +48,6 @@ ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
 
-_H = 1.0 / np.sqrt(2.0)
 # A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
 # values [cos, sin, -sin, 0]: RX (c, -i s) and RY (c, s) act as a x + b y with
 # y the flipped (for RY signed) copy; RZ is the diagonal (c - i s, c + i s).
@@ -162,11 +161,10 @@ class _Plan:
         With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
         rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
         """
-        if self.params.size:
-            half = theta / 2.0
-            cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
-            coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
-            pairs = coef.tolist()
+        half = theta / 2.0
+        cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
+        coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
+        pairs = coef.tolist()
         x = np.array(x, dtype=complex)
         for kind, index, table, k, p in self.ops:
             if kind == "RZ":
@@ -288,48 +286,21 @@ def expectation(state, h: PauliSum) -> float:
     return float(total)
 
 
-def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:
-    """Born probabilities of a state, or of each row of a block."""
-    p = np.abs(np.asarray(amps, dtype=complex)) ** 2
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
-
-
-def _rotate(state: np.ndarray, ops: tuple) -> np.ndarray:
-    """The state rotated by one group of `PauliSum.measurement_tables`, one row per basis."""
-    x = np.asarray(state, dtype=complex)[None]
-    for index, table in ops:
-        if index is None:  # S^dagger: a phase
-            x = table * x
-        else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
-            y = x.take(index) * _H
-            y += table * (x * _H)
-            x = y
-    return x
-
-
 def sampled_expectation(state, h: PauliSum, shots: int, rng: np.random.Generator) -> float:
     """Shot-noise estimate of <s|H|s>.
 
     Each non-identity Pauli term is measured independently with the full shot
-    budget: the state is rotated into the term's measurement basis, `shots`
-    outcomes are drawn from the exact outcome distribution, and the term's
+    budget: `shots` outcomes are drawn from the state's exact distribution in
+    the term's measurement basis (`PauliSum.outcome_distributions`), and its
     expectation is the sample mean of the +-1 eigenvalues. Terms with the same
     rotation (Z-only terms: none) share one distribution. Constant terms are
     added exactly. The outcome distribution is normalized, so this is unbiased
     for expectation(state, h) only for a unit-norm state.
     """
     check_value("shots", "int", shots)
-    state = _check_state(state, h.qubit_count)
-    groups, rows = h.measurement_tables
-    distributions = [p for ops in groups for p in _outcome_probabilities(_rotate(state, ops))]
     total = 0.0
-    for t, row, signs in zip(h.terms, rows, h.term_tables[1]):
-        if t.is_identity:
-            total += t.coefficient
-        else:
-            counts = rng.multinomial(shots, distributions[row])
-            total += t.coefficient * float(counts @ signs) / shots
+    for t, (p, signs) in zip(h.terms, h.outcome_distributions(_check_state(state, h.qubit_count))):
+        total += t.coefficient if t.is_identity else t.coefficient * float(rng.multinomial(shots, p) @ signs) / shots
     return total
 
 

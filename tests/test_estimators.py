@@ -96,12 +96,12 @@ def test_stochastic_estimators_reject_bad_arguments(estimator, key, value):
 )
 def test_metric_estimate_rejects_bad_matrices(matrix, expected):
     with pytest.raises(ValueError, match=expected):
-        MetricEstimate(matrix, "x", 0, 0)
+        MetricEstimate(matrix, 0, 0)
 
 
 def test_metric_estimate_requires_exact_symmetry():
     with pytest.raises(ValueError):
-        MetricEstimate(np.array([[0.0, 1e-14], [0.0, 0.0]]), "x", 0, 0)
+        MetricEstimate(np.array([[0.0, 1e-14], [0.0, 0.0]]), 0, 0)
 
 
 def test_spsa_gradient_linear_first_coordinate():
@@ -486,7 +486,7 @@ def test_metric_estimators_are_minus_half_their_overlap_hessian(shots):
     )
     for metric, hessian in pairs:
         hess = hessian(fid(), zero, c, samples, rng())
-        assert np.array_equal(metric.matrix, -0.5 * hess), metric.kind
+        assert np.array_equal(metric.matrix, -0.5 * hess), hessian.__name__
 
 
 def test_parameter_shift_single_qubit():

@@ -306,9 +306,10 @@ def test_term_tables_need_only_numpy_1_24(monkeypatch):
     psi = np.random.default_rng(3).normal(size=64) + 0j
     for t, row in zip(h.terms, h.apply_terms(psi), strict=True):
         assert np.array_equal(row, pauli_string_matrix(t.axes) @ psi)
-    groups, rows = h.measurement_tables
-    z_rows = {r for t, r in zip(h.terms, rows) if not set(t.axes) & set("XY")}
-    assert z_rows == {0} and groups[0] == ()  # Z-only terms and the constant share the unrotated state
+    unrotated = np.abs(psi) ** 2 / np.sum(np.abs(psi) ** 2)
+    for t, (p, _) in zip(h.terms, h.outcome_distributions(psi), strict=True):
+        # Z-only terms and the constant read the unrotated state; an X or Y term does not.
+        assert np.array_equal(p, unrotated) == (not set(t.axes) & set("XY"))
 
 
 def test_merging_invariance():

@@ -12,6 +12,7 @@ from vqebench.pauli import (
     PauliString,
     PauliSum,
     build_schwinger,
+    _outcome_probabilities,
     build_tfim,
     exact_ground_energy,
     to_dense,
@@ -28,7 +29,6 @@ from vqebench.simulator import (
     sampled_expectation,
     sampled_zero_probability,
     _check_state,
-    _outcome_probabilities,
 )
 
 from dense_reference import PAULI_MATRICES, so4_gate
@@ -123,19 +123,23 @@ def _ref_signs(axes, kinds):
     return np.prod([1 - 2 * (j >> (n - 1 - site) & 1) for site, a in enumerate(axes) if a in kinds], axis=0)
 
 
+def _ref_distribution(state, axes):
+    """Born probabilities of the state rotated into the measurement basis of `axes`."""
+    rotated = np.array(state, dtype=complex)
+    for site, axis in enumerate(axes):
+        for kind in _TO_Z_BASIS.get(axis, ()):
+            _ref_apply_single(rotated, len(axes), _FIXED_MATRICES[kind], site)
+    return _outcome_probabilities(rotated)
+
+
 def _ref_sampled_expectation(state, h, shots, rng):
-    n = h.qubit_count
-    state = _check_state(state, n)
+    state = _check_state(state, h.qubit_count)
     total = 0.0
     for t in h.terms:
         if t.is_identity:
             total += t.coefficient
             continue
-        rotated = np.array(state, dtype=complex)
-        for site, axis in enumerate(t.axes):
-            for kind in _TO_Z_BASIS.get(axis, ()):
-                _ref_apply_single(rotated, n, _FIXED_MATRICES[kind], site)
-        counts = rng.multinomial(shots, _outcome_probabilities(rotated))
+        counts = rng.multinomial(shots, _ref_distribution(state, t.axes))
         total += t.coefficient * float(counts @ _ref_signs(t.axes, "XYZ")) / shots
     return total
 
@@ -637,6 +641,27 @@ def test_stacked_energies_match_the_per_term_references_bit_for_bit(n):
             got, want = np.random.default_rng(n), np.random.default_rng(n)
             assert sampled_expectation(amps, h, 257, got) == _ref_sampled_expectation(amps, h, 257, want)
             assert got.random() == want.random()
+
+
+@pytest.mark.parametrize(
+    "c, h",
+    [
+        (hardware_efficient(12, 3), build_tfim(12, -1.0, -2.0)),
+        (schwinger_ansatz(6, 2), build_schwinger(6, 1.0, 0.5, 0.0)),
+    ],
+    ids=["tfim12", "schwinger6"],
+)
+def test_sampled_energies_match_the_per_term_reference_at_benchmark_sizes(c, h):
+    # random_sums stops at n = 6; these are the sums and states the benchmark's
+    # sampled losses measure, at its sizes. A last-bit change in a distribution
+    # seldom moves a draw, so the distributions are compared too.
+    rng = np.random.default_rng(c.qubit_count)
+    amps = apply_circuit(c, rng.uniform(-np.pi, np.pi, c.param_count))
+    for t, (p, _) in zip(h.terms, h.outcome_distributions(amps), strict=True):
+        assert np.array_equal(p, _ref_distribution(amps, t.axes))
+    got, want = np.random.default_rng(5), np.random.default_rng(5)
+    assert sampled_expectation(amps, h, 8192, got) == _ref_sampled_expectation(amps, h, 8192, want)
+    assert got.random() == want.random()
 
 
 @pytest.mark.parametrize("n", [6, 12])
