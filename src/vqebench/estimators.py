@@ -2,8 +2,8 @@
 
 Simultaneous-perturbation (Rademacher) gradient and Hessian estimators,
 Gaussian-smoothing Stein-identity gradient/Hessian estimators, the metric
-estimators built from them, the parameter-shift metric, and the exact metric
-from analytic derivative states, exact to rounding.
+estimators built from them, the parameter-shift metric, and the exact metric and
+loss gradient from one block of analytic derivative states, exact to rounding.
 
 All stochastic Hessian-family estimators draw standard-normal perturbation
 vectors u and displace parameters by c*u, so their target is the Hessian of
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import fidelity
+from .pauli import PauliSum
 from .simulator import (
     Circuit,
     apply_circuit,
@@ -273,6 +274,12 @@ def parameter_shift_metric(
     return MetricEstimate(matrix, raw_evals=fid.calls, charged_evals=fid.calls)
 
 
+def _block_metric(block: np.ndarray) -> MetricEstimate:
+    berry = block[1:].conj() @ block[0]
+    matrix = np.real(block[1:].conj() @ block[1:].T - np.outer(berry, berry.conj()))
+    return MetricEstimate(_symmetrize(matrix), raw_evals=0, charged_evals=0)
+
+
 def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
     """Exact metric tensor from analytic derivative states, exact to rounding.
 
@@ -280,9 +287,11 @@ def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
     with psi and every d_i psi from one `derivative_states` pass; also exact
     when a parameter drives several gates. Consumes no measured circuits.
     """
+    return _block_metric(derivative_states(circuit, theta))
+
+
+def exact_gradient_and_metric(circuit: Circuit, h: PauliSum, theta) -> tuple[np.ndarray, MetricEstimate]:
+    """Exact loss gradient 2 Re <d_i psi|H|psi> (H psi over non-identity terms) and `exact_metric`, from one block."""
     block = derivative_states(circuit, theta)
-    psi, derivs = block[0], block[1:]
-    gram = derivs.conj() @ derivs.T
-    berry = derivs.conj() @ psi
-    matrix = np.real(gram - np.outer(berry, berry.conj()))
-    return MetricEstimate(_symmetrize(matrix), raw_evals=0, charged_evals=0)
+    h_psi = np.array([0.0 if t.is_identity else t.coefficient for t in h.terms]) @ h.apply_terms(block[0])
+    return 2.0 * np.real(block[1:].conj() @ h_psi), _block_metric(block)

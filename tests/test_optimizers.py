@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vqebench import estimators, optimizers
 from vqebench.ansatz import hardware_efficient, loss
 from vqebench.optimizers import (
     OPTIMIZER_KINDS,
@@ -196,6 +197,31 @@ def test_gd_qng_charge_parameter_shift_evals():
         rec = run(kind, problem, config, seed=0).records[-1]
         assert rec.circuits_charged == 2 * (2 * 2)
         assert rec.circuits_raw == rec.circuits_charged
+
+
+def test_qng_step_makes_one_derivative_pass(monkeypatch):
+    # The gradient and the metric come from one derivative block, so the only
+    # losses a step queries are the blocking candidate's and the energy readout.
+    problem = tfim_problem(3, 2)
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    calls = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, kwargs.get("shots")))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(estimators, "derivative_states")
+    counted(optimizers, "loss")
+    rng = np.random.default_rng(5)
+    state = OptimizerState(rng.uniform(-np.pi, np.pi, problem.circuit.param_count), loss_current=0.0)
+    step("QNG", state, problem, config, rng)
+    assert calls == [("derivative_states", None), ("loss", 256), ("loss", None)]
+    assert state.circuits_raw == state.circuits_charged == 2 * problem.circuit.param_count + 1
 
 
 def test_run_zero_steps_initial_row_only():

@@ -638,6 +638,10 @@ def test_stacked_energies_match_the_per_term_references_bit_for_bit(n):
             amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
             amps /= np.linalg.norm(amps)
             assert expectation(amps, h) == _ref_expectation(amps, h)
+            # A last-bit change in a distribution seldom moves a draw, so the
+            # distributions are compared too.
+            for t, (p, _) in zip(h.terms, h.outcome_distributions(amps), strict=True):
+                assert np.array_equal(p, _ref_distribution(amps, t.axes))
             got, want = np.random.default_rng(n), np.random.default_rng(n)
             assert sampled_expectation(amps, h, 257, got) == _ref_sampled_expectation(amps, h, 257, want)
             assert got.random() == want.random()
