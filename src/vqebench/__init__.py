@@ -29,6 +29,7 @@ from .estimators import (
     MetricEstimate,
     RowOracle,
     displacement_fidelity_oracle,
+    exact_gradient_and_metric,
     exact_metric,
     parameter_shift_metric,
     spsa2_hessian,

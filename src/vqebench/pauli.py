@@ -2,9 +2,9 @@
 
 Builds the transverse-field Ising and lattice Schwinger Hamiltonians as
 real-weighted sums of Pauli strings, and provides a dense exact-diagonalization
-oracle for ground-truth energies at small system sizes. The measurement pass of
-a sampled energy, `PauliSum.outcome_distributions`, is here too: it alone reads
-the sum's cached basis-rotation tables.
+oracle for ground-truth energies at small system sizes, one symmetry sector at
+a time. A sampled energy's measurement pass, `PauliSum.outcome_distributions`, is
+here too: it alone reads the sum's cached basis-rotation tables.
 """
 
 from __future__ import annotations
@@ -21,18 +21,16 @@ from .values import check_value
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# A complex dense matrix takes 16 * 4**n bytes (a real one half that).
-# exact_ground_energy holds about 1/2 of it for a spin-flip-symmetric sum (the
-# lower triangles of both sector blocks in one array, then LAPACK's copy of one
-# of them), and about 2x for any other (0.5 GB at n = 12, 2.1 GB at n = 13,
-# 8.6 GB at n = 14 for a complex one), so this is the largest size at which any
-# sum fits an 8 GB machine.
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum
+# with no spin-flip or reversal symmetry has exact_ground_energy hold about 2x
+# of it (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest size at
+# which any sum fits an 8 GB machine. The TFIM needs 3/16 (a 136 MB peak at n = 13).
 MAX_DENSE_QUBITS = 13
 
-# The spin-flip fold builds the top half of the matrix in row blocks of this
-# many bytes of float64 entries (twice that for a complex sum), so one block
-# holds the whole top half at n <= 9.
-DENSE_BLOCK_BYTES = 2**20
+# exact_ground_energy builds the matrix's rows in row blocks of this many bytes
+# of float64 entries (twice that for a complex sum), so one block holds every
+# row at n <= 9.
+DENSE_BLOCK_BYTES = 2**21
 
 _H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
 
@@ -87,11 +85,38 @@ class PauliSum:
         )
         return cls(terms=kept, qubit_count=qubit_count)
 
-    @property
+    @cached_property
     def spin_flip_symmetric(self) -> bool:
         """Whether the sum commutes with X on every site: each term has an even
         number of Y and Z factors, so its matrix equals its 180-degree rotation."""
         return all((t.axes.count("Y") + t.axes.count("Z")) % 2 == 0 for t in self.terms)
+
+    @cached_property
+    def reversal_symmetric(self) -> bool:
+        """Whether the site reversal R leaves the sum unchanged: each reversed term has its coefficient."""
+        return self._reverses_to(1)
+
+    def _reverses_to(self, sign: int) -> bool:  # R for sign 1; FR, sign per Y or Z factor, for -1
+        c = {t.axes: t.coefficient for t in self.terms}
+        return all(c.get(a[::-1]) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
+
+    @cached_property
+    def symmetry_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """exact_ground_energy's orbit tables. G: the elements of {1, F = X^n, R, FR} that leave the sum
+        unchanged, as basis permutations (R is the identity at n = 1: left out). Per +-1 character chi of G
+        with a nonempty sector: chi(g) and g.a per g, its states a (the ascending orbit minima whose
+        stabilizer chi is trivial on) and |Stab a|."""
+        n, j = self.qubit_count, np.arange(2**self.qubit_count)
+        reverse = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
+        group, signs = j[None], np.ones((1, 1), dtype=int)
+        holds = (self.spin_flip_symmetric, self.reversal_symmetric, self._reverses_to(-1))
+        for g, held in zip((j[::-1], reverse, reverse[::-1]), holds):
+            if held and not any(np.array_equal(g, e) for e in group):  # in already: FR after F and R, R at n = 1
+                group, signs = np.vstack([group, g.take(group)]), np.block([[signs, signs], [signs, -signs]])
+        fixed = group == j
+        stabilizers = fixed.sum(axis=0)
+        rows = [np.flatnonzero((group.min(axis=0) == j) & (chi @ fixed == stabilizers)) for chi in signs]
+        return [(chi, group[:, r], r, stabilizers[r]) for chi, r in zip(signs, rows) if r.size]
 
     @cached_property
     def term_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -245,8 +270,7 @@ def to_dense(h: PauliSum, rows: int | None = None, start: int = 0) -> np.ndarray
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
     size = 2**n
-    if rows is None:
-        rows = size
+    rows = size if rows is None else rows
     check_value("rows", "int", rows)
     if not 1 <= rows <= size:
         raise ValueError(f"rows must be in [1, {size}], got {rows}")
@@ -254,41 +278,41 @@ def to_dense(h: PauliSum, rows: int | None = None, start: int = 0) -> np.ndarray
     if not 0 <= start <= size - rows:
         raise ValueError(f"start must be in [0, {size - rows}] for {rows} rows, got {start}")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
-    idx = np.arange(rows)
     m = np.zeros((rows, size), dtype=float if real else complex)
-    for t, gather in zip(h.terms, h.term_tables[0][:, start : start + rows]):
-        weight = np.array([1, -1j, -1, 1j]).take(gather // size)
-        m[idx, gather % size] += t.coefficient * (weight.real if real else weight)
+    gather = h.term_tables[0][:, start : start + rows]
+    weight = np.array([1, -1j, -1, 1j]).take(gather // size)
+    coefficients = np.array([t.coefficient for t in h.terms])[:, None]
+    np.add.at(m, (np.arange(rows), gather % size), coefficients * (weight.real if real else weight))  # in term order
     return m
 
 
 def exact_ground_energy(h: PauliSum) -> float:
     """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver.
 
-    A sum that commutes with the global spin flip X^n (see
-    `PauliSum.spin_flip_symmetric`) has a centrosymmetric matrix m = [[A, B],
-    [JBJ, JAJ]], J the exchange matrix. Its spectrum is the union of those of
-    the two Hermitian sector blocks A + BJ and A - BJ (Cantoni & Butler, Linear
-    Algebra Appl. 13, 275 (1976)), so two half-size solves replace the full one:
-    a quarter of the flops. The eigensolver reads only a block's lower triangle,
-    so both fit in one (2**(n-1) + 1) x 2**(n-1) array: A + BJ on and below the
-    diagonal of its rows 1.., the lower triangle of packed[1:], and A - BJ on and
-    above the diagonal of its rows ..-1, the lower triangle of packed[:-1].T. The
-    top half [A | B] is built and folded in row blocks of about DENSE_BLOCK_BYTES,
-    so at most a quarter of the matrix is held, plus LAPACK's working copy of the
-    block being solved (another quarter); a whole solve holds 2x. Any other sum is
-    diagonalized whole."""
-    if not h.spin_flip_symmetric:
-        return float(np.linalg.eigvalsh(to_dense(h))[0])
-    half = 2**h.qubit_count // 2
-    step = max(1, DENSE_BLOCK_BYTES // (8 * 2 * half))
-    packed = None
-    for start in range(0, half, step):
-        top = to_dense(h, rows=min(step, half - start), start=start)
-        if packed is None:  # after the first build, whose size guard refuses before this
-            packed = np.empty((half + 1, half), dtype=top.dtype)
-        a, bj = top[:, :half], top[:, half:][:, ::-1]
-        lower = np.tri(len(top), half, start, dtype=bool)
-        np.copyto(packed[1 + start : 1 + start + len(top)], a + bj, where=lower)
-        np.copyto(packed[:-1].T[start : start + len(top)], a - bj, where=lower)
-    return min(float(np.linalg.eigvalsh(block)[0]) for block in (packed[1:], packed[:-1].T))
+    The sum commutes with its `PauliSum.symmetry_sectors` group G, so its matrix m splits
+    into one block per +-1 character chi of G, H_chi[a, b] = sum_g chi(g) m[a, g.b] /
+    sqrt(|Stab a| |Stab b|) over the sector's states (Sandvik, arXiv:1101.3281): |G| solves
+    of about 2**n / |G| states. G = {1} solves m, and G = {1, F} the fold into A +- BJ, J the
+    exchange matrix (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)). The rows at the
+    sectors' states are built in one pass of row blocks of about DENSE_BLOCK_BYTES. The
+    eigensolver reads only a block's lower triangle, so two blocks share a (k + 1) x k array.
+    Held with LAPACK's copy of one block: 2x the matrix for G = {1}, 1/2 for |G| = 2."""
+    size, blocks = 2**h.qubit_count, []
+    step, end = max(1, DENSE_BLOCK_BYTES // (8 * size)), size >> h.spin_flip_symmetric  # F: minima < size / 2
+    for start in range(0, end, step):
+        dense = to_dense(h, rows=min(step, end - start), start=start)  # refuses a size over the guard
+        if not blocks:  # the sectors' arrays, after the first build, in its dtype
+            sectors = h.symmetry_sectors
+            for k in ([len(rows) for _, _, rows, _ in sectors[i : i + 2]] for i in range(0, len(sectors), 2)):
+                packed = np.zeros((max(k) + 1, max(k)), dtype=dense.dtype)
+                blocks += [packed[1 : k[0] + 1, : k[0]], packed[: k[-1], : k[-1]].T][: len(k)]
+        for (signs, columns, rows, stabilizers), block in zip(sectors, blocks):
+            lo, hi = rows.searchsorted((start, start + len(dense)))
+            r = rows[lo:hi, None] - start
+            values = dense[r, columns[0, :hi]]
+            for sign, g in zip(signs[1:], columns[1:, :hi]):  # + or - m[a, g.b]
+                (np.add if sign > 0 else np.subtract)(values, dense[r, g], out=values)
+            np.divide(values, np.sqrt(stabilizers[lo:hi, None] * stabilizers[:hi]), out=block[lo:hi, :hi],
+                      where=rows[lo:hi, None] >= rows[:hi])  # the lower triangle
+        del dense  # before the next row block is built
+    return min(float(np.linalg.eigvalsh(block)[0]) for block in blocks)

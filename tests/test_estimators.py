@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vqebench
 from vqebench import ansatz, estimators
 from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
@@ -712,3 +713,7 @@ def test_metric_per_sample_variance_matches_closed_form(estimator, variance, see
     expected, se = variance(f), z.std(ddof=1) / np.sqrt(repeats)
     assert 4.0 * se <= expected / 10.0
     assert abs(z.mean() - expected) <= 4.0 * se, (z.mean(), expected, se)
+
+
+def test_package_reexports_the_block_gradient():
+    assert vqebench.exact_gradient_and_metric is estimators.exact_gradient_and_metric

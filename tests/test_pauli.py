@@ -378,7 +378,7 @@ def _free_fermion_ground_energy(n, J, h):
 
 # (-1, 0) has no field, so both spin-flip sectors hold the degenerate ground state.
 @pytest.mark.parametrize("J, h", [(-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0)])
-@pytest.mark.parametrize("n", range(2, 12))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_tfim_ground_energy_matches_free_fermion_solution(n, J, h):
     assert exact_ground_energy(build_tfim(n, J, h)) == pytest.approx(_free_fermion_ground_energy(n, J, h), abs=1e-10)
 
@@ -413,6 +413,72 @@ def test_spin_flip_rule_agrees_with_the_matrix():
     assert any(flags) and not all(flags)
 
 
+def _reversal(n):
+    """The basis permutation of the site reversal: b with its n bits reversed."""
+    return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(2**n)])
+
+
+def _reversal_random_sum(rng, n, reverse, flip=False):
+    """Six random strings, each with an even number of Y and Z factors if flip, and
+    each with its reversed string carrying its coefficient times reverse per Y or Z
+    factor: a sum the reversal R (reverse = 1) or FR (reverse = -1) leaves unchanged.
+    The coefficients are quarters, so entries the symmetry maps onto each other are
+    sums of the same values in another order, and equal exactly."""
+    terms = []
+    while len(terms) < 12:
+        axes = "".join(rng.choice(list("IXYZ"), n))
+        parity = (axes.count("Y") + axes.count("Z")) % 2
+        if not (flip and parity):
+            c = float(rng.integers(1, 9)) / 4
+            terms += [PauliString(c, axes), PauliString(c * reverse**parity, axes[::-1])]
+    return PauliSum.from_terms(terms, n)
+
+
+def test_reversal_rule_agrees_with_the_matrix():
+    rng = np.random.default_rng(23)
+    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
+    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (4, 6)]
+    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    sums += [_reversal_random_sum(rng, int(rng.integers(2, 6)), reverse) for reverse in (1, -1) for _ in range(10)]
+    sums += [PauliSum.from_terms([PauliString(0.5, "Z"), PauliString(0.3, "Y")], 1)]
+    flags = []
+    for h in sums:
+        m, r = to_dense(h), _reversal(h.qubit_count)
+        flags.append(h.reversal_symmetric)
+        assert h.reversal_symmetric == np.array_equal(m[r][:, r], m), [t.axes for t in h.terms]
+    assert any(flags) and not all(flags)
+    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so one sector, the whole matrix
+        m, fr = to_dense(h), _reversal(h.qubit_count)[::-1]
+        assert not (h.spin_flip_symmetric or h.reversal_symmetric or np.array_equal(m[fr][:, fr], m))
+        assert len(h.symmetry_sectors) == 1
+    # At n = 1 the reversal is the identity: it holds, and adds no sector.
+    assert sums[-1].reversal_symmetric and len(sums[-1].symmetry_sectors) == 1
+
+
+# (spin_flip_symmetric, reversal_symmetric, |G|) per symmetry class, and how to draw its sums.
+@pytest.mark.parametrize(
+    "group, draw",
+    [
+        ((False, False, 1), lambda rng, n: _random_sum(rng, n)),
+        ((True, False, 2), lambda rng, n: _symmetric_random_sum(rng, n)),
+        ((False, True, 2), lambda rng, n: _reversal_random_sum(rng, n, 1)),
+        ((False, False, 2), lambda rng, n: _reversal_random_sum(rng, n, -1)),
+        ((True, True, 4), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True)),
+    ],
+    ids=["{1}", "{1,F}", "{1,R}", "{1,FR}", "{1,F,R,FR}"],
+)
+def test_split_ground_energy_matches_full_solve(group, draw):
+    rng = np.random.default_rng(29)
+    checked = {np.float64: 0, np.complex128: 0}
+    for _ in range(500):
+        h = draw(rng, int(rng.integers(2, 7)))
+        if (h.spin_flip_symmetric, h.reversal_symmetric, len(h.symmetry_sectors[0][0])) == group:
+            m = to_dense(h)
+            checked[m.dtype.type] += 1
+            assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
+    assert min(checked.values()) >= 5, checked
+
+
 def test_folded_ground_energy_matches_full_solve():
     rng = np.random.default_rng(19)
     for _ in range(20):
@@ -435,19 +501,36 @@ def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
     assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
 
 
-def _whole_matrix_fold_ground_energy(h):
-    """The fold over the whole matrix: the sector blocks overwrite its top-left
-    and bottom-right quadrants."""
+def _whole_matrix_split_ground_energy(h):
+    """The symmetry split formed from the whole matrix m. G is the elements of 1, F,
+    R and FR under which m is unchanged; per character chi of G, the block
+    sum_g chi(g) m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima whose
+    stabilizer chi is trivial on, the terms added in the order 1, F, R, FR. For
+    G = {1, F} that is the fold into A + BJ and A - BJ."""
     m = to_dense(h)
-    half = len(m) // 2
-    a, bj, jaj = m[:half, :half], m[:half, half:][:, ::-1], m[half:, half:]
-    np.subtract(a, bj, out=jaj)
-    a += bj
-    return min(float(np.linalg.eigvalsh(b)[0]) for b in (a, jaj))
+    j, reverse = np.arange(len(m)), _reversal(h.qubit_count)
+    group, characters = [j], [[1]]
+    for g in (j[::-1], reverse, reverse[::-1]):
+        if np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) and not any(np.array_equal(g, e) for e in group):
+            group += [g[e] for e in group]
+            characters = [chi + chi for chi in characters] + [chi + [-x for x in chi] for chi in characters]
+    fixed = np.array(group) == j
+    stabilizers = fixed.sum(axis=0)
+    energies = []
+    for chi in characters:
+        states = [a for a in j if min(g[a] for g in group) == a and all(chi[i] == 1 for i in np.flatnonzero(fixed[:, a]))]
+        if states:
+            block = m[np.ix_(states, group[0][states])]
+            for sign, g in zip(chi[1:], group[1:]):
+                block = block + m[np.ix_(states, g[states])] if sign > 0 else block - m[np.ix_(states, g[states])]
+            energies.append(float(np.linalg.eigvalsh(block / np.sqrt(np.outer(stabilizers[states], stabilizers[states])))[0]))
+    return min(energies)
 
 
 def test_folded_ground_energy_is_the_whole_matrix_fold():
-    # Folding the top half alone gives the same blocks, so the same bits.
+    # Splitting the rows built in row blocks gives the same blocks as splitting the
+    # whole matrix, so the same bits. For the spin-flip-only sums the split is the
+    # fold into A + BJ and A - BJ, so those cases pin the fold's bits.
     rng = np.random.default_rng(19)
     sums = [build_tfim(n, J, h) for n in range(2, 12) for J, h in ((-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0))]
     sums += [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
@@ -455,13 +538,13 @@ def test_folded_ground_energy_is_the_whole_matrix_fold():
     sums += [_complex_centrosymmetric_sum()]
     for h in sums:
         assert h.spin_flip_symmetric
-        assert exact_ground_energy(h) == _whole_matrix_fold_ground_energy(h), [t.axes for t in h.terms]
+        assert exact_ground_energy(h) == _whole_matrix_split_ground_energy(h), [t.axes for t in h.terms]
 
 
 def test_the_fold_holds_half_of_the_matrix():
-    # The quarter-size array of both sector blocks' lower triangles, plus one row
-    # block of the top half and its two folds (about 1.5 MiB, 0.19x at n = 10).
-    # LAPACK's working copy is outside numpy's traced memory.
+    # The TFIM's four sector blocks' lower triangles in two arrays (1.1 MiB), plus
+    # one 2 MiB row block and one sector's rows gathered from it (about 4.1 MiB,
+    # 0.49x at n = 10). LAPACK's working copy is outside numpy's traced memory.
     h = build_tfim(10, -1.0, -2.0)
     matrix_bytes = to_dense(h).nbytes
     tracemalloc.start()
