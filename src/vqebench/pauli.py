@@ -24,7 +24,7 @@ COEFF_PRUNE_THRESHOLD = 1e-12
 # A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum
 # with no spin-flip or reversal symmetry has exact_ground_energy hold about 2x
 # of it (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest size at
-# which any sum fits an 8 GB machine. The TFIM needs 3/16 (a 136 MB peak at n = 13).
+# which any sum fits an 8 GB machine. The TFIM, stoquastic, needs 1/8 (a 103 MB peak at n = 13).
 MAX_DENSE_QUBITS = 13
 
 # exact_ground_energy builds the matrix's rows in row blocks of this many bytes
@@ -95,6 +95,17 @@ class PauliSum:
     def reversal_symmetric(self) -> bool:
         """Whether the site reversal R leaves the sum unchanged: each reversed term has its coefficient."""
         return self._reverses_to(1)
+
+    @cached_property
+    def stoquastic(self) -> bool:
+        """Whether the matrix is real with every off-diagonal entry <= 0 (Bravyi et al., arXiv:quant-ph/0606140),
+        from each flip mask's coefficient x weight summed in to_dense's term order: the very entries diagonalized."""
+        if any(t.axes.count("Y") % 2 for t in self.terms):
+            return False
+        size, entries = 2**self.qubit_count, {}  # per flip mask; a real sum's weights are 1 and -1 (copies 0, 2)
+        for t, gather in zip(self.terms, self.term_tables[0]):
+            entries[gather[0] % size] = entries.get(gather[0] % size, 0.0) + t.coefficient * (1 - gather // size)
+        return all((row <= 0).all() for flip, row in entries.items() if flip)
 
     def _reverses_to(self, sign: int) -> bool:  # R for sign 1; FR, sign per Y or Z factor, for -1
         c = {t.axes: t.coefficient for t in self.terms}
@@ -296,13 +307,15 @@ def exact_ground_energy(h: PauliSum) -> float:
     exchange matrix (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)). The rows at the
     sectors' states are built in one pass of row blocks of about DENSE_BLOCK_BYTES. The
     eigensolver reads only a block's lower triangle, so two blocks share a (k + 1) x k array.
-    Held with LAPACK's copy of one block: 2x the matrix for G = {1}, 1/2 for |G| = 2."""
+    Held with LAPACK's copy of one block: 2x the matrix for G = {1}, 1/2 for |G| = 2. A stoquastic
+    sum (the TFIM at h <= 0) has a nonnegative ground vector (Perron-Frobenius), whose sum over G is
+    G-invariant: only the first sector, chi = 1, holding state 0, is solved (the TFIM holds 1/8)."""
     size, blocks = 2**h.qubit_count, []
     step, end = max(1, DENSE_BLOCK_BYTES // (8 * size)), size >> h.spin_flip_symmetric  # F: minima < size / 2
     for start in range(0, end, step):
         dense = to_dense(h, rows=min(step, end - start), start=start)  # refuses a size over the guard
         if not blocks:  # the sectors' arrays, after the first build, in its dtype
-            sectors = h.symmetry_sectors
+            sectors = h.symmetry_sectors[: 1 if h.stoquastic else None]
             for k in ([len(rows) for _, _, rows, _ in sectors[i : i + 2]] for i in range(0, len(sectors), 2)):
                 packed = np.zeros((max(k) + 1, max(k)), dtype=dense.dtype)
                 blocks += [packed[1 : k[0] + 1, : k[0]], packed[: k[-1], : k[-1]].T][: len(k)]

@@ -455,28 +455,87 @@ def test_reversal_rule_agrees_with_the_matrix():
     assert sums[-1].reversal_symmetric and len(sums[-1].symmetry_sectors) == 1
 
 
-# (spin_flip_symmetric, reversal_symmetric, |G|) per symmetry class, and how to draw its sums.
+def _stoquastic_random_sum(rng, n, reverse=0, flip=False):
+    """Six random strings, each X-only with a negative coefficient or Z-only of either
+    sign (an even number of Z's if flip), so each off-diagonal entry of the matrix is one
+    X string's coefficient, below zero. With reverse = 1 or -1 each string comes with its
+    reversal, as in _reversal_random_sum: a stoquastic sum R or FR leaves unchanged."""
+    terms = []
+    while len(terms) < 6 * (1 + abs(reverse)):
+        axes = "".join(rng.choice(list(rng.choice(["IX", "IZ"])), n))
+        zs = axes.count("Z")
+        if not (flip and zs % 2):
+            c = float(rng.integers(1, 9)) / 4 * (-1.0 if "X" in axes else float(rng.choice([-1, 1])))
+            terms += [PauliString(c, axes)] + [PauliString(c * reverse**zs, axes[::-1])] * abs(reverse)
+    return PauliSum.from_terms(terms, n)
+
+
+def test_stoquastic_rule_agrees_with_the_matrix():
+    one_qubit = [[(-0.3, "X"), (0.5, "Z")], [(0.3, "X")], [(0.5, "Z")], [(-0.3, "Y")]]
+    # Terms that share a flip mask: -XX - YY has entries 0 and -2, -YY a +1; -XI + c XZ has
+    # -1 +- c; and -0.3 + 0.1 + 0.2, zero in exact arithmetic, rounds to +2.8e-17 in term order.
+    shared = [[(-1.0, "XX"), (-1.0, "YY")], [(-1.0, "YY")]]
+    shared += [[(-1.0, "XI"), (c, "XZ")] for c in (-1.5, -1.0, 0.5, 1.5)]
+    shared += [[(-0.3, "XII"), (0.1, "XIZ"), (0.2, "XZI")]]
+    sums = [build_tfim(n, -1.0, h) for n in (2, 3, 6) for h in (-2.0, 0.0, 2.0)]
+    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4)]  # hopping entries +x
+    sums += [_complex_sum(), _complex_centrosymmetric_sum()]
+    for terms in one_qubit + shared:
+        sums.append(PauliSum.from_terms([PauliString(c, a) for c, a in terms], len(terms[0][1])))
+    expected = [True, True, False] * 3 + [False] * 4  # TFIM h = -2, 0, +2; Schwinger; complex
+    expected += [True, False, True, False] + [True, False, False, True, True, False, False]
+    rng = np.random.default_rng(31)
+    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    sums += [_stoquastic_random_sum(rng, int(rng.integers(1, 6)), reverse) for reverse in (0, 1, -1) for _ in range(5)]
+    flags = []
+    for h in sums:
+        m = to_dense(h)
+        off_diagonal = m[~np.eye(len(m), dtype=bool)]
+        flags.append(h.stoquastic)
+        assert h.stoquastic == (not m.imag.any() and (off_diagonal.real <= 0).all()), [t.axes for t in h.terms]
+    assert flags[: len(expected)] == expected
+    assert any(flags[len(expected) :]) and not all(flags[len(expected) :])
+
+
+def _trivial_sector_ground_energy(h, m):
+    """The lowest eigenvalue of the chi = 1 block, formed from the whole matrix m."""
+    _, columns, states, stabilizers = h.symmetry_sectors[0]
+    block = sum(m[np.ix_(states, g)] for g in columns) / np.sqrt(np.outer(stabilizers, stabilizers))
+    return float(np.linalg.eigvalsh(block)[0])
+
+
+# (spin_flip_symmetric, reversal_symmetric, |G|) per symmetry class, how to draw its sums,
+# and the (reverse, flip) that draw stoquastic ones, solved in the sector chi = 1 only.
 @pytest.mark.parametrize(
-    "group, draw",
+    "group, draw, stoquastic",
     [
-        ((False, False, 1), lambda rng, n: _random_sum(rng, n)),
-        ((True, False, 2), lambda rng, n: _symmetric_random_sum(rng, n)),
-        ((False, True, 2), lambda rng, n: _reversal_random_sum(rng, n, 1)),
-        ((False, False, 2), lambda rng, n: _reversal_random_sum(rng, n, -1)),
-        ((True, True, 4), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True)),
+        ((False, False, 1), lambda rng, n: _random_sum(rng, n), (0, False)),
+        ((True, False, 2), lambda rng, n: _symmetric_random_sum(rng, n), (0, True)),
+        ((False, True, 2), lambda rng, n: _reversal_random_sum(rng, n, 1), (1, False)),
+        ((False, False, 2), lambda rng, n: _reversal_random_sum(rng, n, -1), (-1, False)),
+        ((True, True, 4), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True), (1, True)),
     ],
     ids=["{1}", "{1,F}", "{1,R}", "{1,FR}", "{1,F,R,FR}"],
 )
-def test_split_ground_energy_matches_full_solve(group, draw):
+def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
     rng = np.random.default_rng(29)
-    checked = {np.float64: 0, np.complex128: 0}
-    for _ in range(500):
-        h = draw(rng, int(rng.integers(2, 7)))
+    sums = [draw(rng, int(rng.integers(2, 7))) for _ in range(500)]
+    sums += [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
+    # Not stoquastic (h > 0): at odd n the ground state is odd under F, in the second sector.
+    sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
+    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0}
+    outside = 0  # sums whose ground state is outside the sector chi = 1
+    for h in sums:
         if (h.spin_flip_symmetric, h.reversal_symmetric, len(h.symmetry_sectors[0][0])) == group:
             m = to_dense(h)
+            full = float(np.linalg.eigvalsh(m)[0])
             checked[m.dtype.type] += 1
-            assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
+            checked["stoquastic"] += h.stoquastic
+            outside += _trivial_sector_ground_energy(h, m) > full + 1e-9
+            assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
     assert min(checked.values()) >= 5, checked
+    # A shortcut that solved the sector chi = 1 of a sum that is not stoquastic would miss these.
+    assert (outside > 0) == (group[2] > 1), outside
 
 
 def test_folded_ground_energy_matches_full_solve():
@@ -542,18 +601,19 @@ def test_folded_ground_energy_is_the_whole_matrix_fold():
 
 
 def test_the_fold_holds_half_of_the_matrix():
-    # The TFIM's four sector blocks' lower triangles in two arrays (1.1 MiB), plus
-    # one 2 MiB row block and one sector's rows gathered from it (about 4.1 MiB,
-    # 0.49x at n = 10). LAPACK's working copy is outside numpy's traced memory.
-    h = build_tfim(10, -1.0, -2.0)
-    matrix_bytes = to_dense(h).nbytes
+    # The TFIM is stoquastic, so only the sector chi = 1 is built: its lower triangle
+    # (8.5 MiB, 1/16 of the matrix), plus one 2 MiB row block and the sector's rows
+    # gathered from it (about 0.089x at n = 12; all four sectors would peak at 0.15x).
+    # LAPACK's working copy is outside numpy's traced memory.
+    h = build_tfim(12, -1.0, -2.0)
+    matrix_bytes = to_dense(h, rows=1).itemsize * 4**h.qubit_count
     tracemalloc.start()
     try:
         exact_ground_energy(h)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.6 * matrix_bytes
+    assert peak <= 0.11 * matrix_bytes
 
 
 def test_folded_ground_energy_of_one_qubit():
