@@ -2,8 +2,8 @@
 
 Builds the transverse-field Ising and lattice Schwinger Hamiltonians as
 real-weighted sums of Pauli strings, and provides a dense exact-diagonalization
-oracle for ground-truth energies at small system sizes, one symmetry sector at
-a time. A sampled energy's measurement pass, `PauliSum.outcome_distributions`, is
+oracle for ground-truth energies at small system sizes, from one block of the
+matrix. A sampled energy's measurement pass, `PauliSum.outcome_distributions`, is
 here too: it alone reads the sum's cached basis-rotation tables.
 """
 
@@ -21,15 +21,15 @@ from .values import check_value
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum
-# with no spin-flip or reversal symmetry has exact_ground_energy hold about 2x
-# of it (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest size at
-# which any sum fits an 8 GB machine. The TFIM, stoquastic, needs 1/8 (a 103 MB peak at n = 13).
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum that is
+# not stoquastic, even conjugated by Z on every site, is solved whole: exact_ground_energy
+# holds about 2x its matrix (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest
+# size at which any sum fits an 8 GB machine. The TFIM needs 1/8 (a 105 MB peak at n = 13).
 MAX_DENSE_QUBITS = 13
 
-# exact_ground_energy builds the matrix's rows in row blocks of this many bytes
-# of float64 entries (twice that for a complex sum), so one block holds every
-# row at n <= 9.
+# exact_ground_energy builds a stoquastic block's rows in chunks whose float64 entries,
+# with the three arrays of the block's columns summed from them, take about this many
+# bytes, so one chunk holds every row at n <= 9.
 DENSE_BLOCK_BYTES = 2**21
 
 _H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
@@ -100,34 +100,39 @@ class PauliSum:
     def stoquastic(self) -> bool:
         """Whether the matrix is real with every off-diagonal entry <= 0 (Bravyi et al., arXiv:quant-ph/0606140),
         from each flip mask's coefficient x weight summed in to_dense's term order: the very entries diagonalized."""
+        return self._stoquastic_after(0)
+
+    @cached_property
+    def z_stoquastic(self) -> bool:
+        """Whether the conjugate by Z on every site (the same spectrum; odd X + Y count terms negated) is stoquastic."""
+        return self._stoquastic_after(1)
+
+    def _stoquastic_after(self, z: int) -> bool:  # z = 1: conjugated by Z on every site
         if any(t.axes.count("Y") % 2 for t in self.terms):
             return False
         size, entries = 2**self.qubit_count, {}  # per flip mask; a real sum's weights are 1 and -1 (copies 0, 2)
         for t, gather in zip(self.terms, self.term_tables[0]):
             entries[gather[0] % size] = entries.get(gather[0] % size, 0.0) + t.coefficient * (1 - gather // size)
-        return all((row <= 0).all() for flip, row in entries.items() if flip)
+        return all(((-1) ** (z * bin(flip).count("1")) * row <= 0).all() for flip, row in entries.items() if flip)
 
     def _reverses_to(self, sign: int) -> bool:  # R for sign 1; FR, sign per Y or Z factor, for -1
         c = {t.axes: t.coefficient for t in self.terms}
         return all(c.get(a[::-1]) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
 
     @cached_property
-    def symmetry_sectors(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """exact_ground_energy's orbit tables. G: the elements of {1, F = X^n, R, FR} that leave the sum
-        unchanged, as basis permutations (R is the identity at n = 1: left out). Per +-1 character chi of G
-        with a nonempty sector: chi(g) and g.a per g, its states a (the ascending orbit minima whose
-        stabilizer chi is trivial on) and |Stab a|."""
+    def symmetric_sector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """exact_ground_energy's orbit table. G: the elements of {1, F = X^n, R, FR} that leave the sum
+        unchanged, as basis permutations (R is the identity at n = 1: left out). (g.a per g in G, the
+        ascending orbit minima a, |Stab a|): the states of the sector chi = 1 and its block's weights."""
         n, j = self.qubit_count, np.arange(2**self.qubit_count)
         reverse = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
-        group, signs = j[None], np.ones((1, 1), dtype=int)
+        group = j[None]
         holds = (self.spin_flip_symmetric, self.reversal_symmetric, self._reverses_to(-1))
         for g, held in zip((j[::-1], reverse, reverse[::-1]), holds):
             if held and not any(np.array_equal(g, e) for e in group):  # in already: FR after F and R, R at n = 1
-                group, signs = np.vstack([group, g.take(group)]), np.block([[signs, signs], [signs, -signs]])
-        fixed = group == j
-        stabilizers = fixed.sum(axis=0)
-        rows = [np.flatnonzero((group.min(axis=0) == j) & (chi @ fixed == stabilizers)) for chi in signs]
-        return [(chi, group[:, r], r, stabilizers[r]) for chi, r in zip(signs, rows) if r.size]
+                group = np.vstack([group, g.take(group)])
+        states = np.flatnonzero(group.min(axis=0) == j)
+        return group[:, states], states, (group == j).sum(axis=0)[states]
 
     @cached_property
     def term_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -269,63 +274,57 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     return PauliSum.from_terms(terms, n)
 
 
-def to_dense(h: PauliSum, rows: int | None = None, start: int = 0) -> np.ndarray:
-    """Rows start to start + rows (default: all 2**n rows) of the dense Hermitian
-    matrix of a PauliSum, for n up to MAX_DENSE_QUBITS (checked before anything is
-    allocated). Each term adds its coefficient times copy gather[j] // 2**n's unit
-    (see term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is
+def to_dense(h: PauliSum, rows: np.ndarray | None = None) -> np.ndarray:
+    """The rows at a 1-D integer index array (default: all 2**n rows, in order) of the
+    dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS (checked before
+    anything is allocated). Each term adds its coefficient times copy gather[j] // 2**n's
+    unit (see term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is
     float64 (8 bytes an entry) when every term has an even number of Y's, so a real
     weight, and complex128 (16 bytes) otherwise; the whole of it takes 8 or 16 * 4**n
-    bytes. A block is bit for bit those rows of the whole matrix."""
+    bytes. Any rows are bit for bit those rows of the whole matrix."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
     size = 2**n
-    rows = size if rows is None else rows
-    check_value("rows", "int", rows)
-    if not 1 <= rows <= size:
-        raise ValueError(f"rows must be in [1, {size}], got {rows}")
-    check_value("start", "int", start)
-    if not 0 <= start <= size - rows:
-        raise ValueError(f"start must be in [0, {size - rows}] for {rows} rows, got {start}")
+    rows = np.arange(size) if rows is None else np.asarray(rows)
+    if rows.ndim != 1 or rows.dtype.kind not in "iu" or not rows.size:
+        raise ValueError(f"rows must be a nonempty 1-D integer array, got {rows.dtype} of shape {rows.shape}")
+    outside = rows[(rows < 0) | (rows >= size)]
+    if outside.size:
+        raise ValueError(f"rows must be in [0, {size}), got {outside[0]}")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
-    m = np.zeros((rows, size), dtype=float if real else complex)
-    gather = h.term_tables[0][:, start : start + rows]
+    m = np.zeros((rows.size, size), dtype=float if real else complex)
+    gather = h.term_tables[0][:, rows]
     weight = np.array([1, -1j, -1, 1j]).take(gather // size)
     coefficients = np.array([t.coefficient for t in h.terms])[:, None]
-    np.add.at(m, (np.arange(rows), gather % size), coefficients * (weight.real if real else weight))  # in term order
+    np.add.at(m, (np.arange(rows.size), gather % size), coefficients * (weight.real if real else weight))  # in term order
     return m
 
 
 def exact_ground_energy(h: PauliSum) -> float:
-    """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver.
+    """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver, from one block.
 
-    The sum commutes with its `PauliSum.symmetry_sectors` group G, so its matrix m splits
-    into one block per +-1 character chi of G, H_chi[a, b] = sum_g chi(g) m[a, g.b] /
-    sqrt(|Stab a| |Stab b|) over the sector's states (Sandvik, arXiv:1101.3281): |G| solves
-    of about 2**n / |G| states. G = {1} solves m, and G = {1, F} the fold into A +- BJ, J the
-    exchange matrix (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)). The rows at the
-    sectors' states are built in one pass of row blocks of about DENSE_BLOCK_BYTES. The
-    eigensolver reads only a block's lower triangle, so two blocks share a (k + 1) x k array.
-    Held with LAPACK's copy of one block: 2x the matrix for G = {1}, 1/2 for |G| = 2. A stoquastic
-    sum (the TFIM at h <= 0) has a nonnegative ground vector (Perron-Frobenius), whose sum over G is
-    G-invariant: only the first sector, chi = 1, holding state 0, is solved (the TFIM holds 1/8)."""
-    size, blocks = 2**h.qubit_count, []
-    step, end = max(1, DENSE_BLOCK_BYTES // (8 * size)), size >> h.spin_flip_symmetric  # F: minima < size / 2
-    for start in range(0, end, step):
-        dense = to_dense(h, rows=min(step, end - start), start=start)  # refuses a size over the guard
-        if not blocks:  # the sectors' arrays, after the first build, in its dtype
-            sectors = h.symmetry_sectors[: 1 if h.stoquastic else None]
-            for k in ([len(rows) for _, _, rows, _ in sectors[i : i + 2]] for i in range(0, len(sectors), 2)):
-                packed = np.zeros((max(k) + 1, max(k)), dtype=dense.dtype)
-                blocks += [packed[1 : k[0] + 1, : k[0]], packed[: k[-1], : k[-1]].T][: len(k)]
-        for (signs, columns, rows, stabilizers), block in zip(sectors, blocks):
-            lo, hi = rows.searchsorted((start, start + len(dense)))
-            r = rows[lo:hi, None] - start
-            values = dense[r, columns[0, :hi]]
-            for sign, g in zip(signs[1:], columns[1:, :hi]):  # + or - m[a, g.b]
-                (np.add if sign > 0 else np.subtract)(values, dense[r, g], out=values)
-            np.divide(values, np.sqrt(stabilizers[lo:hi, None] * stabilizers[:hi]), out=block[lo:hi, :hi],
-                      where=rows[lo:hi, None] >= rows[:hi])  # the lower triangle
-        del dense  # before the next row block is built
-    return min(float(np.linalg.eigvalsh(block)[0]) for block in blocks)
+    A stoquastic sum (real, every off-diagonal entry <= 0: the TFIM at h <= 0) has a nonnegative
+    ground vector (Perron-Frobenius), whose sum over its `PauliSum.symmetric_sector` group G is
+    G-invariant. So E0 is the lowest eigenvalue of the block H[a, b] = sum_g m[a, g.b] /
+    sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik, arXiv:1101.3281), whose rows are
+    built in chunks of about DENSE_BLOCK_BYTES: 1/8 of the matrix for the TFIM. A sum that is not
+    stoquastic but whose conjugate by Z on every site is (the TFIM at h > 0) has that conjugate's
+    spectrum: each term with an odd number of X and Y factors negated. Any other sum is solved
+    whole, holding about 2x its matrix with LAPACK's copy."""
+    # to_dense refuses a size over the guard, before the rules below build any table.
+    if h.qubit_count > MAX_DENSE_QUBITS or not (h.stoquastic or h.z_stoquastic):
+        return float(np.linalg.eigvalsh(to_dense(h))[0])
+    if not h.stoquastic:  # solve the conjugate in its place
+        h = PauliSum(tuple(PauliString(t.coefficient * (-1) ** (t.axes.count("X") + t.axes.count("Y")), t.axes)
+                           for t in h.terms), h.qubit_count)
+    columns, states, stabilizers = h.symmetric_sector
+    block = np.zeros((len(states), len(states)))
+    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**h.qubit_count + 3 * len(states))))  # a chunk and 3 gathers
+    for lo in range(0, len(states), step):
+        hi = min(lo + step, len(states))
+        dense = to_dense(h, rows=states[lo:hi])
+        values = sum(dense[:, g] for g in columns[:, :hi])  # the lower triangle's columns, and a few above it
+        np.divide(values, np.sqrt(stabilizers[lo:hi, None] * stabilizers[:hi]), out=block[lo:hi, :hi])
+        del dense, values  # before the next chunk is built
+    return float(np.linalg.eigvalsh(block)[0])  # reads only the lower triangle

@@ -196,7 +196,7 @@ def test_to_dense_rows_are_the_top_of_the_matrix(h, dtype):
     whole = to_dense(h)
     assert whole.dtype == dtype
     for rows in (1, len(whole) // 2, len(whole)):
-        top = to_dense(h, rows=rows)
+        top = to_dense(h, rows=np.arange(rows))
         assert top.dtype == dtype and np.array_equal(top, whole[:rows])
 
 
@@ -204,42 +204,65 @@ def test_to_dense_rows_are_the_top_of_the_matrix(h, dtype):
 def test_to_dense_block_is_those_rows_of_the_matrix(h):
     whole = to_dense(h)
     size = len(whole)
-    for rows, start in ((1, 0), (1, size - 1), (3, 2), (size // 2, size // 2), (size - 1, 1), (size, 0)):
-        block = to_dense(h, rows=rows, start=start)
-        assert block.dtype == whole.dtype and np.array_equal(block, whole[start : start + rows])
+    picks = [[0], [size - 1], [5, 2, 7, 2], [3, 3, 3], list(range(size - 1, -1, -1)), list(range(size))]
+    for rows in picks + [np.array([6, 1], dtype=np.int32), np.array([size - 1, 0], dtype=np.uint8)]:
+        block = to_dense(h, rows=rows)
+        assert block.dtype == whole.dtype and np.array_equal(block, whole[rows])
 
 
+# The cases below that stand for a row count, or for a row count and a start, are the
+# index arrays of those rows, and keep the names (count, start and refusal) that the
+# count-and-start form of rows gave them.
 @pytest.mark.parametrize(
     "rows, expected",
     [
-        (0, "rows must be in [1, 8], got 0"),
-        (9, "rows must be in [1, 8], got 9"),
-        (-1, "rows must be in [1, 8], got -1"),
-        (4.0, "key 'rows' expects int, got 4.0"),
-        (True, "key 'rows' expects int, got True"),
+        ([[0, 1], [2, 3]], "rows must be a nonempty 1-D integer array, got int64 of shape (2, 2)"),
+        (4, "rows must be a nonempty 1-D integer array, got int64 of shape ()"),
+        (np.arange(4.0), "rows must be a nonempty 1-D integer array, got float64 of shape (4,)"),
+        ([True, False], "rows must be a nonempty 1-D integer array, got bool of shape (2,)"),
+        (np.arange(0), "rows must be a nonempty 1-D integer array, got int64 of shape (0,)"),
+        (np.arange(9), "rows must be in [0, 8), got 8"),
+        ([0, -1], "rows must be in [0, 8), got -1"),
+    ],
+    ids=[
+        "2-D",
+        "row-count",
+        "4.0-key 'rows' expects int, got 4.0",
+        "True-key 'rows' expects int, got True",
+        "0-rows must be in [1, 8], got 0",
+        "9-rows must be in [1, 8], got 9",
+        "-1-rows must be in [1, 8], got -1",
     ],
 )
 def test_to_dense_refuses_rows_outside_the_matrix(rows, expected):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
         to_dense(_complex_sum(), rows=rows)
-    assert to_dense(_complex_sum(), rows=np.int64(4)).shape == (4, 8)
+    assert to_dense(_complex_sum(), rows=np.arange(4, 8)).shape == (4, 8)
 
 
 @pytest.mark.parametrize(
-    "rows, start, expected",
+    "rows, expected",
     [
-        (4, 5, "start must be in [0, 4] for 4 rows, got 5"),
-        (1, 8, "start must be in [0, 7] for 1 rows, got 8"),
-        (8, 1, "start must be in [0, 0] for 8 rows, got 1"),
-        (1, -1, "start must be in [0, 7] for 1 rows, got -1"),
-        (4, 1.0, "key 'start' expects int, got 1.0"),
-        (4, True, "key 'start' expects int, got True"),
+        (np.arange(5, 9), "rows must be in [0, 8), got 8"),
+        (np.arange(8, 9), "rows must be in [0, 8), got 8"),
+        (np.arange(1, 9), "rows must be in [0, 8), got 8"),
+        (np.arange(-1, 0), "rows must be in [0, 8), got -1"),
+        (np.arange(1.0, 5.0), "rows must be a nonempty 1-D integer array, got float64 of shape (4,)"),
+        ([True] * 4, "rows must be a nonempty 1-D integer array, got bool of shape (4,)"),
+    ],
+    ids=[
+        "4-5-start must be in [0, 4] for 4 rows, got 5",
+        "1-8-start must be in [0, 7] for 1 rows, got 8",
+        "8-1-start must be in [0, 0] for 8 rows, got 1",
+        "1--1-start must be in [0, 7] for 1 rows, got -1",
+        "4-1.0-key 'start' expects int, got 1.0",
+        "4-True-key 'start' expects int, got True",
     ],
 )
-def test_to_dense_refuses_a_block_that_leaves_the_matrix(rows, start, expected):
+def test_to_dense_refuses_a_block_that_leaves_the_matrix(rows, expected):
     with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        to_dense(_complex_sum(), rows=rows, start=start)
-    assert to_dense(_complex_sum(), rows=4, start=np.int64(4)).shape == (4, 8)
+        to_dense(_complex_sum(), rows=rows)
+    assert np.array_equal(to_dense(_complex_sum(), rows=np.arange(4, 8)), to_dense(_complex_sum())[4:])
 
 
 def test_to_dense_rejects_large_systems():
@@ -450,9 +473,9 @@ def test_reversal_rule_agrees_with_the_matrix():
     for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so one sector, the whole matrix
         m, fr = to_dense(h), _reversal(h.qubit_count)[::-1]
         assert not (h.spin_flip_symmetric or h.reversal_symmetric or np.array_equal(m[fr][:, fr], m))
-        assert len(h.symmetry_sectors) == 1
-    # At n = 1 the reversal is the identity: it holds, and adds no sector.
-    assert sums[-1].reversal_symmetric and len(sums[-1].symmetry_sectors) == 1
+        assert len(h.symmetric_sector[0]) == 1
+    # At n = 1 the reversal is the identity: it holds, and adds no group element.
+    assert sums[-1].reversal_symmetric and len(sums[-1].symmetric_sector[0]) == 1
 
 
 def _stoquastic_random_sum(rng, n, reverse=0, flip=False):
@@ -487,21 +510,62 @@ def test_stoquastic_rule_agrees_with_the_matrix():
     rng = np.random.default_rng(31)
     sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
     sums += [_stoquastic_random_sum(rng, int(rng.integers(1, 6)), reverse) for reverse in (0, 1, -1) for _ in range(5)]
-    flags = []
+    flags, z_flags = [], []
     for h in sums:
         m = to_dense(h)
         off_diagonal = m[~np.eye(len(m), dtype=bool)]
         flags.append(h.stoquastic)
         assert h.stoquastic == (not m.imag.any() and (off_diagonal.real <= 0).all()), [t.axes for t in h.terms]
+        z = _z_signs(len(m))
+        z_flags.append(h.z_stoquastic)
+        assert h.z_stoquastic == _is_stoquastic(z[:, None] * m * z) == _z_conjugate(h).stoquastic, [t.axes for t in h.terms]
     assert flags[: len(expected)] == expected
+    assert z_flags[:9] == [False, True, True] * 3  # TFIM h = -2, 0, +2
     assert any(flags[len(expected) :]) and not all(flags[len(expected) :])
+    assert any(z_flags[len(expected) :]) and not all(z_flags[len(expected) :])
 
 
-def _trivial_sector_ground_energy(h, m):
-    """The lowest eigenvalue of the chi = 1 block, formed from the whole matrix m."""
-    _, columns, states, stabilizers = h.symmetry_sectors[0]
-    block = sum(m[np.ix_(states, g)] for g in columns) / np.sqrt(np.outer(stabilizers, stabilizers))
-    return float(np.linalg.eigvalsh(block)[0])
+def _z_conjugate(h):
+    """The sum conjugated by Z on every site: each term with an odd number of X and Y factors negated."""
+    return PauliSum(tuple(PauliString(-t.coefficient if (t.axes.count("X") + t.axes.count("Y")) % 2 else t.coefficient,
+                                      t.axes) for t in h.terms), h.qubit_count)
+
+
+def _z_signs(size):
+    """The diagonal of Z on every site: -1 at the basis states with an odd number of bits set."""
+    return 1 - 2 * (np.array([bin(b).count("1") for b in range(size)]) % 2)
+
+
+def _is_stoquastic(m):
+    return not m.imag.any() and (m[~np.eye(len(m), dtype=bool)].real <= 0).all()
+
+
+def _symmetric_block_ground_energy(m, n):
+    """The lowest eigenvalue of the chi = 1 block formed from the whole matrix m. G is the
+    elements of 1, F, R and FR under which m is unchanged; the block is sum_g m[a, g.b] /
+    sqrt(|Stab a| |Stab b|) over the orbit minima a and b, the terms added in the order 1,
+    F, R, FR. For G = {1, F} that is the fold's half A + BJ."""
+    j, reverse = np.arange(len(m)), _reversal(n)
+    group = [j]
+    for g in (j[::-1], reverse, reverse[::-1]):
+        if np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) and not any(np.array_equal(g, e) for e in group):
+            group += [g[e] for e in group]
+    states = np.flatnonzero(np.min(group, axis=0) == j)
+    stabilizers = (np.array(group) == j).sum(axis=0)[states]
+    block = m[np.ix_(states, group[0][states])]
+    for g in group[1:]:
+        block = block + m[np.ix_(states, g[states])]
+    return float(np.linalg.eigvalsh(block / np.sqrt(np.outer(stabilizers, stabilizers)))[0])
+
+
+def _reference_ground_energy(h):
+    """exact_ground_energy from the whole matrix m: the chi = 1 block of m, or else of m
+    conjugated by Z on every site, if that one is stoquastic; otherwise all of m."""
+    m, z = to_dense(h), _z_signs(2**h.qubit_count)
+    for candidate in (m, z[:, None] * m * z + 0.0):  # + 0.0: to_dense's zeros are never -0.0
+        if _is_stoquastic(candidate):
+            return _symmetric_block_ground_energy(candidate, h.qubit_count)
+    return float(np.linalg.eigvalsh(m)[0])
 
 
 # (spin_flip_symmetric, reversal_symmetric, |G|) per symmetry class, how to draw its sums,
@@ -520,21 +584,26 @@ def _trivial_sector_ground_energy(h, m):
 def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
     rng = np.random.default_rng(29)
     sums = [draw(rng, int(rng.integers(2, 7))) for _ in range(500)]
-    sums += [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
-    # Not stoquastic (h > 0): at odd n the ground state is odd under F, in the second sector.
+    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
+    sums += stoquastic_sums + [_z_conjugate(h) for h in stoquastic_sums]
+    # Not stoquastic (h > 0), but its Z conjugate is: at odd n the ground state is odd under F.
     sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
-    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0}
-    outside = 0  # sums whose ground state is outside the sector chi = 1
+    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0, "gauged": 0}
+    outside = 0  # sums neither stoquastic nor gauged whose ground state is outside the sector chi = 1
     for h in sums:
-        if (h.spin_flip_symmetric, h.reversal_symmetric, len(h.symmetry_sectors[0][0])) == group:
+        if (h.spin_flip_symmetric, h.reversal_symmetric, len(h.symmetric_sector[0])) == group:
             m = to_dense(h)
             full = float(np.linalg.eigvalsh(m)[0])
+            gauged = not h.stoquastic and h.z_stoquastic
             checked[m.dtype.type] += 1
             checked["stoquastic"] += h.stoquastic
-            outside += _trivial_sector_ground_energy(h, m) > full + 1e-9
+            checked["gauged"] += gauged
+            if not (h.stoquastic or gauged):
+                outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
+            assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
             assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
     assert min(checked.values()) >= 5, checked
-    # A shortcut that solved the sector chi = 1 of a sum that is not stoquastic would miss these.
+    # A shortcut that solved the sector chi = 1 of any sum with a symmetry would miss these.
     assert (outside > 0) == (group[2] > 1), outside
 
 
@@ -560,60 +629,44 @@ def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
     assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
 
 
-def _whole_matrix_split_ground_energy(h):
-    """The symmetry split formed from the whole matrix m. G is the elements of 1, F,
-    R and FR under which m is unchanged; per character chi of G, the block
-    sum_g chi(g) m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima whose
-    stabilizer chi is trivial on, the terms added in the order 1, F, R, FR. For
-    G = {1, F} that is the fold into A + BJ and A - BJ."""
-    m = to_dense(h)
-    j, reverse = np.arange(len(m)), _reversal(h.qubit_count)
-    group, characters = [j], [[1]]
-    for g in (j[::-1], reverse, reverse[::-1]):
-        if np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) and not any(np.array_equal(g, e) for e in group):
-            group += [g[e] for e in group]
-            characters = [chi + chi for chi in characters] + [chi + [-x for x in chi] for chi in characters]
-    fixed = np.array(group) == j
-    stabilizers = fixed.sum(axis=0)
-    energies = []
-    for chi in characters:
-        states = [a for a in j if min(g[a] for g in group) == a and all(chi[i] == 1 for i in np.flatnonzero(fixed[:, a]))]
-        if states:
-            block = m[np.ix_(states, group[0][states])]
-            for sign, g in zip(chi[1:], group[1:]):
-                block = block + m[np.ix_(states, g[states])] if sign > 0 else block - m[np.ix_(states, g[states])]
-            energies.append(float(np.linalg.eigvalsh(block / np.sqrt(np.outer(stabilizers[states], stabilizers[states])))[0]))
-    return min(energies)
-
-
 def test_folded_ground_energy_is_the_whole_matrix_fold():
-    # Splitting the rows built in row blocks gives the same blocks as splitting the
-    # whole matrix, so the same bits. For the spin-flip-only sums the split is the
-    # fold into A + BJ and A - BJ, so those cases pin the fold's bits.
+    # Solving the rows built in chunks gives the same block as the one formed from the
+    # whole matrix, so the same bits. For the spin-flip-only sums the block is the fold's
+    # half A + BJ, so those cases pin the fold's bits. At h > 0 the TFIM is solved through
+    # its Z conjugate; the complex sums are solved whole.
     rng = np.random.default_rng(19)
-    sums = [build_tfim(n, J, h) for n in range(2, 12) for J, h in ((-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0))]
+    fields = ((-1.0, -2.0), (-1.0, 2.0), (0.7, 0.3), (-1.0, 0.0))
+    sums = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
     sums += [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
     sums += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
-    sums += [_complex_centrosymmetric_sum()]
+    sums += [_complex_centrosymmetric_sum(), _complex_sum()]
     for h in sums:
-        assert h.spin_flip_symmetric
-        assert exact_ground_energy(h) == _whole_matrix_split_ground_energy(h), [t.axes for t in h.terms]
+        assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
+
+
+@pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])
+@pytest.mark.parametrize("n", range(2, 14))
+def test_tfim_ground_energy_is_even_in_the_field(n, J, h):
+    # Z on every site maps the field h to -h, and the solve takes the same block.
+    assert exact_ground_energy(build_tfim(n, J, h)) == exact_ground_energy(build_tfim(n, J, -h))
 
 
 def test_the_fold_holds_half_of_the_matrix():
-    # The TFIM is stoquastic, so only the sector chi = 1 is built: its lower triangle
-    # (8.5 MiB, 1/16 of the matrix), plus one 2 MiB row block and the sector's rows
-    # gathered from it (about 0.089x at n = 12; all four sectors would peak at 0.15x).
+    # The TFIM is stoquastic at h <= 0, and its Z conjugate is at h > 0, so only the
+    # sector chi = 1 is built: its block (8.5 MiB, 1/16 of the matrix), plus one chunk of
+    # its rows, about 2 MiB with the block's columns summed from it, and at h > 0 the conjugate's
+    # term tables (about 0.089x and 0.099x at n = 12; all four sectors peaked at 0.16x).
     # LAPACK's working copy is outside numpy's traced memory.
-    h = build_tfim(12, -1.0, -2.0)
-    matrix_bytes = to_dense(h, rows=1).itemsize * 4**h.qubit_count
-    tracemalloc.start()
-    try:
-        exact_ground_energy(h)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 0.11 * matrix_bytes
+    for field in (-2.0, 2.0):
+        h = build_tfim(12, -1.0, field)
+        matrix_bytes = to_dense(h, rows=[0]).itemsize * 4**h.qubit_count
+        tracemalloc.start()
+        try:
+            exact_ground_energy(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.11 * matrix_bytes, field
 
 
 def test_folded_ground_energy_of_one_qubit():
