@@ -21,15 +21,15 @@ from .values import check_value
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum that is
-# not stoquastic, even conjugated by Z on every site, is solved whole: exact_ground_energy
-# holds about 2x its matrix (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest
-# size at which any sum fits an 8 GB machine. The TFIM needs 1/8 (a 105 MB peak at n = 13).
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum whose
+# PauliSum.gauge is None is solved whole: exact_ground_energy holds about 2x its matrix
+# (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest size at which any sum fits
+# an 8 GB machine. The TFIM, of gauge 0 or 1, needs 1/8 (a 103 MB peak at n = 13).
 MAX_DENSE_QUBITS = 13
 
-# exact_ground_energy builds a stoquastic block's rows in chunks whose float64 entries,
-# with the three arrays of the block's columns summed from them, take about this many
-# bytes, so one chunk holds every row at n <= 9.
+# exact_ground_energy builds a gauge 0 or 1 sum's block rows (states from invariant's group; at
+# gauge 1 signed in place) in chunks whose float64 entries, with the three arrays of the block's
+# columns summed from them, take about this many bytes, so one chunk holds every row at n <= 9.
 DENSE_BLOCK_BYTES = 2**21
 
 _H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
@@ -86,50 +86,37 @@ class PauliSum:
         return cls(terms=kept, qubit_count=qubit_count)
 
     @cached_property
-    def spin_flip_symmetric(self) -> bool:
-        """Whether the sum commutes with X on every site: each term has an even
-        number of Y and Z factors, so its matrix equals its 180-degree rotation."""
-        return all((t.axes.count("Y") + t.axes.count("Z")) % 2 == 0 for t in self.terms)
-
-    @cached_property
-    def reversal_symmetric(self) -> bool:
-        """Whether the site reversal R leaves the sum unchanged: each reversed term has its coefficient."""
-        return self._reverses_to(1)
-
-    @cached_property
-    def stoquastic(self) -> bool:
-        """Whether the matrix is real with every off-diagonal entry <= 0 (Bravyi et al., arXiv:quant-ph/0606140),
-        from each flip mask's coefficient x weight summed in to_dense's term order: the very entries diagonalized."""
-        return self._stoquastic_after(0)
-
-    @cached_property
-    def z_stoquastic(self) -> bool:
-        """Whether the conjugate by Z on every site (the same spectrum; odd X + Y count terms negated) is stoquastic."""
-        return self._stoquastic_after(1)
-
-    def _stoquastic_after(self, z: int) -> bool:  # z = 1: conjugated by Z on every site
+    def gauge(self) -> int | None:
+        """0 if the matrix is real with every off-diagonal entry <= 0 (stoquastic: Bravyi et al.,
+        arXiv:quant-ph/0606140), 1 if its conjugate by Z on every site (the same spectrum: entry (a, b)
+        times (-1)^(popcount a + popcount b)) is, else None. Read from each flip mask's coefficient x
+        weight summed in to_dense's term order: the very entries diagonalized."""
         if any(t.axes.count("Y") % 2 for t in self.terms):
-            return False
+            return None
         size, entries = 2**self.qubit_count, {}  # per flip mask; a real sum's weights are 1 and -1 (copies 0, 2)
         for t, gather in zip(self.terms, self.term_tables[0]):
             entries[gather[0] % size] = entries.get(gather[0] % size, 0.0) + t.coefficient * (1 - gather // size)
-        return all(((-1) ** (z * bin(flip).count("1")) * row <= 0).all() for flip, row in entries.items() if flip)
+        for z in (0, 1):
+            if all(((-1) ** (z * bin(flip).count("1")) * row <= 0).all() for flip, row in entries.items() if flip):
+                return z
+        return None
 
-    def _reverses_to(self, sign: int) -> bool:  # R for sign 1; FR, sign per Y or Z factor, for -1
-        c = {t.axes: t.coefficient for t in self.terms}
-        return all(c.get(a[::-1]) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
+    def invariant(self, reverse: bool, flip: bool) -> bool:
+        """Whether the site reversal R (if reverse), then the spin flip F = X^n (if flip), leaves the sum
+        unchanged: each term's (reversed) string carries its coefficient, times -1 per Y or Z factor if flip."""
+        c, sign = {t.axes: t.coefficient for t in self.terms}, -1 if flip else 1
+        return all(c.get(a[::-1] if reverse else a) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
 
     @cached_property
     def symmetric_sector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """exact_ground_energy's orbit table. G: the elements of {1, F = X^n, R, FR} that leave the sum
-        unchanged, as basis permutations (R is the identity at n = 1: left out). (g.a per g in G, the
-        ascending orbit minima a, |Stab a|): the states of the sector chi = 1 and its block's weights."""
+        """exact_ground_energy's orbit table. G: the elements of {1, F, R, FR} that leave the sum unchanged
+        (invariant), as basis permutations, each once (R is the identity at n = 1; FR is in with F and R).
+        (g.a per g in G, the ascending orbit minima a, |Stab a|): the sector chi = 1 and its block's weights."""
         n, j = self.qubit_count, np.arange(2**self.qubit_count)
-        reverse = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
+        r = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
         group = j[None]
-        holds = (self.spin_flip_symmetric, self.reversal_symmetric, self._reverses_to(-1))
-        for g, held in zip((j[::-1], reverse, reverse[::-1]), holds):
-            if held and not any(np.array_equal(g, e) for e in group):  # in already: FR after F and R, R at n = 1
+        for g, reverse, flip in ((j[::-1], False, True), (r, True, False), (r[::-1], True, True)):  # F, R, FR
+            if self.invariant(reverse, flip) and not any(np.array_equal(g, e) for e in group):
                 group = np.vstack([group, g.take(group)])
         states = np.flatnonzero(group.min(axis=0) == j)
         return group[:, states], states, (group == j).sum(axis=0)[states]
@@ -304,26 +291,28 @@ def to_dense(h: PauliSum, rows: np.ndarray | None = None) -> np.ndarray:
 def exact_ground_energy(h: PauliSum) -> float:
     """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver, from one block.
 
-    A stoquastic sum (real, every off-diagonal entry <= 0: the TFIM at h <= 0) has a nonnegative
-    ground vector (Perron-Frobenius), whose sum over its `PauliSum.symmetric_sector` group G is
-    G-invariant. So E0 is the lowest eigenvalue of the block H[a, b] = sum_g m[a, g.b] /
-    sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik, arXiv:1101.3281), whose rows are
-    built in chunks of about DENSE_BLOCK_BYTES: 1/8 of the matrix for the TFIM. A sum that is not
-    stoquastic but whose conjugate by Z on every site is (the TFIM at h > 0) has that conjugate's
-    spectrum: each term with an odd number of X and Y factors negated. Any other sum is solved
-    whole, holding about 2x its matrix with LAPACK's copy."""
+    A stoquastic sum (`PauliSum.gauge` 0: real, every off-diagonal entry <= 0, the TFIM at h <= 0) has
+    a nonnegative ground vector (Perron-Frobenius), whose sum over its `PauliSum.symmetric_sector`
+    group G (each g with `PauliSum.invariant`) is G-invariant. So E0 is the lowest eigenvalue of the
+    block H[a, b] = sum_g m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik,
+    arXiv:1101.3281), whose rows are built in chunks of about DENSE_BLOCK_BYTES: 1/8 of the matrix
+    for the TFIM. A sum of gauge 1 (the TFIM at h > 0) has the spectrum of its conjugate by Z on
+    every site, which is stoquastic: each built row is multiplied in place by the +-1 sign
+    (-1)^(popcount a + popcount b) of its entry (a, b). Any other sum (gauge None) is solved whole,
+    holding about 2x its matrix with LAPACK's copy."""
     # to_dense refuses a size over the guard, before the rules below build any table.
-    if h.qubit_count > MAX_DENSE_QUBITS or not (h.stoquastic or h.z_stoquastic):
+    if h.qubit_count > MAX_DENSE_QUBITS or h.gauge is None:
         return float(np.linalg.eigvalsh(to_dense(h))[0])
-    if not h.stoquastic:  # solve the conjugate in its place
-        h = PauliSum(tuple(PauliString(t.coefficient * (-1) ** (t.axes.count("X") + t.axes.count("Y")), t.axes)
-                           for t in h.terms), h.qubit_count)
-    columns, states, stabilizers = h.symmetric_sector
+    n, (columns, states, stabilizers) = h.qubit_count, h.symmetric_sector
+    sign = 1.0 - 2 * (sum(np.arange(2**n) >> b & 1 for b in range(n)) % 2) if h.gauge else None  # Z^n's diagonal
     block = np.zeros((len(states), len(states)))
-    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**h.qubit_count + 3 * len(states))))  # a chunk and 3 gathers
+    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**n + 3 * len(states))))  # a chunk and 3 gathers
     for lo in range(0, len(states), step):
         hi = min(lo + step, len(states))
         dense = to_dense(h, rows=states[lo:hi])
+        if h.gauge:  # the conjugate's entries: the terms of one flip mask share its parity of X and Y factors
+            dense *= sign
+            dense *= sign[states[lo:hi], None]
         values = sum(dense[:, g] for g in columns[:, :hi])  # the lower triangle's columns, and a few above it
         np.divide(values, np.sqrt(stabilizers[lo:hi, None] * stabilizers[:hi]), out=block[lo:hi, :hi])
         del dense, values  # before the next chunk is built

@@ -421,21 +421,6 @@ def _symmetric_random_sum(rng, n):
     return PauliSum.from_terms(terms, n)
 
 
-def test_spin_flip_rule_agrees_with_the_matrix():
-    rng = np.random.default_rng(17)
-    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
-    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4, 6)]
-    sums += [build_schwinger(4, 1.0, 0.0, 0.0)]  # no single-Z terms: symmetric
-    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    flags = []
-    for h in sums:
-        m = to_dense(h)
-        flags.append(h.spin_flip_symmetric)
-        assert h.spin_flip_symmetric == np.array_equal(m, m[::-1, ::-1]), [t.axes for t in h.terms]
-    assert any(flags) and not all(flags)
-
-
 def _reversal(n):
     """The basis permutation of the site reversal: b with its n bits reversed."""
     return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(2**n)])
@@ -457,6 +442,30 @@ def _reversal_random_sum(rng, n, reverse, flip=False):
     return PauliSum.from_terms(terms, n)
 
 
+def _symmetry_flags(sums):
+    """invariant(reverse, flip) for F, R and FR on each sum, checked against the matrix
+    under that basis permutation."""
+    flags = {(False, True): [], (True, False): [], (True, True): []}  # F, R, FR
+    for h in sums:
+        m, r = to_dense(h), _reversal(h.qubit_count)
+        for (reverse, flip), held in flags.items():
+            g = (r if reverse else np.arange(len(m)))[:: -1 if flip else 1]
+            held.append(h.invariant(reverse, flip))
+            assert held[-1] == np.array_equal(m[g][:, g], m), ([t.axes for t in h.terms], reverse, flip)
+    return flags
+
+
+def test_spin_flip_rule_agrees_with_the_matrix():
+    rng = np.random.default_rng(17)
+    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
+    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4, 6)]
+    sums += [build_schwinger(4, 1.0, 0.0, 0.0)]  # no single-Z terms: F holds
+    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
+    flags = _symmetry_flags(sums)[False, True]
+    assert any(flags) and not all(flags)
+
+
 def test_reversal_rule_agrees_with_the_matrix():
     rng = np.random.default_rng(23)
     sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
@@ -464,18 +473,14 @@ def test_reversal_rule_agrees_with_the_matrix():
     sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
     sums += [_reversal_random_sum(rng, int(rng.integers(2, 6)), reverse) for reverse in (1, -1) for _ in range(10)]
     sums += [PauliSum.from_terms([PauliString(0.5, "Z"), PauliString(0.3, "Y")], 1)]
-    flags = []
-    for h in sums:
-        m, r = to_dense(h), _reversal(h.qubit_count)
-        flags.append(h.reversal_symmetric)
-        assert h.reversal_symmetric == np.array_equal(m[r][:, r], m), [t.axes for t in h.terms]
-    assert any(flags) and not all(flags)
+    flags = _symmetry_flags(sums)
+    for reverse_flags in (flags[True, False], flags[True, True]):  # R, FR
+        assert any(reverse_flags) and not all(reverse_flags)
     for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so one sector, the whole matrix
-        m, fr = to_dense(h), _reversal(h.qubit_count)[::-1]
-        assert not (h.spin_flip_symmetric or h.reversal_symmetric or np.array_equal(m[fr][:, fr], m))
+        assert not any(h.invariant(reverse, flip) for reverse, flip in flags)
         assert len(h.symmetric_sector[0]) == 1
     # At n = 1 the reversal is the identity: it holds, and adds no group element.
-    assert sums[-1].reversal_symmetric and len(sums[-1].symmetric_sector[0]) == 1
+    assert sums[-1].invariant(True, False) and len(sums[-1].symmetric_sector[0]) == 1
 
 
 def _stoquastic_random_sum(rng, n, reverse=0, flip=False):
@@ -505,23 +510,25 @@ def test_stoquastic_rule_agrees_with_the_matrix():
     sums += [_complex_sum(), _complex_centrosymmetric_sum()]
     for terms in one_qubit + shared:
         sums.append(PauliSum.from_terms([PauliString(c, a) for c, a in terms], len(terms[0][1])))
-    expected = [True, True, False] * 3 + [False] * 4  # TFIM h = -2, 0, +2; Schwinger; complex
-    expected += [True, False, True, False] + [True, False, False, True, True, False, False]
+    expected = [0, 0, 1] * 3 + [None] * 4  # TFIM h = -2, 0, +2; Schwinger; complex
+    expected += [0, 1, 0, None] + [0, None, None, 0, 0, None, None]
     rng = np.random.default_rng(31)
     sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
     sums += [_stoquastic_random_sum(rng, int(rng.integers(1, 6)), reverse) for reverse in (0, 1, -1) for _ in range(5)]
-    flags, z_flags = [], []
+    sums += [_z_conjugate(h) for h in sums[-15:]]
+    gauges, z_flags = [], []
     for h in sums:
         m = to_dense(h)
         off_diagonal = m[~np.eye(len(m), dtype=bool)]
-        flags.append(h.stoquastic)
-        assert h.stoquastic == (not m.imag.any() and (off_diagonal.real <= 0).all()), [t.axes for t in h.terms]
+        stoquastic = not m.imag.any() and (off_diagonal.real <= 0).all()
         z = _z_signs(len(m))
-        z_flags.append(h.z_stoquastic)
-        assert h.z_stoquastic == _is_stoquastic(z[:, None] * m * z) == _z_conjugate(h).stoquastic, [t.axes for t in h.terms]
-    assert flags[: len(expected)] == expected
+        z_flags.append(_is_stoquastic(z[:, None] * m * z))
+        gauges.append(h.gauge)
+        assert h.gauge == (0 if stoquastic else 1 if z_flags[-1] else None), [t.axes for t in h.terms]
+        assert (_z_conjugate(h).gauge == 0) == z_flags[-1], [t.axes for t in h.terms]
+    assert gauges[: len(expected)] == expected
     assert z_flags[:9] == [False, True, True] * 3  # TFIM h = -2, 0, +2
-    assert any(flags[len(expected) :]) and not all(flags[len(expected) :])
+    assert {0, 1, None} <= set(gauges[len(expected) :])
     assert any(z_flags[len(expected) :]) and not all(z_flags[len(expected) :])
 
 
@@ -568,7 +575,7 @@ def _reference_ground_energy(h):
     return float(np.linalg.eigvalsh(m)[0])
 
 
-# (spin_flip_symmetric, reversal_symmetric, |G|) per symmetry class, how to draw its sums,
+# (invariant under F, invariant under R, |G|) per symmetry class, how to draw its sums,
 # and the (reverse, flip) that draw stoquastic ones, solved in the sector chi = 1 only.
 @pytest.mark.parametrize(
     "group, draw, stoquastic",
@@ -589,16 +596,15 @@ def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
     # Not stoquastic (h > 0), but its Z conjugate is: at odd n the ground state is odd under F.
     sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
     checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0, "gauged": 0}
-    outside = 0  # sums neither stoquastic nor gauged whose ground state is outside the sector chi = 1
+    outside = 0  # sums of gauge None whose ground state is outside the sector chi = 1
     for h in sums:
-        if (h.spin_flip_symmetric, h.reversal_symmetric, len(h.symmetric_sector[0])) == group:
+        if (h.invariant(False, True), h.invariant(True, False), len(h.symmetric_sector[0])) == group:
             m = to_dense(h)
             full = float(np.linalg.eigvalsh(m)[0])
-            gauged = not h.stoquastic and h.z_stoquastic
             checked[m.dtype.type] += 1
-            checked["stoquastic"] += h.stoquastic
-            checked["gauged"] += gauged
-            if not (h.stoquastic or gauged):
+            checked["stoquastic"] += h.gauge == 0
+            checked["gauged"] += h.gauge == 1
+            if h.gauge is None:
                 outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
             assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
             assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
@@ -625,7 +631,7 @@ def _complex_centrosymmetric_sum():
 def test_folded_ground_energy_of_a_complex_centrosymmetric_sum():
     h = _complex_centrosymmetric_sum()
     m = to_dense(h)
-    assert m.dtype == np.complex128 and h.spin_flip_symmetric
+    assert m.dtype == np.complex128 and h.invariant(False, True)
     assert exact_ground_energy(h) == pytest.approx(float(np.linalg.eigvalsh(m)[0]), abs=1e-12)
 
 
@@ -646,16 +652,21 @@ def test_folded_ground_energy_is_the_whole_matrix_fold():
 
 @pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])
 @pytest.mark.parametrize("n", range(2, 14))
-def test_tfim_ground_energy_is_even_in_the_field(n, J, h):
-    # Z on every site maps the field h to -h, and the solve takes the same block.
-    assert exact_ground_energy(build_tfim(n, J, h)) == exact_ground_energy(build_tfim(n, J, -h))
+def test_tfim_ground_energy_is_even_in_the_field(n, J, h, monkeypatch):
+    # Z on every site maps the field h to -h, and the solve takes the same block. At h > 0
+    # the gauge is a sign on the rows built: the solve builds no second sum.
+    positive, negative = build_tfim(n, J, h), build_tfim(n, J, -h)
+    built = []
+    monkeypatch.setattr(PauliSum, "__post_init__", lambda s, init=PauliSum.__post_init__: built.append(s) or init(s))
+    assert exact_ground_energy(positive) == exact_ground_energy(negative)
+    assert built == []
 
 
 def test_the_fold_holds_half_of_the_matrix():
     # The TFIM is stoquastic at h <= 0, and its Z conjugate is at h > 0, so only the
     # sector chi = 1 is built: its block (8.5 MiB, 1/16 of the matrix), plus one chunk of
-    # its rows, about 2 MiB with the block's columns summed from it, and at h > 0 the conjugate's
-    # term tables (about 0.089x and 0.099x at n = 12; all four sectors peaked at 0.16x).
+    # its rows, about 2 MiB with the block's columns summed from it, signed in place at h > 0
+    # (about 0.089x at n = 12 at either sign; all four sectors peaked at 0.16x).
     # LAPACK's working copy is outside numpy's traced memory.
     for field in (-2.0, 2.0):
         h = build_tfim(12, -1.0, field)
@@ -672,7 +683,7 @@ def test_the_fold_holds_half_of_the_matrix():
 def test_folded_ground_energy_of_one_qubit():
     # half = 1: each sector block is 1 x 1, b +- a.
     h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)
-    assert h.spin_flip_symmetric
+    assert h.invariant(False, True)
     assert exact_ground_energy(h) == pytest.approx(0.2, abs=1e-15)
 
 
@@ -680,5 +691,5 @@ def test_folded_ground_energy_of_one_qubit():
 def test_schwinger_ground_energy_is_the_full_solve(n):
     # Single-Z terms break the spin-flip symmetry, so the whole matrix is diagonalized.
     h = build_schwinger(n, 1.0, 0.5, 0.0)
-    assert not h.spin_flip_symmetric
+    assert not h.invariant(False, True)
     assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
