@@ -6,6 +6,16 @@ natural-gradient optimizers, and a deterministic benchmark harness for the
 transverse-field Ising and lattice Schwinger models.
 """
 
+import os
+
+# One BLAS thread per process unless the caller set one, before numpy loads BLAS:
+# run_benchmark forks a worker per CPU, and a BLAS pool per CPU in each worker
+# oversubscribes the machine. The exact ground energy's last digits also depend
+# on this count (README, "Install and test").
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 from .ansatz import (
     AnsatzKind,
     build_ansatz,

@@ -68,22 +68,22 @@ class PauliSum:
         check_value("qubit_count", "int", self.qubit_count)
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
+        seen = set()  # invariant and symmetric_sector read one coefficient per axes string
         for t in self.terms:
             if len(t.axes) != self.qubit_count:
                 raise ValueError(f"term {t.axes!r} has {len(t.axes)} sites, expected {self.qubit_count}")
+            if t.axes in seen:
+                raise ValueError(f"term {t.axes!r} is repeated; PauliSum.from_terms merges repeats")
+            seen.add(t.axes)
 
     @classmethod
     def from_terms(cls, terms, qubit_count: int) -> "PauliSum":
-        # Checked before merging, so a term that merging would prune is checked too.
         merged: dict[str, float] = {}
-        for t in cls(tuple(terms), qubit_count).terms:
+        for t in terms:
             merged[t.axes] = merged.get(t.axes, 0.0) + t.coefficient
-        kept = tuple(
-            PauliString(coefficient=c, axes=a)
-            for a, c in sorted(merged.items())
-            if abs(c) > COEFF_PRUNE_THRESHOLD
-        )
-        return cls(terms=kept, qubit_count=qubit_count)
+        # Checked before pruning, so a term that merging would prune is checked too.
+        whole = cls(tuple(PauliString(c, a) for a, c in sorted(merged.items())), qubit_count)
+        return cls(tuple(t for t in whole.terms if abs(t.coefficient) > COEFF_PRUNE_THRESHOLD), qubit_count)
 
     @cached_property
     def gauge(self) -> int | None:

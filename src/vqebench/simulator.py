@@ -27,9 +27,10 @@ entries c -+ i s have two nonzero parts, and there operand order is part of
 the numerics: numpy's SIMD complex multiply (with FMA) is not bitwise
 commutative, so the diagonal is always the first operand, `d * x`, into a
 fresh array (an in-place `out=` can take numpy's scalar loop instead). The
-reductions are the loops' too: one `vdot` per term (not a `gemv`), row-wise
-sums, and one `multinomial` per term (a 2-D one draws the same stream but was
-no faster: 123-154 against 127-135 us for 11 rows at n = 6).
+reductions are the loops' too: one `vecdot` over the term rows (a BLAS `zdotc`
+per row, as each `vdot` was; not a `gemv`), row-wise sums, and one
+`multinomial` per term (a 2-D one draws the same stream but was no faster:
+123-154 against 127-135 us for 11 rows at n = 6).
 """
 
 from __future__ import annotations
@@ -164,7 +165,6 @@ class _Plan:
         half = theta / 2.0
         cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
         coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
-        pairs = coef.tolist()
         x = np.array(x, dtype=complex)
         for kind, index, table, k, p in self.ops:
             if kind == "RZ":
@@ -174,7 +174,8 @@ class _Plan:
                 if table is not None:
                     x *= table
             else:  # a x + b y, y the copy of x with the site flipped (and, for RY, signed)
-                a, b = (table, _H) if kind == "H" else pairs[k]
+                # 0-d views (not coef[k, 0]), which numpy multiplies without converting a scalar
+                a, b = (table, _H) if kind == "H" else (coef[k, 0, ...], coef[k, 1, ...])
                 y = x.take(index, axis=-1)
                 if kind == "RY":
                     y *= table
@@ -281,8 +282,8 @@ def expectation(state, h: PauliSum) -> float:
     """Exact <s|H|s>, real for Hermitian H. Constant terms are added exactly."""
     amps = _check_state(state, h.qubit_count)
     total = 0.0
-    for t, row in zip(h.terms, h.apply_terms(amps)):
-        total += t.coefficient if t.is_identity else t.coefficient * np.vdot(amps, row).real
+    for t, dot in zip(h.terms, np.vecdot(amps, h.apply_terms(amps)).real.tolist()):
+        total += t.coefficient if t.is_identity else t.coefficient * dot
     return float(total)
 
 

@@ -74,6 +74,20 @@ def test_from_terms_checks_a_term_it_would_prune():
         PauliSum.from_terms([PauliString(1e-13, "ZZ")], 3)
 
 
+def test_sum_rejects_a_repeated_axes_string_that_from_terms_merges():
+    # invariant reads one coefficient per axes string: this sum, with ZII twice, was
+    # taken for reversal-symmetric, and its ground energy came out -3.35577250663599.
+    terms = [PauliString(-1.0, a) for a in ("XII", "IIX", "IXI")]
+    terms += [PauliString(0.5, a) for a in ("ZII", "IIZ", "ZII")]
+    with pytest.raises(ValueError, match="^term 'ZII' is repeated; PauliSum.from_terms merges repeats$"):
+        PauliSum(tuple(terms), 3)
+    h = PauliSum.from_terms(terms, 3)
+    assert terms_dict(h) == {"IIX": -1.0, "IIZ": 0.5, "IXI": -1.0, "XII": -1.0, "ZII": 1.0}
+    assert not h.invariant(True, False)
+    assert exact_ground_energy(h) == pytest.approx(-3.53224755112299, abs=1e-12)
+    assert exact_ground_energy(h) == _reference_ground_energy(h)
+
+
 @pytest.mark.parametrize(
     "build, expected",
     [

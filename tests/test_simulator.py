@@ -601,17 +601,34 @@ def test_expectation_matches_dense_on_random_sums():
             assert abs(expectation(amps, h) - dense) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 6])
-def test_expectation_matches_the_per_term_formula_bit_for_bit(n):
+@pytest.mark.parametrize(
+    "sums, c",
+    [
+        ((build_schwinger(2, 1.0, 0.5, 0.2), build_tfim(2, -1.0, -2.0)), None),
+        ((build_schwinger(6, 1.0, 0.5, 0.2), build_tfim(6, -1.0, -2.0)), None),
+        ((build_tfim(12, -1.0, -2.0),), hardware_efficient(12, 3)),
+        ((build_schwinger(6, 1.0, 0.5, 0.0),), schwinger_ansatz(6, 2)),
+    ],
+    ids=["2", "6", "tfim12", "schwinger6"],
+)
+def test_expectation_matches_the_per_term_formula_bit_for_bit(sums, c):
+    # Random states (also checked against the dense matrix), then the sums and
+    # ansatz states of the benchmark's exact losses, at its sizes: every term's dot
+    # comes from one stacked vecdot, which must give the per-term vdot's bits.
+    n = sums[0].qubit_count
     rng = np.random.default_rng(30 + n)
-    for h in (build_schwinger(n, 1.0, 0.5, 0.2), build_tfim(n, -1.0, -2.0)):
-        dense = to_dense(h)
+    for h in sums:
+        dense = to_dense(h) if c is None else None
         for _ in range(20):
-            amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
-            amps /= np.linalg.norm(amps)
+            if c is None:
+                amps = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+                amps /= np.linalg.norm(amps)
+            else:
+                amps = apply_circuit(c, rng.uniform(-np.pi, np.pi, c.param_count))
             value = expectation(amps, h)
             assert value == _ref_expectation(amps, h)
-            assert abs(value - np.real(np.vdot(amps, dense @ amps))) < 1e-12
+            if dense is not None:
+                assert abs(value - np.real(np.vdot(amps, dense @ amps))) < 1e-12
 
 
 def random_sums(rng, n):
