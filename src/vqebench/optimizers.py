@@ -33,7 +33,6 @@ from .simulator import Circuit, require_one_gate_per_parameter
 from .values import check_value
 
 OPTIMIZER_KINDS = ("GD", "QNG", "SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3")
-NATURAL_KINDS = frozenset({"QNG", "QNSPSA", "QNSTEIN2", "QNSTEIN3"})
 
 
 @dataclass(frozen=True)
@@ -177,13 +176,6 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
     return math.sqrt(ssq) / math.sqrt(shots)
 
 
-def _loss_oracle(problem: Problem, shots: int | None, rng: np.random.Generator | None) -> RowOracle:
-    """Oracle from parameter rows to their losses, exact when shots is None."""
-    return RowOracle(
-        lambda rows: [loss(problem.circuit, problem.hamiltonian, row, shots=shots, rng=rng) for row in rows]
-    )
-
-
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
 
@@ -191,26 +183,32 @@ def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.nd
     the shift rule does not hold.
     """
     require_one_gate_per_parameter(problem.circuit)
-    shifts = np.eye(len(theta)) * (np.pi / 2.0)
-    values = _loss_oracle(problem, None, None)(_plus_minus_rows(theta, shifts))
+    rows = _plus_minus_rows(theta, np.eye(len(theta)) * (np.pi / 2.0))
+    values = np.array([loss(problem.circuit, problem.hamiltonian, row) for row in rows])
     return (values[0::2] - values[1::2]) / 2.0
 
 
-def _estimate_gradient(kind, state, problem, config, rng) -> np.ndarray:
-    if kind == "GD":
+def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEstimate | None]:
+    """Gradient and (natural kinds only) metric estimate at state.theta; charges every circuit it queries."""
+    if kind in ("GD", "QNG"):  # exact references, charged as 2d shifted losses
         state.add_circuits(2 * problem.circuit.param_count)
-        return exact_parameter_shift_gradient(problem, state.theta)
-    oracle = _loss_oracle(problem, config.shots, rng)
-    estimator = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
-    grad = estimator(oracle, state.theta, config.c, config.samples, rng)
+        if kind == "GD":
+            return exact_parameter_shift_gradient(problem, state.theta), None
+        return exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
+    oracle = RowOracle(
+        lambda rows: [loss(problem.circuit, problem.hamiltonian, row, shots=config.shots, rng=rng) for row in rows]
+    )
+    gradient = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
+    grad = gradient(oracle, state.theta, config.c, config.samples, rng)
     state.add_circuits(oracle.calls)
-    return grad
-
-
-def _estimate_metric(kind, state, problem, config, rng) -> MetricEstimate:
+    # Built per call, so it reads the module's current bindings (the benchmark tracer rebinds them).
+    metric = {"QNSPSA": spsa_metric, "QNSTEIN2": stein_metric_2eval, "QNSTEIN3": stein_metric_3eval}.get(kind)
+    if metric is None:
+        return grad, None
     fid = displacement_fidelity_oracle(problem.circuit, state.theta, shots=config.shots, rng=rng)
-    estimator = {"QNSPSA": spsa_metric, "QNSTEIN2": stein_metric_2eval, "QNSTEIN3": stein_metric_3eval}[kind]
-    return estimator(fid, state.theta, config.c, config.samples, rng)
+    estimate = metric(fid, state.theta, config.c, config.samples, rng)
+    state.add_circuits(estimate.raw_evals, estimate.charged_evals)
+    return grad, estimate
 
 
 def _record(state, problem, config, blocked: bool, started: float) -> None:
@@ -246,16 +244,9 @@ def step(
         raise ValueError(f"unknown optimizer kind {kind!r}")
     started = time.perf_counter()
 
-    if kind == "QNG":  # one derivative block gives both; the gradient is charged as 2d shifted losses
-        grad, estimate = exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
-        state.add_circuits(2 * problem.circuit.param_count)
-    else:
-        grad = _estimate_gradient(kind, state, problem, config, rng)
-        estimate = _estimate_metric(kind, state, problem, config, rng) if kind in NATURAL_KINDS else None
-
+    grad, estimate = _estimate(kind, state, problem, config, rng)
     metric_avg_candidate = None
     if estimate is not None:
-        state.add_circuits(estimate.raw_evals, estimate.charged_evals)
         metric_avg_candidate = average_metric(state.metric_avg, estimate.matrix, state.metric_count)
         metric_reg = regularize_metric(metric_avg_candidate, config.beta)
         candidate = natural_step(state.theta, grad, metric_reg, config.eta)

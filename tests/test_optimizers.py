@@ -6,6 +6,7 @@ import pytest
 
 from vqebench import estimators, optimizers
 from vqebench.ansatz import hardware_efficient, loss
+from vqebench.bench import build_problem, optimizer_config, preset_config
 from vqebench.optimizers import (
     OPTIMIZER_KINDS,
     OptimizerConfig,
@@ -387,3 +388,56 @@ def test_all_kinds_execute_one_step():
         result = run(kind, problem, config, seed=2)
         assert len(result.records) == 2
         assert not result.failed
+
+
+# Frozen final (energy, circuits_charged, circuits_raw) of 6-step exact-mode
+# runs at n = 4 with each figure preset's per-kind config. Rounding-only changes
+# (one LU solve in place of `natural_step`'s two Cholesky solves, or `eigh`
+# reading the upper triangle in `regularize_metric`) moved these energies by
+# at most 8.2e-13 relative; one extra RNG draw per step moves every
+# stochastic run by far more. Sampled runs are not frozen: the same rounding
+# changes flip draws there (see README, "Install and test").
+FROZEN_EXACT_RUNS = {
+    ("tfim-fig2", "GD", 0): (-1.0520279082567716, 144, 144),
+    ("tfim-fig2", "GD", 1): (-1.7783110664918855, 144, 144),
+    ("tfim-fig2", "QNG", 0): (-1.8944650921635398, 144, 144),
+    ("tfim-fig2", "QNG", 1): (-2.816403810616631, 144, 144),
+    ("tfim-fig2", "SPSA", 0): (-1.0568821137815707, 120, 120),
+    ("tfim-fig2", "SPSA", 1): (-1.5926996718278863, 120, 120),
+    ("tfim-fig2", "QNSPSA", 0): (-4.502124285094246, 360, 360),
+    ("tfim-fig2", "QNSPSA", 1): (-3.5862693592023467, 360, 360),
+    ("tfim-fig2", "STEIN", 0): (-1.0644694995942963, 120, 120),
+    ("tfim-fig2", "STEIN", 1): (-1.7510797424043847, 120, 120),
+    ("tfim-fig2", "QNSTEIN2", 0): (-1.2410708852043082, 240, 186),
+    ("tfim-fig2", "QNSTEIN2", 1): (-3.857318973443303, 240, 186),
+    ("tfim-fig2", "QNSTEIN3", 0): (-1.2417122050596179, 300, 246),
+    ("tfim-fig2", "QNSTEIN3", 1): (-3.7308465644973916, 300, 246),
+    ("schwinger-fig5", "GD", 0): (2.269844336813037, 432, 432),
+    ("schwinger-fig5", "GD", 1): (1.8595238411468247, 432, 432),
+    ("schwinger-fig5", "QNG", 0): (2.215789645592832, 432, 432),
+    ("schwinger-fig5", "QNG", 1): (1.7575050698390713, 432, 432),
+    ("schwinger-fig5", "SPSA", 0): (2.2807233459373233, 180, 180),
+    ("schwinger-fig5", "SPSA", 1): (1.9154602948852195, 180, 180),
+    ("schwinger-fig5", "QNSPSA", 0): (1.9279420112235552, 540, 540),
+    ("schwinger-fig5", "QNSPSA", 1): (1.5655481805479259, 540, 540),
+    ("schwinger-fig5", "STEIN", 0): (2.262300641318374, 180, 180),
+    ("schwinger-fig5", "STEIN", 1): (1.910414257143387, 180, 180),
+    ("schwinger-fig5", "QNSTEIN2", 0): (2.542658642694718, 360, 276),
+    ("schwinger-fig5", "QNSTEIN2", 1): (1.9701955233227086, 360, 276),
+    ("schwinger-fig5", "QNSTEIN3", 0): (2.554337805729432, 450, 366),
+    ("schwinger-fig5", "QNSTEIN3", 1): (1.96915085520594, 450, 366),
+}
+
+
+@pytest.mark.parametrize("preset", ["tfim-fig2", "schwinger-fig5"])
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_exact_mode_runs_match_frozen_values(preset, kind):
+    cfg = preset_config(preset)
+    problem = build_problem(cfg, 4)
+    entry = next(e for e in cfg.optimizers if e.kind == kind)
+    config = replace(optimizer_config(cfg, entry), shots=None, max_steps=6)
+    for seed in (0, 1):
+        last = run(kind, problem, config, seed).records[-1]
+        energy, charged, raw = FROZEN_EXACT_RUNS[preset, kind, seed]
+        assert last.energy == pytest.approx(energy, rel=1e-9, abs=0)
+        assert (last.circuits_charged, last.circuits_raw) == (charged, raw)
