@@ -97,7 +97,7 @@ class PauliSum:
         for t, gather in zip(self.terms, self.term_tables[0]):
             entries[gather[0] % size] = entries.get(gather[0] % size, 0.0) + t.coefficient * (1 - gather // size)
         for z in (0, 1):
-            if all(((-1) ** (z * bin(flip).count("1")) * row <= 0).all() for flip, row in entries.items() if flip):
+            if all(((-1) ** (z * flip.bit_count()) * row <= 0).all() for flip, row in entries.items() if flip):
                 return z
         return None
 
@@ -129,9 +129,6 @@ class PauliSum:
         X and Y sites) in the copy scaled by (-i)^(number of Y's) times -1 per Y or Z
         site set in j. P's outcome j in its measurement basis has eigenvalue signs[j]."""
         j = np.arange(2**self.qubit_count)
-        odd = np.zeros(j.size, dtype=np.int8)  # 1 where j has an odd number of bits set
-        for b in range(self.qubit_count):
-            odd[1 << b : 2 << b] = 1 - odd[: 1 << b]
 
         def masks(kinds):  # per term, the bits of j of the sites with axis in kinds
             bits = [int("".join("01"[a in kinds] for a in t.axes), 2) for t in self.terms]
@@ -139,8 +136,8 @@ class PauliSum:
 
         y_counts = np.array([t.axes.count("Y") for t in self.terms], dtype=np.intp).reshape(-1, 1)
         gather = j ^ masks("XY")
-        gather += (y_counts + 2 * odd.take(j & masks("YZ"))) % 4 * j.size  # which copy
-        return gather, 1 - 2 * odd.take(j & masks("XYZ"))
+        gather += (y_counts + 2 * np.bitwise_count(j & masks("YZ"))) % 4 * j.size  # which copy
+        return gather, 1 - 2 * (np.bitwise_count(j & masks("XYZ")) & 1).astype(np.int8)
 
     def apply_terms(self, amps: np.ndarray) -> np.ndarray:
         """Every term's unweighted string applied to amps, one row per term (a new array)."""
@@ -304,7 +301,7 @@ def exact_ground_energy(h: PauliSum) -> float:
     if h.qubit_count > MAX_DENSE_QUBITS or h.gauge is None:
         return float(np.linalg.eigvalsh(to_dense(h))[0])
     n, (columns, states, stabilizers) = h.qubit_count, h.symmetric_sector
-    sign = 1.0 - 2 * (sum(np.arange(2**n) >> b & 1 for b in range(n)) % 2) if h.gauge else None  # Z^n's diagonal
+    sign = 1.0 - 2 * (np.bitwise_count(np.arange(2**n)) & 1) if h.gauge else None  # Z^n's diagonal
     block = np.zeros((len(states), len(states)))
     step = max(1, DENSE_BLOCK_BYTES // (8 * (2**n + 3 * len(states))))  # a chunk and 3 gathers
     for lo in range(0, len(states), step):
