@@ -16,6 +16,7 @@ import numpy as np
 
 from .pauli import PauliSum
 from .simulator import (
+    MAX_QUBITS,
     Circuit,
     Gate,
     apply_adjoint_circuit,
@@ -54,6 +55,8 @@ class AnsatzKind:
             raise ValueError(f"ry1 takes qubits = 1 and layers = 1, got {self.qubit_count} and {self.layers}")
         if self.kind != "ry1" and self.qubit_count < 2:
             raise ValueError(f"{self.kind} needs at least 2 qubits")
+        if self.qubit_count > MAX_QUBITS:  # refused in Circuit's words, before a model of this size is built
+            Circuit((), self.qubit_count, 0)
         if self.layers < 1:
             raise ValueError("layers must be >= 1")
         if self.kind == "schwinger_so4" and self.qubit_count % 2 != 0:

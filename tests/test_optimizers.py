@@ -45,17 +45,6 @@ def test_regularize_shifts_and_rescales():
     assert np.allclose(out, np.diag([2.5, 1.0]))
 
 
-def test_regularize_minimum_eigenvalue_bound():
-    rng = np.random.default_rng(0)
-    for beta in (0.01, 0.1):
-        for _ in range(500):
-            m = rng.normal(size=(6, 6))
-            m = (m + m.T) / 2
-            out = regularize_metric(m, beta)
-            assert np.array_equal(out, out.T)
-            assert np.linalg.eigvalsh(out).min() >= beta / (1 + beta) - 1e-10
-
-
 def test_regularize_rejects_asymmetric():
     with pytest.raises(ValueError):
         regularize_metric(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.1)
@@ -156,20 +145,6 @@ def test_exact_gradient_matches_finite_differences():
         assert grad[i] == pytest.approx(fd, abs=1e-6)
 
 
-CHARGED_PER_SAMPLE = {"SPSA": 2, "STEIN": 2, "QNSPSA": 6, "QNSTEIN2": 4, "QNSTEIN3": 5}
-
-
-@pytest.mark.parametrize("samples", [1, 5, 10])
-@pytest.mark.parametrize("kind", sorted(CHARGED_PER_SAMPLE))
-def test_charged_evaluations_per_step(kind, samples):
-    problem = tfim_problem()
-    config = OptimizerConfig(samples=samples, shots=128, blocking=False, max_steps=3)
-    result = run(kind, problem, config, seed=0)
-    per_step = CHARGED_PER_SAMPLE[kind] * samples
-    for k, rec in enumerate(result.records):
-        assert rec.circuits_charged == k * per_step
-
-
 def test_blocking_charges_one_extra_loss_eval():
     problem = tfim_problem()
     config = OptimizerConfig(samples=5, shots=128, blocking=True, max_steps=2)
@@ -189,15 +164,6 @@ def test_raw_vs_charged_conventions():
     r3 = run("QNSTEIN3", problem, config, seed=0).records[-1]
     assert r3.circuits_raw == 2 * 10 + (2 * 10 + 1)
     assert r3.circuits_charged == 5 * 10
-
-
-def test_gd_qng_charge_parameter_shift_evals():
-    problem = tfim_problem(2, 1)  # d = 2
-    config = OptimizerConfig(shots=None, blocking=False, max_steps=2)
-    for kind in ("GD", "QNG"):
-        rec = run(kind, problem, config, seed=0).records[-1]
-        assert rec.circuits_charged == 2 * (2 * 2)
-        assert rec.circuits_raw == rec.circuits_charged
 
 
 def test_qng_step_makes_one_derivative_pass(monkeypatch):
@@ -233,14 +199,6 @@ def test_run_zero_steps_initial_row_only():
     rec = result.records[0]
     assert rec.step == 0 and rec.circuits_raw == 0 and not rec.blocked
     assert rec.energy_error == pytest.approx(rec.energy - problem.ground_energy)
-
-
-def test_run_deterministic_traces():
-    problem = tfim_problem()
-    config = OptimizerConfig(samples=4, shots=64, blocking=True, max_steps=8)
-    a = run("QNSTEIN3", problem, config, seed=11)
-    b = run("QNSTEIN3", problem, config, seed=11)
-    assert a == b  # bit-identical records, counters included
 
 
 @pytest.mark.parametrize("kind", ["GD", "QNSPSA", "QNSTEIN3"])
@@ -379,15 +337,6 @@ def test_config_validation():
         OptimizerConfig(shots=0)
     with pytest.raises(ValueError):
         OptimizerConfig(max_steps=-1)
-
-
-def test_all_kinds_execute_one_step():
-    problem = tfim_problem()
-    for kind in OPTIMIZER_KINDS:
-        config = OptimizerConfig(samples=2, shots=64, blocking=True, max_steps=1)
-        result = run(kind, problem, config, seed=2)
-        assert len(result.records) == 2
-        assert not result.failed
 
 
 # Frozen final (energy, circuits_charged, circuits_raw) of 6-step exact-mode
