@@ -179,6 +179,9 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
 
+    The rows run in the order theta + s_0, theta - s_0, theta + s_1, ...: each
+    differs from the one before in at most two parameters, so each pass
+    resumes the one before from the first op those drive (`simulator`).
     Raises ValueError if a parameter index drives more than one gate, where
     the shift rule does not hold.
     """

@@ -19,6 +19,19 @@ term tables of a `PauliSum`: one gather applies every string, and
 `PauliSum.outcome_distributions` (the measurement pass, which owns the
 rotation tables) gives each term's distribution; this module only draws.
 
+A pass from |0...0> (`apply_circuit`: every loss, exact overlap and readout)
+resumes the circuit's last such pass. The plan remembers that pass's angles and
+the state that entered each op, and restarts from the state before the first
+op whose angle changed, compared on the angles' bits (`!=` would take -0.0 for
+0.0 and a nan for a change). So a GD shift row runs about half of the plan, a
+repeated theta only its last op. A pass whose first rotation's angle changed
+(every SPSA or Stein row) runs the whole plan and keeps nothing. The kept states
+take at most `_KEPT_BYTES` (16 MiB: 256 states at n = 12); past that, every
+k-th op's. No op writes into its input. Derivative-block and adjoint passes
+neither read nor keep the states, and a pickled plan drops them. They are
+unlocked state: one `Circuit` must not be evaluated from two threads at once
+(processes are fine).
+
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
 is exact. Each entry of H, RX and RY is real or imaginary, so every product is
@@ -36,7 +49,7 @@ per row, as each `vdot` was; not a `gemv`), row-wise sums, and one
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +61,10 @@ MAX_QUBITS = 20
 ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
+
+# A pass from |0...0> keeps its op inputs up to this many bytes (or one state): all 39
+# of hardware_efficient(12, 3) in 2.4 MiB; at (20, 3), every 63rd, not 1 GiB.
+_KEPT_BYTES = 2**24
 
 # A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
 # values [cos, sin, -sin, 0]: RX (c, -i s) and RY (c, s) act as a x + b y with
@@ -150,23 +167,54 @@ def _site(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Plan:
     """A gate list compiled to array ops; `params` and `entries` say where each
     rotation slot's two entries (a.re, a.im, b.re, b.im) sit in a pass's values
-    [cos, sin, -sin, 0] of the slots' half angles."""
+    [cos, sin, -sin, 0] of the slots' half angles, and `slot_ops` which op each
+    slot drives. `last` holds the last pass from |0...0>: its slots' angle bits
+    and the state that entered every `stride`-th op."""
 
-    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
+    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param, input kept)
     params: np.ndarray
     entries: np.ndarray
+    slot_ops: np.ndarray
+    size: int  # amplitudes, 2**n
+    stride: int
+    last: list = field(default_factory=lambda: [None, []])
 
-    def run(self, x: np.ndarray, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
+    def __getstate__(self):  # a copy remembers no pass
+        return {**self.__dict__, "last": [None, []]}
+
+    def run(self, x: np.ndarray | None, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
+        With x None, the pass starts from |0...0> and resumes the last such
+        pass (see the module docstring).
         With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
         rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
         """
         half = theta / 2.0
         cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
         coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
-        x = np.array(x, dtype=complex)
-        for kind, index, table, k, p in self.ops:
+        start, kept = 0, None
+        if x is None:
+            bits, (last, kept) = theta.view(np.uint64)[self.params], self.last
+            diff = bits != last  # all True against None
+            if not diff.size or diff[0]:  # the first rotation's angle changed: keep nothing
+                self.last[:] = bits, []
+                kept = None
+            elif kept:
+                slot = diff.argmax()
+                j = (self.slot_ops[slot] if diff[slot] else len(self.ops) - 1) // self.stride
+                x, kept, start = kept[j], kept[:j], j * self.stride
+            else:
+                kept = []  # a new list: the remembered one changes only once this pass is done
+            if x is None:
+                x = np.zeros(self.size, dtype=complex)
+                x[0] = 1.0
+        else:
+            x = np.array(x, dtype=complex)
+        # No op writes into its input, which may be kept.
+        for kind, index, table, k, p, keep in self.ops[start:]:
+            if keep and kept is not None:
+                kept.append(x)
             if kind == "RZ":
                 x = coef[k].take(index) * x  # coefficient first: see the module docstring
             elif kind == "gather":
@@ -180,11 +228,13 @@ class _Plan:
                 if kind == "RY":
                     y *= table
                 y *= b
-                x *= a
+                x = x * a
                 x += y
             if derivatives and p is not None:
                 psi = x[0] if kind == "RZ" else x[0].take(index)
                 x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
+        if kept is not None:
+            self.last[:] = bits, kept
         return x
 
 
@@ -192,7 +242,7 @@ def _compile(n: int, gates) -> _Plan:
     """One op per maximal run of X, CNOT, S and Sdg (a signed gather) and per H or rotation."""
     j = np.arange(2**n)
     perm, phase = j, np.ones(2**n, dtype=complex)  # the pending run maps x to phase * x[perm]
-    ops, params, entries = [], [], []
+    ops, params, entries, slot_ops = [], [], [], []
     for g in (*gates, None):  # None closes the last run
         if g is not None and g.kind in ("X", "CNOT", "S", "Sdg"):
             bit, flip, _ = _site(n, g.sites[-1])
@@ -211,8 +261,11 @@ def _compile(n: int, gates) -> _Plan:
         if g.param_index is not None:
             params.append(g.param_index)
             entries.append(_ENTRIES[g.kind])
+            slot_ops.append(len(ops) - 1)
     codes = np.array(entries, dtype=np.intp).reshape(-1, 4) * len(params) + np.arange(len(params))[:, None]
-    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes)
+    stride = -(-len(ops) // max(1, _KEPT_BYTES // (16 * 2**n))) or 1
+    ops = tuple((*op, not i % stride) for i, op in enumerate(ops))
+    return _Plan(ops, np.array(params, dtype=np.intp), codes, np.array(slot_ops), 2**n, stride)
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -233,11 +286,8 @@ def _check_state(state, n: int | None = None) -> np.ndarray:
 
 
 def apply_circuit(c: Circuit, theta) -> np.ndarray:
-    """Return U(theta)|0...0>."""
-    theta = _check_theta(c, theta)
-    state = np.zeros(2**c.qubit_count, dtype=complex)
-    state[0] = 1.0
-    return c._plan.run(state, theta)
+    """Return U(theta)|0...0>, resuming the circuit's last such pass (see the module docstring)."""
+    return c._plan.run(None, _check_theta(c, theta))
 
 
 def apply_adjoint_circuit(c: Circuit, theta, state) -> np.ndarray:

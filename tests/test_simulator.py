@@ -1,12 +1,15 @@
 import itertools
+import operator
+import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from vqebench import ansatz, estimators, optimizers, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
-from vqebench.estimators import exact_metric
+from vqebench.estimators import _plus_minus_rows, exact_metric
 from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
 from vqebench.pauli import (
     PauliString,
@@ -391,6 +394,84 @@ def test_equal_but_distinct_circuits_each_get_a_correct_plan():
     apply_circuit(other, rng.uniform(-np.pi, np.pi, other.param_count))
     assert np.array_equal(apply_circuit(second, theta), want)
     assert second._plan is not first._plan
+
+
+# Parameter 0 drives two gates, and theta = (pi, 0.0) and (pi, -0.0) give different bytes.
+_SHARED = Circuit((Gate("RX", (1,), 0), Gate("S", (0,)), Gate("S", (0,)), Gate("RY", (0,), 1), Gate("RY", (1,), 0)), 2, 2)
+
+
+@pytest.mark.parametrize("kept_states", [None, 2], ids=["every-op", "every-k-th-op"])
+def test_resumed_passes_match_fresh_circuits_bit_for_bit(monkeypatch, kept_states):
+    # A pass from |0...0> restarts from the state its circuit kept on the last
+    # such pass before the first op whose angle's bits changed. Each pass must
+    # give the bytes of a fresh Circuit's pass, with every op's input kept or,
+    # under a small cap, every k-th op's.
+    rng = np.random.default_rng(95)
+    for c in (schwinger_ansatz(4, 1), _SHARED):
+        c = Circuit(c.gates, c.qubit_count, c.param_count)  # compiled under this case's cap
+        if kept_states is not None:
+            monkeypatch.setattr(simulator, "_KEPT_BYTES", kept_states * 16 * 2**c.qubit_count)
+        assert (c._plan.stride > 1) == (kept_states is not None)
+
+        def fresh():
+            return Circuit(c.gates, c.qubit_count, c.param_count)
+
+        def check(theta):
+            got = apply_circuit(c, theta)
+            assert got.tobytes() == apply_circuit(fresh(), theta).tobytes()
+            return got
+
+        theta = rng.uniform(-np.pi, np.pi, c.param_count)
+        for row in _plus_minus_rows(theta, np.eye(c.param_count) * (np.pi / 2.0)):  # GD's rows, in order
+            check(row)
+        check(theta)
+        kept = list(c._plan.last[1])
+        check(theta).fill(7.0)  # a repeated theta runs the last ops from the kept states; the caller owns the result
+        assert len(kept) > 1 and all(map(operator.is_, c._plan.last[1], kept))
+        check(theta)
+        edited = np.full(c.param_count, np.pi)
+        for value in (np.pi, 0.0, -0.0, np.nan, np.nan, np.pi):
+            edited[c.param_count // 2] = value
+            check(edited)
+        for row in rng.uniform(-np.pi, np.pi, (3, c.param_count)):
+            row[0] = theta[0]
+            psi = check(row)
+            want = apply_adjoint_circuit(fresh(), theta, psi)
+            assert apply_adjoint_circuit(c, theta, psi).tobytes() == want.tobytes()
+            check(theta)
+            assert derivative_states(c, row).tobytes() == derivative_states(fresh(), row).tobytes()
+            assert fidelity(c, psi, theta) == fidelity(fresh(), psi, theta)
+            check(row)
+
+
+def test_a_pass_keeps_at_most_the_cap_plus_one_state(monkeypatch):
+    state_bytes = 16 * 2**10
+    monkeypatch.setattr(simulator, "_KEPT_BYTES", 5 * state_bytes + state_bytes // 2)
+    c = hardware_efficient(10, 3)  # 33 ops: every 7th op's input is kept, 5 states
+    theta = np.linspace(-1.0, 1.0, c.param_count)
+    apply_circuit(c, theta)
+    theta[-1] = 0.5  # the first angle is unchanged, so this pass keeps its states
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        apply_circuit(c, theta)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(c._plan.last[1]) == 5
+    assert 5 * state_bytes <= retained <= simulator._KEPT_BYTES + state_bytes
+
+
+def test_a_pickled_circuit_leaves_its_kept_states_behind():
+    c = schwinger_ansatz(4, 1)
+    c._plan  # compiled, not run
+    compiled = len(pickle.dumps(c))
+    theta = np.linspace(-1.0, 1.0, c.param_count)
+    for value in (0.0, 0.5):
+        theta[-1] = value
+        want = apply_circuit(c, theta)
+    assert c._plan.last[1] and len(pickle.dumps(c)) <= compiled
+    assert apply_circuit(pickle.loads(pickle.dumps(c)), theta).tobytes() == want.tobytes()
 
 
 def _pinned_quantities(c, h, seed):
