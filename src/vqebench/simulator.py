@@ -25,12 +25,13 @@ the state that entered each op, and restarts from the state before the first
 op whose angle changed, compared on the angles' bits (`!=` would take -0.0 for
 0.0 and a nan for a change). So a GD shift row runs about half of the plan, a
 repeated theta only its last op. A pass whose first rotation's angle changed
-(every SPSA or Stein row) runs the whole plan and keeps nothing. The kept states
-take at most `_KEPT_BYTES` (16 MiB: 256 states at n = 12); past that, every
-k-th op's. No op writes into its input. Derivative-block and adjoint passes
-neither read nor keep the states, and a pickled plan drops them. They are
-unlocked state: one `Circuit` must not be evaluated from two threads at once
-(processes are fine).
+(every SPSA or Stein row) runs the whole plan and keeps nothing. A plan keeps
+its op inputs only if all of them fit in `_KEPT_BYTES` (16 MiB: 256 states at
+n = 12), else none; a resumed pass drops the old states as it replaces them, so
+they never take more. No op writes into its input. Derivative-block and adjoint
+passes neither read nor keep the states, and a pickled plan drops them. They
+are unlocked state: one `Circuit` must not be evaluated from two threads at
+once (processes are fine).
 
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
@@ -62,8 +63,8 @@ ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
 
-# A pass from |0...0> keeps its op inputs up to this many bytes (or one state): all 39
-# of hardware_efficient(12, 3) in 2.4 MiB; at (20, 3), every 63rd, not 1 GiB.
+# A pass from |0...0> keeps its op inputs if all of them fit in this many bytes: the 39
+# of hardware_efficient(12, 3) take 2.4 MiB; those of (16, 3) would take 51 MiB.
 _KEPT_BYTES = 2**24
 
 # A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
@@ -169,14 +170,14 @@ class _Plan:
     rotation slot's two entries (a.re, a.im, b.re, b.im) sit in a pass's values
     [cos, sin, -sin, 0] of the slots' half angles, and `slot_ops` which op each
     slot drives. `last` holds the last pass from |0...0>: its slots' angle bits
-    and the state that entered every `stride`-th op."""
+    and, if `keeps`, the state that entered each op."""
 
-    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param, input kept)
+    ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
     params: np.ndarray
     entries: np.ndarray
     slot_ops: np.ndarray
     size: int  # amplitudes, 2**n
-    stride: int
+    keeps: bool  # every op's input fits in _KEPT_BYTES
     last: list = field(default_factory=lambda: [None, []])
 
     def __getstate__(self):  # a copy remembers no pass
@@ -195,25 +196,24 @@ class _Plan:
         coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
         start, kept = 0, None
         if x is None:
-            bits, (last, kept) = theta.view(np.uint64)[self.params], self.last
-            diff = bits != last  # all True against None
-            if not diff.size or diff[0]:  # the first rotation's angle changed: keep nothing
-                self.last[:] = bits, []
-                kept = None
-            elif kept:
-                slot = diff.argmax()
-                j = (self.slot_ops[slot] if diff[slot] else len(self.ops) - 1) // self.stride
-                x, kept, start = kept[j], kept[:j], j * self.stride
-            else:
-                kept = []  # a new list: the remembered one changes only once this pass is done
+            if self.keeps:
+                bits, (last, kept) = theta.view(np.uint64)[self.params], self.last
+                self.last[:] = bits, []  # the old states go as this pass replaces them
+                diff = bits != last  # all True against None
+                if not diff.size or diff[0]:  # the first rotation's angle changed: keep nothing
+                    kept = None
+                elif kept:
+                    slot = diff.argmax()
+                    start = self.slot_ops[slot] if diff[slot] else len(self.ops) - 1
+                    x, kept = kept[start], kept[:start]
             if x is None:
                 x = np.zeros(self.size, dtype=complex)
                 x[0] = 1.0
         else:
             x = np.array(x, dtype=complex)
         # No op writes into its input, which may be kept.
-        for kind, index, table, k, p, keep in self.ops[start:]:
-            if keep and kept is not None:
+        for kind, index, table, k, p in self.ops[start:]:
+            if kept is not None:
                 kept.append(x)
             if kind == "RZ":
                 x = coef[k].take(index) * x  # coefficient first: see the module docstring
@@ -234,7 +234,7 @@ class _Plan:
                 psi = x[0] if kind == "RZ" else x[0].take(index)
                 x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
         if kept is not None:
-            self.last[:] = bits, kept
+            self.last[1] = kept
         return x
 
 
@@ -263,9 +263,8 @@ def _compile(n: int, gates) -> _Plan:
             entries.append(_ENTRIES[g.kind])
             slot_ops.append(len(ops) - 1)
     codes = np.array(entries, dtype=np.intp).reshape(-1, 4) * len(params) + np.arange(len(params))[:, None]
-    stride = -(-len(ops) // max(1, _KEPT_BYTES // (16 * 2**n))) or 1
-    ops = tuple((*op, not i % stride) for i, op in enumerate(ops))
-    return _Plan(ops, np.array(params, dtype=np.intp), codes, np.array(slot_ops), 2**n, stride)
+    keeps = 16 * 2**n * len(ops) <= _KEPT_BYTES
+    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes, np.array(slot_ops), 2**n, keeps)
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:

@@ -400,18 +400,13 @@ def test_equal_but_distinct_circuits_each_get_a_correct_plan():
 _SHARED = Circuit((Gate("RX", (1,), 0), Gate("S", (0,)), Gate("S", (0,)), Gate("RY", (0,), 1), Gate("RY", (1,), 0)), 2, 2)
 
 
-@pytest.mark.parametrize("kept_states", [None, 2], ids=["every-op", "every-k-th-op"])
-def test_resumed_passes_match_fresh_circuits_bit_for_bit(monkeypatch, kept_states):
+def test_resumed_passes_match_fresh_circuits_bit_for_bit():
     # A pass from |0...0> restarts from the state its circuit kept on the last
     # such pass before the first op whose angle's bits changed. Each pass must
-    # give the bytes of a fresh Circuit's pass, with every op's input kept or,
-    # under a small cap, every k-th op's.
+    # give the bytes of a fresh Circuit's pass.
     rng = np.random.default_rng(95)
     for c in (schwinger_ansatz(4, 1), _SHARED):
-        c = Circuit(c.gates, c.qubit_count, c.param_count)  # compiled under this case's cap
-        if kept_states is not None:
-            monkeypatch.setattr(simulator, "_KEPT_BYTES", kept_states * 16 * 2**c.qubit_count)
-        assert (c._plan.stride > 1) == (kept_states is not None)
+        assert c._plan.keeps
 
         def fresh():
             return Circuit(c.gates, c.qubit_count, c.param_count)
@@ -444,22 +439,32 @@ def test_resumed_passes_match_fresh_circuits_bit_for_bit(monkeypatch, kept_state
             check(row)
 
 
-def test_a_pass_keeps_at_most_the_cap_plus_one_state(monkeypatch):
+@pytest.mark.parametrize("cap_states", [33, 32])
+def test_a_pass_keeps_at_most_the_cap_plus_one_state(monkeypatch, cap_states):
+    # hardware_efficient(10, 3) has 33 ops: under a cap of 33 states a pass keeps
+    # every op's input, under 32 none. A first pass only records its angles; the
+    # second keeps its states, and the third, resumed at op 1, drops those it
+    # replaces, so even its peak stays near the cap.
     state_bytes = 16 * 2**10
-    monkeypatch.setattr(simulator, "_KEPT_BYTES", 5 * state_bytes + state_bytes // 2)
-    c = hardware_efficient(10, 3)  # 33 ops: every 7th op's input is kept, 5 states
+    monkeypatch.setattr(simulator, "_KEPT_BYTES", cap_states * state_bytes)
+    c = hardware_efficient(10, 3)
+    c._plan  # compiled, not run
+    kept = 33 if cap_states == 33 else 0
     theta = np.linspace(-1.0, 1.0, c.param_count)
-    apply_circuit(c, theta)
-    theta[-1] = 0.5  # the first angle is unchanged, so this pass keeps its states
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         apply_circuit(c, theta)
-        retained = tracemalloc.get_traced_memory()[0] - before
+        apply_circuit(c, theta)
+        theta[1] = 0.5  # the first angle is unchanged
+        tracemalloc.reset_peak()
+        apply_circuit(c, theta)
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert len(c._plan.last[1]) == 5
-    assert 5 * state_bytes <= retained <= simulator._KEPT_BYTES + state_bytes
+    assert len(c._plan.last[1]) == kept
+    assert kept * state_bytes <= retained <= kept * state_bytes + state_bytes // 2
+    assert peak <= (kept + 4) * state_bytes
 
 
 def test_a_pickled_circuit_leaves_its_kept_states_behind():
