@@ -21,15 +21,15 @@ from .values import check_value
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum whose
-# PauliSum.gauge is None is solved whole: exact_ground_energy holds about 2x its matrix
-# (2.1 GB at n = 13, 8.6 GB at n = 14), so this is the largest size at which any sum fits
-# an 8 GB machine. The TFIM, of gauge 0 or 1, needs 1/8 (a 103 MB peak at n = 13).
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum that
+# exact_ground_energy solves whole holds about 2x its matrix (2.1 GB at n = 13, 8.6 GB at
+# n = 14), so this is the largest size at which any sum fits an 8 GB machine. The TFIM,
+# solved from its symmetric block, needs 1/8 (a 103 MB peak at n = 13).
 MAX_DENSE_QUBITS = 13
 
-# exact_ground_energy builds a gauge 0 or 1 sum's block rows (states from invariant's group; at
-# gauge 1 signed in place) in chunks whose float64 entries, with the three arrays of the block's
-# columns summed from them, take about this many bytes, so one chunk holds every row at n <= 9.
+# exact_ground_energy builds a block's rows (the orbit minima of symmetric_sector; at gauge 1
+# signed in place) in chunks whose float64 entries, with the 3 arrays live while the group's 4
+# columns are summed from them, take about this many bytes, so one chunk holds every row at n <= 9.
 DENSE_BLOCK_BYTES = 2**21
 
 _H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
@@ -108,16 +108,15 @@ class PauliSum:
         return all(c.get(a[::-1] if reverse else a) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
 
     @cached_property
-    def symmetric_sector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """exact_ground_energy's orbit table. G: the elements of {1, F, R, FR} that leave the sum unchanged
-        (invariant), as basis permutations, each once (R is the identity at n = 1; FR is in with F and R).
-        (g.a per g in G, the ascending orbit minima a, |Stab a|): the sector chi = 1 and its block's weights."""
+    def symmetric_sector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """exact_ground_energy's orbit table, if F and R (so FR) leave the sum unchanged (invariant) at
+        n >= 2, else None. The group's basis permutations as rows [1, F, R, FR], then (g.a per g, the
+        ascending orbit minima a, |Stab a|): the sector chi = 1 and its block's weights."""
+        if self.qubit_count < 2 or not (self.invariant(False, True) and self.invariant(True, False)):
+            return None
         n, j = self.qubit_count, np.arange(2**self.qubit_count)
         r = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
-        group = j[None]
-        for g, reverse, flip in ((j[::-1], False, True), (r, True, False), (r[::-1], True, True)):  # F, R, FR
-            if self.invariant(reverse, flip) and not any(np.array_equal(g, e) for e in group):
-                group = np.vstack([group, g.take(group)])
+        group = np.stack([j, j[::-1], r, r[::-1]])
         states = np.flatnonzero(group.min(axis=0) == j)
         return group[:, states], states, (group == j).sum(axis=0)[states]
 
@@ -288,22 +287,20 @@ def to_dense(h: PauliSum, rows: np.ndarray | None = None) -> np.ndarray:
 def exact_ground_energy(h: PauliSum) -> float:
     """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver, from one block.
 
-    A stoquastic sum (`PauliSum.gauge` 0: real, every off-diagonal entry <= 0, the TFIM at h <= 0) has
-    a nonnegative ground vector (Perron-Frobenius), whose sum over its `PauliSum.symmetric_sector`
-    group G (each g with `PauliSum.invariant`) is G-invariant. So E0 is the lowest eigenvalue of the
-    block H[a, b] = sum_g m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik,
-    arXiv:1101.3281), whose rows are built in chunks of about DENSE_BLOCK_BYTES: 1/8 of the matrix
-    for the TFIM. A sum of gauge 1 (the TFIM at h > 0) has the spectrum of its conjugate by Z on
-    every site, which is stoquastic: each built row is multiplied in place by the +-1 sign
-    (-1)^(popcount a + popcount b) of its entry (a, b). Any other sum (gauge None) is solved whole,
-    holding about 2x its matrix with LAPACK's copy."""
+    A stoquastic sum (`PauliSum.gauge` 0: real, every off-diagonal entry <= 0, the TFIM at h <= 0) has a
+    nonnegative ground vector (Perron-Frobenius). If the sum has a `PauliSum.symmetric_sector`, the sum of
+    that vector over G = {1, F, R, FR} is G-invariant: E0 is the lowest eigenvalue of the block H[a, b] =
+    sum_g m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik, arXiv:1101.3281), built in
+    chunks of rows of about DENSE_BLOCK_BYTES: 1/8 of the matrix for the TFIM. At gauge 1 (the TFIM at
+    h > 0) the conjugate by Z on every site is stoquastic, and each built row is multiplied in place by
+    its sign (-1)^(popcount a + popcount b). Any other sum, Schwinger's included, is solved whole."""
     # to_dense refuses a size over the guard, before the rules below build any table.
-    if h.qubit_count > MAX_DENSE_QUBITS or h.gauge is None:
+    if h.qubit_count > MAX_DENSE_QUBITS or h.gauge is None or h.symmetric_sector is None:
         return float(np.linalg.eigvalsh(to_dense(h))[0])
     n, (columns, states, stabilizers) = h.qubit_count, h.symmetric_sector
     sign = 1.0 - 2 * (np.bitwise_count(np.arange(2**n)) & 1) if h.gauge else None  # Z^n's diagonal
     block = np.zeros((len(states), len(states)))
-    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**n + 3 * len(states))))  # a chunk and 3 gathers
+    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**n + 3 * len(states))))  # a chunk and the 3 arrays summed
     for lo in range(0, len(states), step):
         hi = min(lo + step, len(states))
         dense = to_dense(h, rows=states[lo:hi])

@@ -421,11 +421,12 @@ def test_reversal_rule_agrees_with_the_matrix():
     flags = _symmetry_flags(sums)
     for reverse_flags in (flags[True, False], flags[True, True]):  # R, FR
         assert any(reverse_flags) and not all(reverse_flags)
-    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so one sector, the whole matrix
+    assert all(h.symmetric_sector is not None for h in sums[:3])  # the TFIM keeps F and R
+    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so it is solved whole
         assert not any(h.invariant(reverse, flip) for reverse, flip in flags)
-        assert len(h.symmetric_sector[0]) == 1
-    # At n = 1 the reversal is the identity: it holds, and adds no group element.
-    assert sums[-1].invariant(True, False) and len(sums[-1].symmetric_sector[0]) == 1
+        assert h.symmetric_sector is None
+    # At n = 1 the reversal is the identity: it holds, and the sum is solved whole.
+    assert sums[-1].invariant(True, False) and sums[-1].symmetric_sector is None
 
 
 def _stoquastic_random_sum(rng, n, reverse=0, flip=False):
@@ -493,15 +494,13 @@ def _is_stoquastic(m):
 
 
 def _symmetric_block_ground_energy(m, n):
-    """The lowest eigenvalue of the chi = 1 block formed from the whole matrix m. G is the
-    elements of 1, F, R and FR under which m is unchanged; the block is sum_g m[a, g.b] /
-    sqrt(|Stab a| |Stab b|) over the orbit minima a and b, the terms added in the order 1,
-    F, R, FR."""
+    """The lowest eigenvalue of the chi = 1 block formed from the whole matrix m if F and R
+    leave m unchanged at n >= 2, else None. The block is sum_g m[a, g.b] / sqrt(|Stab a|
+    |Stab b|) over the orbit minima a and b, the terms added in the order 1, F, R, FR."""
     j, reverse = np.arange(len(m)), _reversal(n)
-    group = [j]
-    for g in (j[::-1], reverse, reverse[::-1]):
-        if np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) and not any(np.array_equal(g, e) for e in group):
-            group += [g[e] for e in group]
+    group = [j, j[::-1], reverse, reverse[::-1]]
+    if n < 2 or not all(np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) for g in group[1:3]):
+        return None
     states = np.flatnonzero(np.min(group, axis=0) == j)
     stabilizers = (np.array(group) == j).sum(axis=0)[states]
     block = m[np.ix_(states, group[0][states])]
@@ -512,50 +511,55 @@ def _symmetric_block_ground_energy(m, n):
 
 def _reference_ground_energy(h):
     """exact_ground_energy from the whole matrix m: the chi = 1 block of m, or else of m
-    conjugated by Z on every site, if that one is stoquastic; otherwise all of m."""
-    m, z = to_dense(h), _z_signs(2**h.qubit_count)
-    for candidate in (m, z[:, None] * m * z + 0.0):  # + 0.0: to_dense's zeros are never -0.0
-        if _is_stoquastic(candidate):
-            return _symmetric_block_ground_energy(candidate, h.qubit_count)
-    return float(np.linalg.eigvalsh(m)[0])
+    conjugated by Z on every site, if that one is stoquastic and has the block; otherwise
+    all of m."""
+    m, z = to_dense(h), _z_signs(2**h.qubit_count)  # + 0.0 below: to_dense's zeros are never -0.0
+    stoquastic = [c for c in (m, z[:, None] * m * z + 0.0) if _is_stoquastic(c)]
+    block = _symmetric_block_ground_energy(stoquastic[0], h.qubit_count) if stoquastic else None
+    return float(np.linalg.eigvalsh(m)[0]) if block is None else block
 
 
-# (invariant under F, invariant under R, |G|) per symmetry class, how to draw its sums,
-# and the (reverse, flip) that draw stoquastic ones, solved in the sector chi = 1 only.
+# Per class: how to draw its sums, the (reverse, flip) that draw stoquastic ones, and whether
+# they keep both F and R (a symmetric_sector), so that a stoquastic one is solved in the sector
+# chi = 1 only. The other class keeps one of F, R and FR at most, and is solved whole.
 @pytest.mark.parametrize(
-    "group, draw, stoquastic",
+    "draws, stoquastic, blocked",
     [
-        ((False, False, 1), lambda rng, n: _random_sum(rng, n), (0, False)),
-        ((True, False, 2), lambda rng, n: _symmetric_random_sum(rng, n), (0, True)),
-        ((False, True, 2), lambda rng, n: _reversal_random_sum(rng, n, 1), (1, False)),
-        ((False, False, 2), lambda rng, n: _reversal_random_sum(rng, n, -1), (-1, False)),
-        ((True, True, 4), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True), (1, True)),
+        ([lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True)], [(1, True)], True),
+        (
+            [_random_sum, _symmetric_random_sum, lambda rng, n: _reversal_random_sum(rng, n, 1),
+             lambda rng, n: _reversal_random_sum(rng, n, -1)],
+            [(0, True), (1, False), (-1, False)],  # only F, only R, only FR
+            False,
+        ),
     ],
-    ids=["{1}", "{1,F}", "{1,R}", "{1,FR}", "{1,F,R,FR}"],
+    ids=["{1,F,R,FR}", "solved-whole"],
 )
-def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
+def test_split_ground_energy_matches_full_solve(draws, stoquastic, blocked):
     rng = np.random.default_rng(29)
-    sums = [draw(rng, int(rng.integers(2, 7))) for _ in range(500)]
-    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
+    sums = [draw(rng, int(rng.integers(2, 7))) for draw in draws for _ in range(500 // len(draws))]
+    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *s) for s in stoquastic for _ in range(100)]
     sums += stoquastic_sums + [_z_conjugate(h) for h in stoquastic_sums]
     # Not stoquastic (h > 0), but its Z conjugate is: at odd n the ground state is odd under F.
     sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
-    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0, "gauged": 0}
+    kept = {"F": (False, True), "R": (True, False), "FR": (True, True)}
+    checked = dict.fromkeys([np.float64, np.complex128, "stoquastic", "gauged", *kept], 0)
     outside = 0  # sums of gauge None whose ground state is outside the sector chi = 1
-    for h in sums:
-        if (h.invariant(False, True), h.invariant(True, False), len(h.symmetric_sector[0])) == group:
-            m = to_dense(h)
-            full = float(np.linalg.eigvalsh(m)[0])
-            checked[m.dtype.type] += 1
-            checked["stoquastic"] += h.gauge == 0
-            checked["gauged"] += h.gauge == 1
-            if h.gauge is None:
-                outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
-            assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
-            assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
+    for h in [h for h in sums if (h.symmetric_sector is not None) == blocked]:
+        m = to_dense(h)
+        full = float(np.linalg.eigvalsh(m)[0])
+        checked[m.dtype.type] += 1
+        checked["stoquastic"] += h.gauge == 0
+        checked["gauged"] += h.gauge == 1
+        for name, flags in kept.items():  # sums a block over the elements they keep would also solve
+            checked[name] += h.gauge is not None and h.invariant(*flags)
+        if blocked and h.gauge is None:
+            outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
+        assert exact_ground_energy(h) == (_reference_ground_energy(h) if blocked else full), [t.axes for t in h.terms]
+        assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
     assert min(checked.values()) >= 5, checked
-    # A shortcut that solved the sector chi = 1 of any sum with a symmetry would miss these.
-    assert (outside > 0) == (group[2] > 1), outside
+    # A shortcut that solved the sector chi = 1 of any sum with the group would miss these.
+    assert (outside > 0) == blocked, outside
 
 
 def _complex_centrosymmetric_sum():
@@ -567,16 +571,18 @@ def _complex_centrosymmetric_sum():
 
 def test_ground_energy_is_the_block_of_the_whole_matrix():
     # Solving the rows built in chunks gives the same block as the one formed from the
-    # whole matrix, so the same bits. At h > 0 the TFIM is solved through its Z conjugate;
-    # the complex sums are solved whole.
+    # whole matrix, so the same bits. At h > 0 the TFIM is solved through its Z conjugate.
+    # The other sums keep F but not R, or have one qubit, so they are solved whole.
     rng = np.random.default_rng(19)
     fields = ((-1.0, -2.0), (-1.0, 2.0), (0.7, 0.3), (-1.0, 0.0))
-    sums = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
-    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
-    sums += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
-    sums += [_complex_centrosymmetric_sum(), _complex_sum()]
-    for h in sums:
+    tfims = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
+    others = [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
+    others += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
+    others += [_complex_centrosymmetric_sum(), _complex_sum()]
+    for h in tfims + others:
         assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
+    assert all(h.symmetric_sector is not None for h in tfims)
+    assert all(h.symmetric_sector is None for h in others)
 
 
 @pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])
@@ -595,10 +601,11 @@ def test_tfim_ground_energy_holds_a_ninth_of_the_matrix():
     # The TFIM is stoquastic at h <= 0, and its Z conjugate is at h > 0, so only the
     # sector chi = 1 is built: its block (8.5 MiB, 1/16 of the matrix), plus one chunk of
     # its rows, about 2 MiB with the block's columns summed from it, signed in place at h > 0
-    # (about 0.089x at n = 12 at either sign).
+    # (about 0.083x at n = 12 at either sign). Pruning the bonds (J = 0) or the field (h = 0)
+    # leaves both F and R, so those take the block too; a whole solve would read about 1x.
     # LAPACK's working copy is outside numpy's traced memory.
-    for field in (-2.0, 2.0):
-        h = build_tfim(12, -1.0, field)
+    for J, field in ((-1.0, -2.0), (-1.0, 2.0), (0.0, -2.0), (0.0, 2.0), (-1.0, 0.0)):
+        h = build_tfim(12, J, field)
         matrix_bytes = to_dense(h, rows=[0]).itemsize * 4**h.qubit_count
         tracemalloc.start()
         try:
@@ -606,12 +613,14 @@ def test_tfim_ground_energy_holds_a_ninth_of_the_matrix():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 0.11 * matrix_bytes, field
+        assert peak <= 0.11 * matrix_bytes, (J, field)
 
 
 def test_ground_energy_of_one_qubit():
+    # F holds, and R is the identity at n = 1: no group of four, so the sum is solved whole.
     h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)
-    assert h.invariant(False, True)
+    assert h.invariant(False, True) and h.symmetric_sector is None
+    assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
     assert exact_ground_energy(h) == pytest.approx(0.2, abs=1e-15)
 
 
