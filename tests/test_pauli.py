@@ -519,44 +519,43 @@ def _reference_ground_energy(h):
     return float(np.linalg.eigvalsh(m)[0]) if block is None else block
 
 
-# Per class: how to draw its sums, the (reverse, flip) that draw stoquastic ones, and whether
-# they keep both F and R (a symmetric_sector), so that a stoquastic one is solved in the sector
-# chi = 1 only. The other class keeps one of F, R and FR at most, and is solved whole.
+# (invariant under F, under R, under FR) per symmetry class, how to draw its sums, and the
+# (reverse, flip) that draw stoquastic ones. Only the class that keeps both F and R has a
+# symmetric_sector, so a stoquastic sum of it is solved in the sector chi = 1 only; the
+# classes that keep one of F, R and FR at most are solved whole.
 @pytest.mark.parametrize(
-    "draws, stoquastic, blocked",
+    "group, draw, stoquastic",
     [
-        ([lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True)], [(1, True)], True),
-        (
-            [_random_sum, _symmetric_random_sum, lambda rng, n: _reversal_random_sum(rng, n, 1),
-             lambda rng, n: _reversal_random_sum(rng, n, -1)],
-            [(0, True), (1, False), (-1, False)],  # only F, only R, only FR
-            False,
-        ),
+        ((False, False, False), _random_sum, (0, False)),
+        ((True, False, False), _symmetric_random_sum, (0, True)),
+        ((False, True, False), lambda rng, n: _reversal_random_sum(rng, n, 1), (1, False)),
+        ((False, False, True), lambda rng, n: _reversal_random_sum(rng, n, -1), (-1, False)),
+        ((True, True, True), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True), (1, True)),
     ],
-    ids=["{1,F,R,FR}", "solved-whole"],
+    ids=["{1}", "{1,F}", "{1,R}", "{1,FR}", "{1,F,R,FR}"],
 )
-def test_split_ground_energy_matches_full_solve(draws, stoquastic, blocked):
+def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
     rng = np.random.default_rng(29)
-    sums = [draw(rng, int(rng.integers(2, 7))) for draw in draws for _ in range(500 // len(draws))]
-    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *s) for s in stoquastic for _ in range(100)]
+    sums = [draw(rng, int(rng.integers(2, 7))) for _ in range(500)]
+    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
     sums += stoquastic_sums + [_z_conjugate(h) for h in stoquastic_sums]
     # Not stoquastic (h > 0), but its Z conjugate is: at odd n the ground state is odd under F.
     sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
-    kept = {"F": (False, True), "R": (True, False), "FR": (True, True)}
-    checked = dict.fromkeys([np.float64, np.complex128, "stoquastic", "gauged", *kept], 0)
+    blocked = all(group)
+    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0, "gauged": 0}
     outside = 0  # sums of gauge None whose ground state is outside the sector chi = 1
-    for h in [h for h in sums if (h.symmetric_sector is not None) == blocked]:
-        m = to_dense(h)
-        full = float(np.linalg.eigvalsh(m)[0])
-        checked[m.dtype.type] += 1
-        checked["stoquastic"] += h.gauge == 0
-        checked["gauged"] += h.gauge == 1
-        for name, flags in kept.items():  # sums a block over the elements they keep would also solve
-            checked[name] += h.gauge is not None and h.invariant(*flags)
-        if blocked and h.gauge is None:
-            outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
-        assert exact_ground_energy(h) == (_reference_ground_energy(h) if blocked else full), [t.axes for t in h.terms]
-        assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
+    for h in sums:
+        if tuple(h.invariant(reverse, flip) for reverse, flip in ((False, True), (True, False), (True, True))) == group:
+            assert (h.symmetric_sector is not None) == blocked, [t.axes for t in h.terms]
+            m = to_dense(h)
+            full = float(np.linalg.eigvalsh(m)[0])
+            checked[m.dtype.type] += 1
+            checked["stoquastic"] += h.gauge == 0
+            checked["gauged"] += h.gauge == 1
+            if blocked and h.gauge is None:
+                outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
+            assert exact_ground_energy(h) == (_reference_ground_energy(h) if blocked else full), [t.axes for t in h.terms]
+            assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
     assert min(checked.values()) >= 5, checked
     # A shortcut that solved the sector chi = 1 of any sum with the group would miss these.
     assert (outside > 0) == blocked, outside
