@@ -10,6 +10,7 @@ here too: it alone reads the sum's cached basis-rotation tables.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,6 +32,8 @@ MAX_DENSE_QUBITS = 13
 # signed in place) in chunks whose float64 entries, with the 3 arrays live while the group's 4
 # columns are summed from them, take about this many bytes, so one chunk holds every row at n <= 9.
 DENSE_BLOCK_BYTES = 2**21
+
+_SAMPLED_ROW_BYTES = 2**21  # a chunk of PauliSum.outcome_distributions: one at n <= 13 for the TFIM
 
 _H = 1.0 / np.sqrt(2.0)  # the entries of H, here and in the simulator's gate plans
 
@@ -143,12 +146,16 @@ class PauliSum:
         return np.concatenate((amps, -1j * amps, -amps, 1j * amps)).take(self.term_tables[0])
 
     @cached_property
+    def _weights(self) -> tuple[tuple[float, bool], ...]:  # (coefficient, is_identity) per term, as energies read them
+        return tuple((t.coefficient, t.is_identity) for t in self.terms)
+
+    @cached_property
     def _measurement_tables(self) -> tuple[tuple, np.ndarray]:
         """The rotations into the terms' measurement bases (H on X sites, H S^dagger on Y
-        sites), one group of stacked rows per op sequence, and each term's row among the
-        groups' rows in group order. An op is (None, phases) for S^dagger, or for H each
-        row's flat flipped index (a first op reads the state itself) and int8 sign of x.
-        Z-only and identity terms share the group with no ops: the state itself."""
+        sites), one group of stacked rows per op sequence, and each non-identity term's index
+        and row among the groups' rows in group order. An op is (None, phases) for S^dagger,
+        or for H each row's flat flipped index (a first op reads the state itself) and int8
+        sign of x. Z-only terms share the group with no ops: the state itself."""
         n, j = self.qubit_count, np.arange(2**self.qubit_count)
         keys = ["".join(a if a in "XY" else "I" for a in t.axes) for t in self.terms]
         groups: dict[str, list[str]] = {}
@@ -167,24 +174,25 @@ class PauliSum:
                 flip = (j ^ 1 << shift) + (j.size * np.arange(len(members))[:, None] if ops else 0)
                 ops.append((flip, (1 - 2 * bit).astype(np.int8)))
             tables.append(tuple(ops))
-        return tuple(tables), np.array([row[key] for key in keys], dtype=np.intp)
+        measured = [(i, row[key]) for i, (key, t) in enumerate(zip(keys, self.terms)) if not t.is_identity]
+        return tuple(tables), np.array(measured, dtype=np.intp).reshape(-1, 2).T
 
-    def outcome_distributions(self, amps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Each term's (Born probabilities of amps in its measurement basis, eigenvalue sign
-        of each outcome) in term order, from one pass per op sequence of the stacked rows."""
-        groups, rows = self._measurement_tables
-        distributions = []
+    def outcome_distributions(self, amps: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The non-identity terms' Born probabilities of amps in their measurement bases and int8
+        outcome signs, two arrays of rows in term order, in chunks of about _SAMPLED_ROW_BYTES of
+        probabilities: one pass per op sequence, then one take of the groups' rows per chunk."""
+        groups, (measured, rows) = self._measurement_tables
+        if not rows.size:
+            return
+        born = []
         for ops in groups:
             x = np.asarray(amps, dtype=complex)[None]
-            for index, table in ops:
-                if index is None:  # S^dagger: a phase
-                    x = table * x
-                else:  # H: y / sqrt(2) +- x / sqrt(2), y the copy of x with the site flipped
-                    y = x.take(index) * _H
-                    y += table * (x * _H)
-                    x = y
-            distributions.extend(_outcome_probabilities(x))
-        return [(distributions[r], signs) for r, signs in zip(rows, self.term_tables[1])]
+            for index, table in ops:  # S^dagger: a phase; H: y / sqrt(2) +- x / sqrt(2), y x site-flipped
+                x = table * x if index is None else x.take(index) * _H + table * (x * _H)
+            born.append(_outcome_probabilities(x))
+        born, x, step = np.concatenate(born), None, max(1, _SAMPLED_ROW_BYTES // born[0][0].nbytes)
+        for lo in range(0, rows.size, step):  # x's last block is gone before the draws
+            yield born.take(rows[lo : lo + step], axis=0), self.term_tables[1].take(measured[lo : lo + step], axis=0)
 
 
 def _outcome_probabilities(amps: np.ndarray) -> np.ndarray:

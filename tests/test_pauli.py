@@ -568,20 +568,37 @@ def _complex_centrosymmetric_sum():
     )
 
 
+def _inexact_stoquastic_sum(rng, n):
+    """X^n and random X-only strings with negative coefficients and Z-only strings with an
+    even number of Z's, each with its reversal: a stoquastic sum F and R leave unchanged,
+    whose block entries add inexact values, so their order [1, F, R, FR] shows in the bits."""
+    terms = [PauliString(-abs(rng.normal()), "X" * n)]
+    while len(terms) < 17:
+        axes = "".join(rng.choice(list(rng.choice(["IX", "IZ"])), n))
+        if axes.count("Z") % 2 == 0:
+            c = -abs(rng.normal()) if "X" in axes else rng.normal()
+            terms += [PauliString(c, axes), PauliString(c, axes[::-1])]
+    return PauliSum.from_terms(terms, n)
+
+
 def test_ground_energy_is_the_block_of_the_whole_matrix():
     # Solving the rows built in chunks gives the same block as the one formed from the
     # whole matrix, so the same bits. At h > 0 the TFIM is solved through its Z conjugate.
     # The other sums keep F but not R, or have one qubit, so they are solved whole.
     rng = np.random.default_rng(19)
     fields = ((-1.0, -2.0), (-1.0, 2.0), (0.7, 0.3), (-1.0, 0.0))
-    tfims = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
+    blocked = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
+    blocked += [_inexact_stoquastic_sum(rng, n) for n in range(3, 9) for _ in range(3)]
     others = [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
     others += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
     others += [_complex_centrosymmetric_sum(), _complex_sum()]
-    for h in tfims + others:
+    for h in blocked + others:
         assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
-    assert all(h.symmetric_sector is not None for h in tfims)
+    assert all(h.symmetric_sector is not None for h in blocked)
     assert all(h.symmetric_sector is None for h in others)
+    # Some block entry adds three or more nonzero entries of the matrix.
+    columns, states, _ = blocked[-1].symmetric_sector
+    assert ((to_dense(blocked[-1])[states][:, columns] != 0).sum(axis=1) >= 3).any()
 
 
 @pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from vqebench import ansatz, estimators, optimizers, simulator
+from vqebench import ansatz, estimators, optimizers, pauli, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
 from vqebench.estimators import _plus_minus_rows, exact_metric
 from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
@@ -662,6 +662,7 @@ def test_sampled_expectation_constant_only():
     s = np.array([0.5] * 4, dtype=complex)
     rng = np.random.default_rng(0)
     assert sampled_expectation(s, h, 17, rng) == 3.25
+    assert rng.random() == np.random.default_rng(0).random()  # nothing drawn
 
 
 def test_sampled_expectation_deterministic_outcome():
@@ -730,6 +731,12 @@ def random_sums(rng, n):
         yield PauliSum.from_terms([PauliString(float(rng.normal()), a) for a in axes], n)
 
 
+def _measured_rows(h, amps):
+    """Each non-identity term with its row of outcome_distributions' chunks, in order."""
+    rows = [row for p, _ in h.outcome_distributions(amps) for row in p]
+    return zip([t for t in h.terms if not t.is_identity], rows, strict=True)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_energies_match_the_per_term_references_bit_for_bit(n):
     # Every string is applied, rotated and sampled from one set of stacked
@@ -743,7 +750,7 @@ def test_stacked_energies_match_the_per_term_references_bit_for_bit(n):
             assert expectation(amps, h) == _ref_expectation(amps, h)
             # A last-bit change in a distribution seldom moves a draw, so the
             # distributions are compared too.
-            for t, (p, _) in zip(h.terms, h.outcome_distributions(amps), strict=True):
+            for t, p in _measured_rows(h, amps):
                 assert np.array_equal(p, _ref_distribution(amps, t.axes))
             got, want = np.random.default_rng(n), np.random.default_rng(n)
             assert sampled_expectation(amps, h, 257, got) == _ref_sampled_expectation(amps, h, 257, want)
@@ -764,11 +771,47 @@ def test_sampled_energies_match_the_per_term_reference_at_benchmark_sizes(c, h):
     # seldom moves a draw, so the distributions are compared too.
     rng = np.random.default_rng(c.qubit_count)
     amps = apply_circuit(c, rng.uniform(-np.pi, np.pi, c.param_count))
-    for t, (p, _) in zip(h.terms, h.outcome_distributions(amps), strict=True):
+    for t, p in _measured_rows(h, amps):
         assert np.array_equal(p, _ref_distribution(amps, t.axes))
     got, want = np.random.default_rng(5), np.random.default_rng(5)
     assert sampled_expectation(amps, h, 8192, got) == _ref_sampled_expectation(amps, h, 8192, want)
     assert got.random() == want.random()
+
+
+@pytest.mark.parametrize("rows", [1, 2])
+def test_chunked_draws_match_the_per_term_reference(monkeypatch, rows):
+    # Chunks of one or two rows split the draws at every term and between the
+    # identity and Y terms; the stream and the values must not notice.
+    monkeypatch.setattr(pauli, "_SAMPLED_ROW_BYTES", rows * 8 * 2**6)
+    rng = np.random.default_rng(50 + rows)
+    for h in random_sums(rng, 6):
+        amps = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+        amps /= np.linalg.norm(amps)
+        assert max(len(p) for p, _ in h.outcome_distributions(amps)) == rows
+        for t, p in _measured_rows(h, amps):
+            assert np.array_equal(p, _ref_distribution(amps, t.axes))
+        got, want = np.random.default_rng(rows), np.random.default_rng(rows)
+        assert sampled_expectation(amps, h, 257, got) == _ref_sampled_expectation(amps, h, 257, want)
+        assert got.random() == want.random()
+
+
+def test_a_sampled_energy_holds_two_chunks_beyond_the_rotated_x_block():
+    # At n = 14 the TFIM's 27 measured rows (3.4 MiB of probabilities, as many
+    # of counts) overflow the 2 MiB cap. Past the tables, rotating the X block
+    # (14 complex rows) holds it and its signed copy, and drawing holds the Born
+    # rows and one chunk's probabilities and counts: both within two chunks, one
+    # block and two states. All rows drawn at once beside the Born rows are not.
+    n = 14
+    h = build_tfim(n, -1.0, -2.0)
+    amps = apply_circuit(hardware_efficient(n, 2), np.linspace(-1.0, 1.0, 2 * n))
+    sampled_expectation(amps, h, 8, np.random.default_rng(0))  # builds the tables
+    tracemalloc.start()
+    try:
+        sampled_expectation(amps, h, 8192, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * pauli._SAMPLED_ROW_BYTES + n * amps.nbytes + 2 * amps.nbytes
 
 
 @pytest.mark.parametrize("n", [6, 12])
