@@ -292,6 +292,8 @@ def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
 
 def exact_gradient_and_metric(circuit: Circuit, h: PauliSum, theta) -> tuple[np.ndarray, MetricEstimate]:
     """Exact loss gradient 2 Re <d_i psi|H|psi> (H psi over non-identity terms) and `exact_metric`, from one block."""
+    if h.qubit_count != circuit.qubit_count:
+        raise ValueError(f"Hamiltonian on {h.qubit_count} qubits, circuit on {circuit.qubit_count}")
     block = derivative_states(circuit, theta)
     h_psi = np.array([0.0 if t.is_identity else t.coefficient for t in h.terms]) @ h.apply_terms(block[0])
     return 2.0 * np.real(block[1:].conj() @ h_psi), _block_metric(block)

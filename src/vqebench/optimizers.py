@@ -179,11 +179,10 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
 
-    The rows run in the order theta + s_0, theta - s_0, theta + s_1, ...: each
-    differs from the one before in at most two parameters, so each pass
-    resumes the one before from the first op those drive (`simulator`).
-    Raises ValueError if a parameter index drives more than one gate, where
-    the shift rule does not hold.
+    The shift-rule reference that the tests hold `exact_gradient_and_metric`'s
+    gradient (GD's and QNG's) to; no step calls it, and the benchmark tracer
+    wraps it by name. Raises ValueError if a parameter index drives more than
+    one gate, where the shift rule does not hold.
     """
     require_one_gate_per_parameter(problem.circuit)
     rows = _plus_minus_rows(theta, np.eye(len(theta)) * (np.pi / 2.0))
@@ -195,9 +194,8 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
     """Gradient and (natural kinds only) metric estimate at state.theta; charges every circuit it queries."""
     if kind in ("GD", "QNG"):  # exact references, charged as 2d shifted losses
         state.add_circuits(2 * problem.circuit.param_count)
-        if kind == "GD":
-            return exact_parameter_shift_gradient(problem, state.theta), None
-        return exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
+        grad, metric = exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
+        return grad, metric if kind == "QNG" else None
     oracle = RowOracle(
         lambda rows: [loss(problem.circuit, problem.hamiltonian, row, shots=config.shots, rng=rng) for row in rows]
     )

@@ -19,19 +19,8 @@ term tables of a `PauliSum`: one gather applies every string, and
 `PauliSum.outcome_distributions` (the measurement pass, which owns the
 rotation tables) gives the measured terms' rows; this module only draws.
 
-A pass from |0...0> (`apply_circuit`: every loss, exact overlap and readout)
-resumes the circuit's last such pass. The plan remembers that pass's angles and
-the state that entered each op, and restarts from the state before the first
-op whose angle changed, compared on the angles' bits (`!=` would take -0.0 for
-0.0 and a nan for a change). So a GD shift row runs about half of the plan, a
-repeated theta only its last op. A pass whose first rotation's angle changed
-(every SPSA or Stein row) runs the whole plan and keeps nothing. A plan keeps
-its op inputs only if all of them fit in `_KEPT_BYTES` (16 MiB: 256 states at
-n = 12), else none; a resumed pass drops the old states as it replaces them, so
-they never take more. No op writes into its input. Derivative-block and adjoint
-passes neither read nor keep the states, and a pickled plan drops them. They
-are unlocked state: one `Circuit` must not be evaluated from two threads at
-once (processes are fine).
+A compiled plan holds only its ops and tables: it keeps no state between
+passes, so every pass from |0...0> runs the whole plan.
 
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
@@ -50,7 +39,7 @@ per-term stream; 86 -> 76 us for 11 rows at n = 6) and one signed `einsum`.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,10 +51,6 @@ MAX_QUBITS = 20
 ROTATION_KINDS = ("RX", "RY", "RZ")
 FIXED_KINDS = ("H", "S", "Sdg", "X", "CNOT")
 GATE_KINDS = ROTATION_KINDS + FIXED_KINDS
-
-# A pass from |0...0> keeps its op inputs if all of them fit in this many bytes: the 39
-# of hardware_efficient(12, 3) take 2.4 MiB; those of (16, 3) would take 51 MiB.
-_KEPT_BYTES = 2**24
 
 # A rotation's entries (a, b), as (a.re, a.im, b.re, b.im) codes into the
 # values [cos, sin, -sin, 0]: RX (c, -i s) and RY (c, s) act as a x + b y with
@@ -168,53 +153,29 @@ def _site(n: int, site: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class _Plan:
     """A gate list compiled to array ops; `params` and `entries` say where each
     rotation slot's two entries (a.re, a.im, b.re, b.im) sit in a pass's values
-    [cos, sin, -sin, 0] of the slots' half angles, and `slot_ops` which op each
-    slot drives. `last` holds the last pass from |0...0>: its slots' angle bits
-    and, if `keeps`, the state that entered each op."""
+    [cos, sin, -sin, 0] of the slots' half angles."""
 
     ops: tuple  # (kind, gather index, phases/signs/H diagonal or None, slot, param)
     params: np.ndarray
     entries: np.ndarray
-    slot_ops: np.ndarray
     size: int  # amplitudes, 2**n
-    keeps: bool  # every op's input fits in _KEPT_BYTES
-    last: list = field(default_factory=lambda: [None, []])
-
-    def __getstate__(self):  # a copy remembers no pass
-        return {**self.__dict__, "last": [None, []]}
 
     def run(self, x: np.ndarray | None, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
-        With x None, the pass starts from |0...0> and resumes the last such
-        pass (see the module docstring).
+        With x None, the pass starts from |0...0>.
         With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
         rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
         """
         half = theta / 2.0
         cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
         coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
-        start, kept = 0, None
         if x is None:
-            if self.keeps:
-                bits, (last, kept) = theta.view(np.uint64)[self.params], self.last
-                self.last[:] = bits, []  # the old states go as this pass replaces them
-                diff = bits != last  # all True against None
-                if not diff.size or diff[0]:  # the first rotation's angle changed: keep nothing
-                    kept = None
-                elif kept:
-                    slot = diff.argmax()
-                    start = self.slot_ops[slot] if diff[slot] else len(self.ops) - 1
-                    x, kept = kept[start], kept[:start]
-            if x is None:
-                x = np.zeros(self.size, dtype=complex)
-                x[0] = 1.0
+            x = np.zeros(self.size, dtype=complex)
+            x[0] = 1.0
         else:
             x = np.array(x, dtype=complex)
-        # No op writes into its input, which may be kept.
-        for kind, index, table, k, p in self.ops[start:]:
-            if kept is not None:
-                kept.append(x)
+        for kind, index, table, k, p in self.ops:
             if kind == "RZ":
                 x = coef[k].take(index) * x  # coefficient first: see the module docstring
             elif kind == "gather":
@@ -233,8 +194,6 @@ class _Plan:
             if derivatives and p is not None:
                 psi = x[0] if kind == "RZ" else x[0].take(index)
                 x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
-        if kept is not None:
-            self.last[1] = kept
         return x
 
 
@@ -242,7 +201,7 @@ def _compile(n: int, gates) -> _Plan:
     """One op per maximal run of X, CNOT, S and Sdg (a signed gather) and per H or rotation."""
     j = np.arange(2**n)
     perm, phase = j, np.ones(2**n, dtype=complex)  # the pending run maps x to phase * x[perm]
-    ops, params, entries, slot_ops = [], [], [], []
+    ops, params, entries = [], [], []
     for g in (*gates, None):  # None closes the last run
         if g is not None and g.kind in ("X", "CNOT", "S", "Sdg"):
             bit, flip, _ = _site(n, g.sites[-1])
@@ -261,10 +220,8 @@ def _compile(n: int, gates) -> _Plan:
         if g.param_index is not None:
             params.append(g.param_index)
             entries.append(_ENTRIES[g.kind])
-            slot_ops.append(len(ops) - 1)
     codes = np.array(entries, dtype=np.intp).reshape(-1, 4) * len(params) + np.arange(len(params))[:, None]
-    keeps = 16 * 2**n * len(ops) <= _KEPT_BYTES
-    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes, np.array(slot_ops), 2**n, keeps)
+    return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes, 2**n)
 
 
 def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
@@ -285,7 +242,7 @@ def _check_state(state, n: int | None = None) -> np.ndarray:
 
 
 def apply_circuit(c: Circuit, theta) -> np.ndarray:
-    """Return U(theta)|0...0>, resuming the circuit's last such pass (see the module docstring)."""
+    """Return U(theta)|0...0>."""
     return c._plan.run(None, _check_theta(c, theta))
 
 

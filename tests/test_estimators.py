@@ -28,7 +28,7 @@ from vqebench.estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from vqebench.optimizers import Problem, exact_parameter_shift_gradient
+from vqebench.optimizers import OptimizerConfig, OptimizerState, Problem, exact_parameter_shift_gradient, step
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim
 from vqebench.simulator import Circuit, Gate, apply_adjoint_circuit, apply_circuit, sampled_zero_probability
 
@@ -487,6 +487,11 @@ def test_shared_parameter_index():
     assert np.array_equal(metric.matrix, exact_metric(circuit, theta).matrix)
     with pytest.raises(ValueError, match="parameter index 0"):
         exact_parameter_shift_gradient(Problem(circuit, z, -1.0), theta)
+    # GD reads the same block, charged as 2d shifted losses.
+    config = OptimizerConfig()
+    state = step("GD", OptimizerState(theta.copy()), Problem(circuit, z, -1.0), config, np.random.default_rng(0))
+    assert abs(state.theta[0] - (0.3 + config.eta * 2.0 * np.sin(0.6))) < 1e-15
+    assert state.circuits_raw == state.circuits_charged == 2
 
 
 _GRADIENT_CASES = {
@@ -503,6 +508,14 @@ _GRADIENT_CASES = {
         ),
     ),
 }
+
+
+@pytest.mark.parametrize("h_qubits", [6, 2, 3])
+def test_block_gradient_refuses_a_hamiltonian_on_another_register(h_qubits):
+    circuit = hardware_efficient(4, 1)
+    theta = np.zeros(circuit.param_count)
+    with pytest.raises(ValueError, match=f"Hamiltonian on {h_qubits} qubits, circuit on 4"):
+        exact_gradient_and_metric(circuit, build_tfim(h_qubits, -1.0, -2.0), theta)
 
 
 @pytest.mark.parametrize("circuit, h", _GRADIENT_CASES.values(), ids=_GRADIENT_CASES.keys())

@@ -1,6 +1,4 @@
 import itertools
-import operator
-import pickle
 import re
 import tracemalloc
 
@@ -9,7 +7,7 @@ import pytest
 
 from vqebench import ansatz, estimators, optimizers, pauli, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
-from vqebench.estimators import _plus_minus_rows, exact_metric
+from vqebench.estimators import exact_metric
 from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
 from vqebench.pauli import (
     PauliString,
@@ -394,89 +392,6 @@ def test_equal_but_distinct_circuits_each_get_a_correct_plan():
     apply_circuit(other, rng.uniform(-np.pi, np.pi, other.param_count))
     assert np.array_equal(apply_circuit(second, theta), want)
     assert second._plan is not first._plan
-
-
-# Parameter 0 drives two gates, and theta = (pi, 0.0) and (pi, -0.0) give different bytes.
-_SHARED = Circuit((Gate("RX", (1,), 0), Gate("S", (0,)), Gate("S", (0,)), Gate("RY", (0,), 1), Gate("RY", (1,), 0)), 2, 2)
-
-
-def test_resumed_passes_match_fresh_circuits_bit_for_bit():
-    # A pass from |0...0> restarts from the state its circuit kept on the last
-    # such pass before the first op whose angle's bits changed. Each pass must
-    # give the bytes of a fresh Circuit's pass.
-    rng = np.random.default_rng(95)
-    for c in (schwinger_ansatz(4, 1), _SHARED):
-        assert c._plan.keeps
-
-        def fresh():
-            return Circuit(c.gates, c.qubit_count, c.param_count)
-
-        def check(theta):
-            got = apply_circuit(c, theta)
-            assert got.tobytes() == apply_circuit(fresh(), theta).tobytes()
-            return got
-
-        theta = rng.uniform(-np.pi, np.pi, c.param_count)
-        for row in _plus_minus_rows(theta, np.eye(c.param_count) * (np.pi / 2.0)):  # GD's rows, in order
-            check(row)
-        check(theta)
-        kept = list(c._plan.last[1])
-        check(theta).fill(7.0)  # a repeated theta runs the last ops from the kept states; the caller owns the result
-        assert len(kept) > 1 and all(map(operator.is_, c._plan.last[1], kept))
-        check(theta)
-        edited = np.full(c.param_count, np.pi)
-        for value in (np.pi, 0.0, -0.0, np.nan, np.nan, np.pi):
-            edited[c.param_count // 2] = value
-            check(edited)
-        for row in rng.uniform(-np.pi, np.pi, (3, c.param_count)):
-            row[0] = theta[0]
-            psi = check(row)
-            want = apply_adjoint_circuit(fresh(), theta, psi)
-            assert apply_adjoint_circuit(c, theta, psi).tobytes() == want.tobytes()
-            check(theta)
-            assert derivative_states(c, row).tobytes() == derivative_states(fresh(), row).tobytes()
-            assert fidelity(c, psi, theta) == fidelity(fresh(), psi, theta)
-            check(row)
-
-
-@pytest.mark.parametrize("cap_states", [33, 32])
-def test_a_pass_keeps_at_most_the_cap_plus_one_state(monkeypatch, cap_states):
-    # hardware_efficient(10, 3) has 33 ops: under a cap of 33 states a pass keeps
-    # every op's input, under 32 none. A first pass only records its angles; the
-    # second keeps its states, and the third, resumed at op 1, drops those it
-    # replaces, so even its peak stays near the cap.
-    state_bytes = 16 * 2**10
-    monkeypatch.setattr(simulator, "_KEPT_BYTES", cap_states * state_bytes)
-    c = hardware_efficient(10, 3)
-    c._plan  # compiled, not run
-    kept = 33 if cap_states == 33 else 0
-    theta = np.linspace(-1.0, 1.0, c.param_count)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        apply_circuit(c, theta)
-        apply_circuit(c, theta)
-        theta[1] = 0.5  # the first angle is unchanged
-        tracemalloc.reset_peak()
-        apply_circuit(c, theta)
-        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
-    finally:
-        tracemalloc.stop()
-    assert len(c._plan.last[1]) == kept
-    assert kept * state_bytes <= retained <= kept * state_bytes + state_bytes // 2
-    assert peak <= (kept + 4) * state_bytes
-
-
-def test_a_pickled_circuit_leaves_its_kept_states_behind():
-    c = schwinger_ansatz(4, 1)
-    c._plan  # compiled, not run
-    compiled = len(pickle.dumps(c))
-    theta = np.linspace(-1.0, 1.0, c.param_count)
-    for value in (0.0, 0.5):
-        theta[-1] = value
-        want = apply_circuit(c, theta)
-    assert c._plan.last[1] and len(pickle.dumps(c)) <= compiled
-    assert apply_circuit(pickle.loads(pickle.dumps(c)), theta).tobytes() == want.tobytes()
 
 
 def _pinned_quantities(c, h, seed):
