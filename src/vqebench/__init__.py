@@ -72,6 +72,7 @@ from .pauli import (
     build_schwinger,
     build_tfim,
     exact_ground_energy,
+    tfim_ground_energy,
     to_dense,
 )
 from .simulator import (

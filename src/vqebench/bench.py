@@ -24,7 +24,7 @@ from .optimizers import (
     RunResult,
     run,
 )
-from .pauli import MAX_DENSE_QUBITS, PauliSum, build_schwinger, build_tfim, exact_ground_energy
+from .pauli import MAX_DENSE_QUBITS, PauliSum, build_schwinger, build_tfim, exact_ground_energy, tfim_ground_energy
 from .values import check_value, read_value, write_value
 
 WORKERS_ENV_VAR = "VQEBENCH_WORKERS"
@@ -49,11 +49,13 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
-# Each problem kind's Hamiltonian builder and its parameter names, in the
-# builder's argument order after the qubit count.
+# Each problem kind's Hamiltonian builder, its parameter names in the builder's
+# argument order after the qubit count, and its ground-energy oracle, called with
+# the built sum and those parameters: the TFIM's closed form, and for Schwinger the
+# dense solve (exact_ground_energy, looked up when called).
 PROBLEMS = {
-    "tfim": (build_tfim, ("J", "h")),
-    "schwinger": (build_schwinger, ("x", "mu", "l")),
+    "tfim": (build_tfim, ("J", "h"), lambda ham, J, h: tfim_ground_energy(ham.qubit_count, J, h)),
+    "schwinger": (build_schwinger, ("x", "mu", "l"), lambda ham, *_: exact_ground_energy(ham)),
 }
 
 # Labels name the output files, so they must be plain names.
@@ -83,7 +85,7 @@ class RunConfig:
     def __post_init__(self):
         if self.problem_kind not in PROBLEMS:
             raise ConfigError(f"unknown problem kind {self.problem_kind!r}")
-        builder, expected = PROBLEMS[self.problem_kind]
+        builder, expected, _ = PROBLEMS[self.problem_kind]
         names = tuple(key for key, _ in self.problem_params)
         if names != expected:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
@@ -209,7 +211,7 @@ def parse_config(text: str) -> RunConfig:
     problem = _take_section(sections, "problem")
     problem_kind = _take(problem, "problem", "kind", choices=PROBLEMS)
     sizes = _take(problem, "problem", "qubits", "int", items=True)
-    _, names = PROBLEMS[problem_kind]
+    _, names, _ = PROBLEMS[problem_kind]
     params = tuple((key, _take(problem, "problem", key, "float")) for key in names)
     _reject_unknown(problem, "problem")
 
@@ -298,15 +300,16 @@ def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
 
 
 def build_problem(cfg: RunConfig, size: int) -> Problem:
-    builder, _ = PROBLEMS[cfg.problem_kind]
-    h = _hamiltonian(builder, size, *(float(value) for _, value in cfg.problem_params))
+    builder, _, ground_energy = PROBLEMS[cfg.problem_kind]
+    values = [float(value) for _, value in cfg.problem_params]
+    h = _hamiltonian(builder, size, *values)
     circuit = build_ansatz(AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order))
-    return Problem(circuit=circuit, hamiltonian=h, ground_energy=exact_ground_energy(h))
+    return Problem(circuit=circuit, hamiltonian=h, ground_energy=ground_energy(h, *values))
 
 
 # ---------------------------------------------------------------------------
 # Presets: the published experiment grids. The full-size grids exceed the
-# dense-diagonalization oracle (n <= MAX_DENSE_QUBITS) and desk-scale budgets;
+# dense-matrix guard (n <= MAX_DENSE_QUBITS) and desk-scale budgets;
 # override qubits/seeds/steps on the command line to shrink them.
 # ---------------------------------------------------------------------------
 
@@ -407,13 +410,13 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
     oversized = [s for s in cfg.sizes if s > MAX_DENSE_QUBITS]
     if oversized:
         raise ConfigError(
-            f"system sizes {oversized} exceed the dense ground-energy oracle "
+            f"system sizes {oversized} exceed the dense-matrix guard "
             f"(n <= {MAX_DENSE_QUBITS}); shrink the grid (e.g. --qubits) for desk scale"
         )
     # Made before the grid runs, so an unusable directory loses no runs.
     os.makedirs(cfg.out_dir, exist_ok=True)
-    # One problem per size: the dense ground-energy diagonalization is the
-    # expensive part and is shared across the optimizer/seed grid.
+    # One problem per size, shared across the optimizer/seed grid: Schwinger's
+    # ground energy is a dense solve.
     problems = {size: build_problem(cfg, size) for size in cfg.sizes}
     cells = [(size, entry) for size in cfg.sizes for entry in cfg.optimizers]
     seeds = sorted(cfg.seeds)

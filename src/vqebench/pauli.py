@@ -1,10 +1,11 @@
 """Pauli-string algebra and benchmark Hamiltonians.
 
 Builds the transverse-field Ising and lattice Schwinger Hamiltonians as
-real-weighted sums of Pauli strings, and provides a dense exact-diagonalization
-oracle for ground-truth energies at small system sizes, from one block of the
-matrix. A sampled energy's measurement pass, `PauliSum.outcome_distributions`, is
-here too: it alone reads the sum's cached basis-rotation tables.
+real-weighted sums of Pauli strings. Ground-truth energies come from the TFIM's
+closed form, and for any other sum from a dense exact diagonalization of the
+whole matrix at small system sizes. A sampled energy's measurement pass,
+`PauliSum.outcome_distributions`, is here too: it alone reads the sum's cached
+basis-rotation tables.
 """
 
 from __future__ import annotations
@@ -22,16 +23,11 @@ from .values import check_value
 # expansion cancels exactly only up to rounding.
 COEFF_PRUNE_THRESHOLD = 1e-12
 
-# A complex dense matrix takes 16 * 4**n bytes (a real one half that). A sum that
-# exact_ground_energy solves whole holds about 2x its matrix (2.1 GB at n = 13, 8.6 GB at
-# n = 14), so this is the largest size at which any sum fits an 8 GB machine. The TFIM,
-# solved from its symmetric block, needs 1/8 (a 103 MB peak at n = 13).
+# A complex dense matrix takes 16 * 4**n bytes (a real one half that). exact_ground_energy
+# solves the whole matrix and holds about 2x it (2.1 GB at n = 13, 8.6 GB at n = 14 for a
+# complex sum), so this is the largest size at which any sum fits an 8 GB machine. The
+# guard holds for every problem kind, the TFIM included, though its closed form needs none.
 MAX_DENSE_QUBITS = 13
-
-# exact_ground_energy builds a block's rows (the orbit minima of symmetric_sector; at gauge 1
-# signed in place) in chunks whose float64 entries, with the 3 arrays live while the group's 4
-# columns are summed from them, take about this many bytes, so one chunk holds every row at n <= 9.
-DENSE_BLOCK_BYTES = 2**21
 
 _SAMPLED_ROW_BYTES = 2**21  # a chunk of PauliSum.outcome_distributions: one at n <= 13 for the TFIM
 
@@ -71,7 +67,7 @@ class PauliSum:
         check_value("qubit_count", "int", self.qubit_count)
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
-        seen = set()  # invariant and symmetric_sector read one coefficient per axes string
+        seen = set()  # invariant reads one coefficient per axes string
         for t in self.terms:
             if len(t.axes) != self.qubit_count:
                 raise ValueError(f"term {t.axes!r} has {len(t.axes)} sites, expected {self.qubit_count}")
@@ -88,40 +84,11 @@ class PauliSum:
         whole = cls(tuple(PauliString(c, a) for a, c in sorted(merged.items())), qubit_count)
         return cls(tuple(t for t in whole.terms if abs(t.coefficient) > COEFF_PRUNE_THRESHOLD), qubit_count)
 
-    @cached_property
-    def gauge(self) -> int | None:
-        """0 if the matrix is real with every off-diagonal entry <= 0 (stoquastic: Bravyi et al.,
-        arXiv:quant-ph/0606140), 1 if its conjugate by Z on every site (the same spectrum: entry (a, b)
-        times (-1)^(popcount a + popcount b)) is, else None. Read from each flip mask's coefficient x
-        weight summed in to_dense's term order: the very entries diagonalized."""
-        if any(t.axes.count("Y") % 2 for t in self.terms):
-            return None
-        size, entries = 2**self.qubit_count, {}  # per flip mask; a real sum's weights are 1 and -1 (copies 0, 2)
-        for t, gather in zip(self.terms, self.term_tables[0]):
-            entries[gather[0] % size] = entries.get(gather[0] % size, 0.0) + t.coefficient * (1 - gather // size)
-        for z in (0, 1):
-            if all(((-1) ** (z * flip.bit_count()) * row <= 0).all() for flip, row in entries.items() if flip):
-                return z
-        return None
-
     def invariant(self, reverse: bool, flip: bool) -> bool:
         """Whether the site reversal R (if reverse), then the spin flip F = X^n (if flip), leaves the sum
         unchanged: each term's (reversed) string carries its coefficient, times -1 per Y or Z factor if flip."""
         c, sign = {t.axes: t.coefficient for t in self.terms}, -1 if flip else 1
         return all(c.get(a[::-1] if reverse else a) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
-
-    @cached_property
-    def symmetric_sector(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """exact_ground_energy's orbit table, if F and R (so FR) leave the sum unchanged (invariant) at
-        n >= 2, else None. The group's basis permutations as rows [1, F, R, FR], then (g.a per g, the
-        ascending orbit minima a, |Stab a|): the sector chi = 1 and its block's weights."""
-        if self.qubit_count < 2 or not (self.invariant(False, True) and self.invariant(True, False)):
-            return None
-        n, j = self.qubit_count, np.arange(2**self.qubit_count)
-        r = sum((j >> b & 1) << (n - 1 - b) for b in range(n))
-        group = np.stack([j, j[::-1], r, r[::-1]])
-        states = np.flatnonzero(group.min(axis=0) == j)
-        return group[:, states], states, (group == j).sum(axis=0)[states]
 
     @cached_property
     def term_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -226,6 +193,14 @@ def build_tfim(n: int, J: float, h: float) -> PauliSum:
     return PauliSum.from_terms(terms, n)
 
 
+def tfim_ground_energy(n: int, J: float, h: float) -> float:
+    """Ground energy of build_tfim(n, J, h) in closed form: minus the sum of the singular values of
+    the n x n bidiagonal matrix with h on the diagonal and J just above it (Lieb, Schultz & Mattis
+    1961; Pfeuty 1970). O(n^3) time and no 2**n-sized array."""
+    bidiagonal = np.diag(np.full(n, float(h))) + np.diag(np.full(n - 1, float(J)), 1)
+    return -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
+
+
 def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     """Lattice Schwinger Hamiltonian in fully expanded Pauli form.
 
@@ -265,57 +240,26 @@ def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:
     return PauliSum.from_terms(terms, n)
 
 
-def to_dense(h: PauliSum, rows: np.ndarray | None = None) -> np.ndarray:
-    """The rows at a 1-D integer index array (default: all 2**n rows, in order) of the
-    dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS (checked before
-    anything is allocated). Each term adds its coefficient times copy gather[j] // 2**n's
-    unit (see term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is
-    float64 (8 bytes an entry) when every term has an even number of Y's, so a real
-    weight, and complex128 (16 bytes) otherwise; the whole of it takes 8 or 16 * 4**n
-    bytes. Any rows are bit for bit those rows of the whole matrix."""
+def to_dense(h: PauliSum) -> np.ndarray:
+    """The dense Hermitian matrix of a PauliSum, for n up to MAX_DENSE_QUBITS (checked before
+    anything is allocated). Each term adds its coefficient times copy gather[j] // 2**n's unit
+    (see term_tables) to m[j, gather[j] % 2**n], for each row j. The matrix is float64 (8 * 4**n
+    bytes) when every term has an even number of Y's, so a real weight, and complex128
+    (16 * 4**n bytes) otherwise."""
     n = h.qubit_count
     if n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense matrix for n={n} qubits exceeds the n<={MAX_DENSE_QUBITS} guard")
     size = 2**n
-    rows = np.arange(size) if rows is None else np.asarray(rows)
-    if rows.ndim != 1 or rows.dtype.kind not in "iu" or not rows.size:
-        raise ValueError(f"rows must be a nonempty 1-D integer array, got {rows.dtype} of shape {rows.shape}")
-    outside = rows[(rows < 0) | (rows >= size)]
-    if outside.size:
-        raise ValueError(f"rows must be in [0, {size}), got {outside[0]}")
     real = all(t.axes.count("Y") % 2 == 0 for t in h.terms)
-    m = np.zeros((rows.size, size), dtype=float if real else complex)
-    gather = h.term_tables[0][:, rows]
+    m = np.zeros((size, size), dtype=float if real else complex)
+    gather = h.term_tables[0]
     weight = np.array([1, -1j, -1, 1j]).take(gather // size)
     coefficients = np.array([t.coefficient for t in h.terms])[:, None]
-    np.add.at(m, (np.arange(rows.size), gather % size), coefficients * (weight.real if real else weight))  # in term order
+    np.add.at(m, (np.arange(size), gather % size), coefficients * (weight.real if real else weight))  # in term order
     return m
 
 
 def exact_ground_energy(h: PauliSum) -> float:
-    """Smallest eigenvalue of the dense operator, via a Hermitian eigensolver, from one block.
-
-    A stoquastic sum (`PauliSum.gauge` 0: real, every off-diagonal entry <= 0, the TFIM at h <= 0) has a
-    nonnegative ground vector (Perron-Frobenius). If the sum has a `PauliSum.symmetric_sector`, the sum of
-    that vector over G = {1, F, R, FR} is G-invariant: E0 is the lowest eigenvalue of the block H[a, b] =
-    sum_g m[a, g.b] / sqrt(|Stab a| |Stab b|) over the orbit minima (Sandvik, arXiv:1101.3281), built in
-    chunks of rows of about DENSE_BLOCK_BYTES: 1/8 of the matrix for the TFIM. At gauge 1 (the TFIM at
-    h > 0) the conjugate by Z on every site is stoquastic, and each built row is multiplied in place by
-    its sign (-1)^(popcount a + popcount b). Any other sum, Schwinger's included, is solved whole."""
-    # to_dense refuses a size over the guard, before the rules below build any table.
-    if h.qubit_count > MAX_DENSE_QUBITS or h.gauge is None or h.symmetric_sector is None:
-        return float(np.linalg.eigvalsh(to_dense(h))[0])
-    n, (columns, states, stabilizers) = h.qubit_count, h.symmetric_sector
-    sign = 1.0 - 2 * (np.bitwise_count(np.arange(2**n)) & 1) if h.gauge else None  # Z^n's diagonal
-    block = np.zeros((len(states), len(states)))
-    step = max(1, DENSE_BLOCK_BYTES // (8 * (2**n + 3 * len(states))))  # a chunk and the 3 arrays summed
-    for lo in range(0, len(states), step):
-        hi = min(lo + step, len(states))
-        dense = to_dense(h, rows=states[lo:hi])
-        if h.gauge:  # the conjugate's entries: the terms of one flip mask share its parity of X and Y factors
-            dense *= sign
-            dense *= sign[states[lo:hi], None]
-        values = sum(dense[:, g] for g in columns[:, :hi])  # the lower triangle's columns, and a few above it
-        np.divide(values, np.sqrt(stabilizers[lo:hi, None] * stabilizers[:hi]), out=block[lo:hi, :hi])
-        del dense, values  # before the next chunk is built
-    return float(np.linalg.eigvalsh(block)[0])  # reads only the lower triangle
+    """Smallest eigenvalue of the whole dense matrix, via a Hermitian eigensolver: about 2x the
+    matrix with LAPACK's working copy. The TFIM's closed form is tfim_ground_energy."""
+    return float(np.linalg.eigvalsh(to_dense(h))[0])

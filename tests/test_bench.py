@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import vqebench.bench as bench
+import vqebench.pauli as pauli
 from vqebench.bench import (
     AGGREGATE_CSV_HEADER,
     RUN_CSV_HEADER,
@@ -82,7 +84,7 @@ def test_a_config_and_build_problem_share_one_build_per_size(monkeypatch):
         builds.append(n)
         return build_tfim(n, J, h)
 
-    monkeypatch.setitem(bench.PROBLEMS, "tfim", (counted, ("J", "h")))
+    monkeypatch.setitem(bench.PROBLEMS, "tfim", (counted, *bench.PROBLEMS["tfim"][1:]))
     cfg = replace(preset_config("tfim-fig2"), sizes=(4, 6))
     cfg = replace(cfg, seeds=(0,))
     assert builds == [4, 6]
@@ -422,9 +424,35 @@ def test_cli_exact_refuses_a_size_over_the_guard_before_building_it(argv, capsys
     def unbuilt(*args):
         raise AssertionError("the model was built")
 
-    for kind, (_, names) in bench.PROBLEMS.items():
-        monkeypatch.setitem(bench.PROBLEMS, kind, (unbuilt, names))
+    for kind, (_, *rest) in bench.PROBLEMS.items():
+        monkeypatch.setitem(bench.PROBLEMS, kind, (unbuilt, *rest))
     _assert_one_error_line(["exact", *argv], f"dense matrix for n={argv[2]} qubits exceeds the n<=13 guard", capsys)
+
+
+def test_the_tfim_never_reaches_the_dense_path(monkeypatch, capsys):
+    # Its ground energy is the closed form, so neither a grid's problem nor `exact`
+    # builds a matrix, at the guard's largest size included. Schwinger's is still
+    # the dense solve, and the model's own size rule still runs first.
+    def dense(*args):
+        raise AssertionError("the dense path was taken")
+
+    monkeypatch.setattr(pauli, "to_dense", dense)
+    monkeypatch.setattr(bench, "exact_ground_energy", dense)
+    cfg = replace(preset_config("tfim-fig2"), sizes=(12,))
+    tracemalloc.start()
+    try:
+        problem = build_problem(cfg, 12)
+        assert main(["exact", "tfim", "--qubits", "13", "--J", "-1", "--h", "2"]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert problem.ground_energy == pauli.tfim_ground_energy(12, -1.0, -2.0)
+    assert capsys.readouterr().out == f"{pauli.tfim_ground_energy(13, -1.0, 2.0)!r}\n"
+    with pytest.raises(AssertionError, match="^the dense path was taken$"):
+        build_problem(replace(preset_config("schwinger-fig5"), sizes=(4,)), 4)
+    argv = ["exact", "tfim", "--qubits", "1", "--J", "-1", "--h", "-2"]
+    _assert_one_error_line(argv, "TFIM needs at least 2 sites (no bond exists for n=1)", capsys)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,4 @@
 import itertools
-import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +11,7 @@ from vqebench.pauli import (
     build_schwinger,
     build_tfim,
     exact_ground_energy,
+    tfim_ground_energy,
     to_dense,
 )
 
@@ -82,7 +82,7 @@ def test_sum_rejects_a_repeated_axes_string_that_from_terms_merges():
     assert terms_dict(h) == {"IIX": -1.0, "IIZ": 0.5, "IXI": -1.0, "XII": -1.0, "ZII": 1.0}
     assert not h.invariant(True, False)
     assert exact_ground_energy(h) == pytest.approx(-3.53224755112299, abs=1e-12)
-    assert exact_ground_energy(h) == _reference_ground_energy(h)
+    assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
 
 
 @pytest.mark.parametrize(
@@ -189,57 +189,6 @@ def test_to_dense_tfim_structure():
     assert m[0, 3] == m[1, 2] == 0
 
 
-def _complex_sum():
-    # Odd numbers of Y's give imaginary weights.
-    return PauliSum.from_terms([PauliString(1.0, "YZI"), PauliString(0.5, "XXY"), PauliString(-0.3, "ZIZ")], 3)
-
-
-@pytest.mark.parametrize(
-    "h, dtype",
-    [
-        (build_tfim(4, -1.0, -2.0), np.float64),
-        (build_schwinger(4, 1.0, 0.5, 0.25), np.float64),
-        (_complex_sum(), np.complex128),
-    ],
-    ids=["tfim", "schwinger", "complex"],
-)
-def test_to_dense_rows_are_the_top_of_the_matrix(h, dtype):
-    whole = to_dense(h)
-    assert whole.dtype == dtype
-    for rows in (1, len(whole) // 2, len(whole)):
-        top = to_dense(h, rows=np.arange(rows))
-        assert top.dtype == dtype and np.array_equal(top, whole[:rows])
-
-
-@pytest.mark.parametrize("h", [build_tfim(4, -1.0, -2.0), _complex_sum()], ids=["real", "complex"])
-def test_to_dense_block_is_those_rows_of_the_matrix(h):
-    whole = to_dense(h)
-    size = len(whole)
-    picks = [[0], [size - 1], [5, 2, 7, 2], [3, 3, 3], list(range(size - 1, -1, -1)), list(range(size))]
-    for rows in picks + [np.array([6, 1], dtype=np.int32), np.array([size - 1, 0], dtype=np.uint8)]:
-        block = to_dense(h, rows=rows)
-        assert block.dtype == whole.dtype and np.array_equal(block, whole[rows])
-
-
-@pytest.mark.parametrize(
-    "rows, expected",
-    [
-        ([[0, 1], [2, 3]], "rows must be a nonempty 1-D integer array, got int64 of shape (2, 2)"),
-        (4, "rows must be a nonempty 1-D integer array, got int64 of shape ()"),
-        (np.arange(4.0), "rows must be a nonempty 1-D integer array, got float64 of shape (4,)"),
-        ([True, False], "rows must be a nonempty 1-D integer array, got bool of shape (2,)"),
-        (np.arange(0), "rows must be a nonempty 1-D integer array, got int64 of shape (0,)"),
-        (np.arange(9), "rows must be in [0, 8), got 8"),
-        ([0, -1], "rows must be in [0, 8), got -1"),
-    ],
-    ids=["2-D", "row-count", "float", "bool", "empty", "past-the-end", "negative"],
-)
-def test_to_dense_refuses_rows_outside_the_matrix(rows, expected):
-    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
-        to_dense(_complex_sum(), rows=rows)
-    assert to_dense(_complex_sum(), rows=np.arange(4, 8)).shape == (4, 8)
-
-
 def test_dense_guard_stops_14_qubits_before_allocating():
     # 16 * 4**14 B = 4.3 GB, and eigvalsh holds about twice that: more than an 8 GB machine.
     assert MAX_DENSE_QUBITS == 13
@@ -335,19 +284,19 @@ def test_dense_is_real_exactly_when_every_phase_is():
     assert to_dense(odd).dtype == np.complex128
 
 
-def _free_fermion_ground_energy(n, J, h):
-    """Open-chain TFIM E0: minus the summed singular values of the n x n
-    bidiagonal matrix with h on the diagonal and J just above it
-    (Lieb, Schultz & Mattis 1961; Pfeuty 1970). Independent of the dense oracle."""
-    bidiagonal = np.diag(np.full(n, float(h))) + np.diag(np.full(n - 1, float(J)), 1)
-    return -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
-
-
-# (-1, 0) has no field, so both spin-flip sectors hold the degenerate ground state.
-@pytest.mark.parametrize("J, h", [(-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0)])
-@pytest.mark.parametrize("n", range(2, 13))
+# (-1, 0) has no field, so both spin-flip sectors hold the degenerate ground state;
+# (0, -2) has no bonds. n <= 10 keeps each whole solve near 0.1 s.
+@pytest.mark.parametrize("J, h", [(-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0), (0.0, -2.0)])
+@pytest.mark.parametrize("n", range(2, 11))
 def test_tfim_ground_energy_matches_free_fermion_solution(n, J, h):
-    assert exact_ground_energy(build_tfim(n, J, h)) == pytest.approx(_free_fermion_ground_energy(n, J, h), abs=1e-10)
+    assert tfim_ground_energy(n, J, h) == pytest.approx(exact_ground_energy(build_tfim(n, J, h)), abs=1e-10)
+
+
+@pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])
+@pytest.mark.parametrize("n", range(2, 21))
+def test_tfim_ground_energy_is_even_in_the_field(n, J, h):
+    # Z on every site maps the field h to -h and keeps the spectrum.
+    assert tfim_ground_energy(n, J, h) == pytest.approx(tfim_ground_energy(n, J, -h), rel=1e-12, abs=0)
 
 
 def _random_sum(rng, n):
@@ -370,19 +319,17 @@ def _reversal(n):
     return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(2**n)])
 
 
-def _reversal_random_sum(rng, n, reverse, flip=False):
-    """Six random strings, each with an even number of Y and Z factors if flip, and
-    each with its reversed string carrying its coefficient times reverse per Y or Z
-    factor: a sum the reversal R (reverse = 1) or FR (reverse = -1) leaves unchanged.
-    The coefficients are quarters, so entries the symmetry maps onto each other are
-    sums of the same values in another order, and equal exactly."""
+def _reversal_random_sum(rng, n, reverse):
+    """Six random strings, each with its reversed string carrying its coefficient times
+    reverse per Y or Z factor: a sum the reversal R (reverse = 1) or FR (reverse = -1)
+    leaves unchanged. The coefficients are quarters, so entries the symmetry maps onto
+    each other are sums of the same values in another order, and equal exactly."""
     terms = []
     while len(terms) < 12:
         axes = "".join(rng.choice(list("IXYZ"), n))
         parity = (axes.count("Y") + axes.count("Z")) % 2
-        if not (flip and parity):
-            c = float(rng.integers(1, 9)) / 4
-            terms += [PauliString(c, axes), PauliString(c * reverse**parity, axes[::-1])]
+        c = float(rng.integers(1, 9)) / 4
+        terms += [PauliString(c, axes), PauliString(c * reverse**parity, axes[::-1])]
     return PauliSum.from_terms(terms, n)
 
 
@@ -421,144 +368,10 @@ def test_reversal_rule_agrees_with_the_matrix():
     flags = _symmetry_flags(sums)
     for reverse_flags in (flags[True, False], flags[True, True]):  # R, FR
         assert any(reverse_flags) and not all(reverse_flags)
-    assert all(h.symmetric_sector is not None for h in sums[:3])  # the TFIM keeps F and R
-    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds, so it is solved whole
+    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds
         assert not any(h.invariant(reverse, flip) for reverse, flip in flags)
-        assert h.symmetric_sector is None
-    # At n = 1 the reversal is the identity: it holds, and the sum is solved whole.
-    assert sums[-1].invariant(True, False) and sums[-1].symmetric_sector is None
-
-
-def _stoquastic_random_sum(rng, n, reverse=0, flip=False):
-    """Six random strings, each X-only with a negative coefficient or Z-only of either
-    sign (an even number of Z's if flip), so each off-diagonal entry of the matrix is one
-    X string's coefficient, below zero. With reverse = 1 or -1 each string comes with its
-    reversal, as in _reversal_random_sum: a stoquastic sum R or FR leaves unchanged."""
-    terms = []
-    while len(terms) < 6 * (1 + abs(reverse)):
-        axes = "".join(rng.choice(list(rng.choice(["IX", "IZ"])), n))
-        zs = axes.count("Z")
-        if not (flip and zs % 2):
-            c = float(rng.integers(1, 9)) / 4 * (-1.0 if "X" in axes else float(rng.choice([-1, 1])))
-            terms += [PauliString(c, axes)] + [PauliString(c * reverse**zs, axes[::-1])] * abs(reverse)
-    return PauliSum.from_terms(terms, n)
-
-
-def test_stoquastic_rule_agrees_with_the_matrix():
-    one_qubit = [[(-0.3, "X"), (0.5, "Z")], [(0.3, "X")], [(0.5, "Z")], [(-0.3, "Y")]]
-    # Terms that share a flip mask: -XX - YY has entries 0 and -2, -YY a +1; -XI + c XZ has
-    # -1 +- c; and -0.3 + 0.1 + 0.2, zero in exact arithmetic, rounds to +2.8e-17 in term order.
-    shared = [[(-1.0, "XX"), (-1.0, "YY")], [(-1.0, "YY")]]
-    shared += [[(-1.0, "XI"), (c, "XZ")] for c in (-1.5, -1.0, 0.5, 1.5)]
-    shared += [[(-0.3, "XII"), (0.1, "XIZ"), (0.2, "XZI")]]
-    sums = [build_tfim(n, -1.0, h) for n in (2, 3, 6) for h in (-2.0, 0.0, 2.0)]
-    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4)]  # hopping entries +x
-    sums += [_complex_sum(), _complex_centrosymmetric_sum()]
-    for terms in one_qubit + shared:
-        sums.append(PauliSum.from_terms([PauliString(c, a) for c, a in terms], len(terms[0][1])))
-    expected = [0, 0, 1] * 3 + [None] * 4  # TFIM h = -2, 0, +2; Schwinger; complex
-    expected += [0, 1, 0, None] + [0, None, None, 0, 0, None, None]
-    rng = np.random.default_rng(31)
-    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    sums += [_stoquastic_random_sum(rng, int(rng.integers(1, 6)), reverse) for reverse in (0, 1, -1) for _ in range(5)]
-    sums += [_z_conjugate(h) for h in sums[-15:]]
-    gauges, z_flags = [], []
-    for h in sums:
-        m = to_dense(h)
-        off_diagonal = m[~np.eye(len(m), dtype=bool)]
-        stoquastic = not m.imag.any() and (off_diagonal.real <= 0).all()
-        z = _z_signs(len(m))
-        z_flags.append(_is_stoquastic(z[:, None] * m * z))
-        gauges.append(h.gauge)
-        assert h.gauge == (0 if stoquastic else 1 if z_flags[-1] else None), [t.axes for t in h.terms]
-        assert (_z_conjugate(h).gauge == 0) == z_flags[-1], [t.axes for t in h.terms]
-    assert gauges[: len(expected)] == expected
-    assert z_flags[:9] == [False, True, True] * 3  # TFIM h = -2, 0, +2
-    assert {0, 1, None} <= set(gauges[len(expected) :])
-    assert any(z_flags[len(expected) :]) and not all(z_flags[len(expected) :])
-
-
-def _z_conjugate(h):
-    """The sum conjugated by Z on every site: each term with an odd number of X and Y factors negated."""
-    return PauliSum(tuple(PauliString(-t.coefficient if (t.axes.count("X") + t.axes.count("Y")) % 2 else t.coefficient,
-                                      t.axes) for t in h.terms), h.qubit_count)
-
-
-def _z_signs(size):
-    """The diagonal of Z on every site: -1 at the basis states with an odd number of bits set."""
-    return 1 - 2 * (np.array([bin(b).count("1") for b in range(size)]) % 2)
-
-
-def _is_stoquastic(m):
-    return not m.imag.any() and (m[~np.eye(len(m), dtype=bool)].real <= 0).all()
-
-
-def _symmetric_block_ground_energy(m, n):
-    """The lowest eigenvalue of the chi = 1 block formed from the whole matrix m if F and R
-    leave m unchanged at n >= 2, else None. The block is sum_g m[a, g.b] / sqrt(|Stab a|
-    |Stab b|) over the orbit minima a and b, the terms added in the order 1, F, R, FR."""
-    j, reverse = np.arange(len(m)), _reversal(n)
-    group = [j, j[::-1], reverse, reverse[::-1]]
-    if n < 2 or not all(np.allclose(m[g][:, g], m, rtol=0, atol=1e-12) for g in group[1:3]):
-        return None
-    states = np.flatnonzero(np.min(group, axis=0) == j)
-    stabilizers = (np.array(group) == j).sum(axis=0)[states]
-    block = m[np.ix_(states, group[0][states])]
-    for g in group[1:]:
-        block = block + m[np.ix_(states, g[states])]
-    return float(np.linalg.eigvalsh(block / np.sqrt(np.outer(stabilizers, stabilizers)))[0])
-
-
-def _reference_ground_energy(h):
-    """exact_ground_energy from the whole matrix m: the chi = 1 block of m, or else of m
-    conjugated by Z on every site, if that one is stoquastic and has the block; otherwise
-    all of m."""
-    m, z = to_dense(h), _z_signs(2**h.qubit_count)  # + 0.0 below: to_dense's zeros are never -0.0
-    stoquastic = [c for c in (m, z[:, None] * m * z + 0.0) if _is_stoquastic(c)]
-    block = _symmetric_block_ground_energy(stoquastic[0], h.qubit_count) if stoquastic else None
-    return float(np.linalg.eigvalsh(m)[0]) if block is None else block
-
-
-# (invariant under F, under R, under FR) per symmetry class, how to draw its sums, and the
-# (reverse, flip) that draw stoquastic ones. Only the class that keeps both F and R has a
-# symmetric_sector, so a stoquastic sum of it is solved in the sector chi = 1 only; the
-# classes that keep one of F, R and FR at most are solved whole.
-@pytest.mark.parametrize(
-    "group, draw, stoquastic",
-    [
-        ((False, False, False), _random_sum, (0, False)),
-        ((True, False, False), _symmetric_random_sum, (0, True)),
-        ((False, True, False), lambda rng, n: _reversal_random_sum(rng, n, 1), (1, False)),
-        ((False, False, True), lambda rng, n: _reversal_random_sum(rng, n, -1), (-1, False)),
-        ((True, True, True), lambda rng, n: _reversal_random_sum(rng, n, 1, flip=True), (1, True)),
-    ],
-    ids=["{1}", "{1,F}", "{1,R}", "{1,FR}", "{1,F,R,FR}"],
-)
-def test_split_ground_energy_matches_full_solve(group, draw, stoquastic):
-    rng = np.random.default_rng(29)
-    sums = [draw(rng, int(rng.integers(2, 7))) for _ in range(500)]
-    stoquastic_sums = [_stoquastic_random_sum(rng, int(rng.integers(2, 7)), *stoquastic) for _ in range(100)]
-    sums += stoquastic_sums + [_z_conjugate(h) for h in stoquastic_sums]
-    # Not stoquastic (h > 0), but its Z conjugate is: at odd n the ground state is odd under F.
-    sums += [build_tfim(n, -1.0, 2.0) for n in (3, 5, 7)]
-    blocked = all(group)
-    checked = {np.float64: 0, np.complex128: 0, "stoquastic": 0, "gauged": 0}
-    outside = 0  # sums of gauge None whose ground state is outside the sector chi = 1
-    for h in sums:
-        if tuple(h.invariant(reverse, flip) for reverse, flip in ((False, True), (True, False), (True, True))) == group:
-            assert (h.symmetric_sector is not None) == blocked, [t.axes for t in h.terms]
-            m = to_dense(h)
-            full = float(np.linalg.eigvalsh(m)[0])
-            checked[m.dtype.type] += 1
-            checked["stoquastic"] += h.gauge == 0
-            checked["gauged"] += h.gauge == 1
-            if blocked and h.gauge is None:
-                outside += _symmetric_block_ground_energy(m, h.qubit_count) > full + 1e-9
-            assert exact_ground_energy(h) == (_reference_ground_energy(h) if blocked else full), [t.axes for t in h.terms]
-            assert exact_ground_energy(h) == pytest.approx(full, abs=1e-12)
-    assert min(checked.values()) >= 5, checked
-    # A shortcut that solved the sector chi = 1 of any sum with the group would miss these.
-    assert (outside > 0) == blocked, outside
+    # At n = 1 the reversal is the identity: it holds.
+    assert sums[-1].invariant(True, False)
 
 
 def _complex_centrosymmetric_sum():
@@ -568,81 +381,16 @@ def _complex_centrosymmetric_sum():
     )
 
 
-def _inexact_stoquastic_sum(rng, n):
-    """X^n and random X-only strings with negative coefficients and Z-only strings with an
-    even number of Z's, each with its reversal: a stoquastic sum F and R leave unchanged,
-    whose block entries add inexact values, so their order [1, F, R, FR] shows in the bits."""
-    terms = [PauliString(-abs(rng.normal()), "X" * n)]
-    while len(terms) < 17:
-        axes = "".join(rng.choice(list(rng.choice(["IX", "IZ"])), n))
-        if axes.count("Z") % 2 == 0:
-            c = -abs(rng.normal()) if "X" in axes else rng.normal()
-            terms += [PauliString(c, axes), PauliString(c, axes[::-1])]
-    return PauliSum.from_terms(terms, n)
-
-
-def test_ground_energy_is_the_block_of_the_whole_matrix():
-    # Solving the rows built in chunks gives the same block as the one formed from the
-    # whole matrix, so the same bits. At h > 0 the TFIM is solved through its Z conjugate.
-    # The other sums keep F but not R, or have one qubit, so they are solved whole.
-    rng = np.random.default_rng(19)
-    fields = ((-1.0, -2.0), (-1.0, 2.0), (0.7, 0.3), (-1.0, 0.0))
-    blocked = [build_tfim(n, J, h) for n in range(2, 12) for J, h in fields]
-    blocked += [_inexact_stoquastic_sum(rng, n) for n in range(3, 9) for _ in range(3)]
-    others = [_symmetric_random_sum(rng, int(rng.integers(1, 7))) for _ in range(20)]
-    others += [PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)]
-    others += [_complex_centrosymmetric_sum(), _complex_sum()]
-    for h in blocked + others:
-        assert exact_ground_energy(h) == _reference_ground_energy(h), [t.axes for t in h.terms]
-    assert all(h.symmetric_sector is not None for h in blocked)
-    assert all(h.symmetric_sector is None for h in others)
-    # Some block entry adds three or more nonzero entries of the matrix.
-    columns, states, _ = blocked[-1].symmetric_sector
-    assert ((to_dense(blocked[-1])[states][:, columns] != 0).sum(axis=1) >= 3).any()
-
-
-@pytest.mark.parametrize("J, h", [(-1.0, 2.0), (0.7, 0.3)])
-@pytest.mark.parametrize("n", range(2, 14))
-def test_tfim_ground_energy_is_even_in_the_field(n, J, h, monkeypatch):
-    # Z on every site maps the field h to -h, and the solve takes the same block. At h > 0
-    # the gauge is a sign on the rows built: the solve builds no second sum.
-    positive, negative = build_tfim(n, J, h), build_tfim(n, J, -h)
-    built = []
-    monkeypatch.setattr(PauliSum, "__post_init__", lambda s, init=PauliSum.__post_init__: built.append(s) or init(s))
-    assert exact_ground_energy(positive) == exact_ground_energy(negative)
-    assert built == []
-
-
-def test_tfim_ground_energy_holds_a_ninth_of_the_matrix():
-    # The TFIM is stoquastic at h <= 0, and its Z conjugate is at h > 0, so only the
-    # sector chi = 1 is built: its block (8.5 MiB, 1/16 of the matrix), plus one chunk of
-    # its rows, about 2 MiB with the block's columns summed from it, signed in place at h > 0
-    # (about 0.083x at n = 12 at either sign). Pruning the bonds (J = 0) or the field (h = 0)
-    # leaves both F and R, so those take the block too; a whole solve would read about 1x.
-    # LAPACK's working copy is outside numpy's traced memory.
-    for J, field in ((-1.0, -2.0), (-1.0, 2.0), (0.0, -2.0), (0.0, 2.0), (-1.0, 0.0)):
-        h = build_tfim(12, J, field)
-        matrix_bytes = to_dense(h, rows=[0]).itemsize * 4**h.qubit_count
-        tracemalloc.start()
-        try:
-            exact_ground_energy(h)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 0.11 * matrix_bytes, (J, field)
-
-
 def test_ground_energy_of_one_qubit():
-    # F holds, and R is the identity at n = 1: no group of four, so the sum is solved whole.
     h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)
-    assert h.invariant(False, True) and h.symmetric_sector is None
+    assert h.invariant(False, True)
     assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
     assert exact_ground_energy(h) == pytest.approx(0.2, abs=1e-15)
 
 
 @pytest.mark.parametrize("n", [4, 6])
 def test_schwinger_ground_energy_is_the_full_solve(n):
-    # Single-Z terms break the spin-flip symmetry, so the whole matrix is diagonalized.
+    # Single-Z terms break the spin-flip symmetry; like every sum, it is diagonalized whole.
     h = build_schwinger(n, 1.0, 0.5, 0.0)
     assert not h.invariant(False, True)
     assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
