@@ -67,7 +67,7 @@ class PauliSum:
         check_value("qubit_count", "int", self.qubit_count)
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
-        seen = set()  # invariant reads one coefficient per axes string
+        seen = set()  # one term per axes string: the canonical form
         for t in self.terms:
             if len(t.axes) != self.qubit_count:
                 raise ValueError(f"term {t.axes!r} has {len(t.axes)} sites, expected {self.qubit_count}")
@@ -83,12 +83,6 @@ class PauliSum:
         # Checked before pruning, so a term that merging would prune is checked too.
         whole = cls(tuple(PauliString(c, a) for a, c in sorted(merged.items())), qubit_count)
         return cls(tuple(t for t in whole.terms if abs(t.coefficient) > COEFF_PRUNE_THRESHOLD), qubit_count)
-
-    def invariant(self, reverse: bool, flip: bool) -> bool:
-        """Whether the site reversal R (if reverse), then the spin flip F = X^n (if flip), leaves the sum
-        unchanged: each term's (reversed) string carries its coefficient, times -1 per Y or Z factor if flip."""
-        c, sign = {t.axes: t.coefficient for t in self.terms}, -1 if flip else 1
-        return all(c.get(a[::-1] if reverse else a) == c[a] * sign ** (a.count("Y") + a.count("Z")) for a in c)
 
     @cached_property
     def term_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +192,10 @@ def tfim_ground_energy(n: int, J: float, h: float) -> float:
     the n x n bidiagonal matrix with h on the diagonal and J just above it (Lieb, Schultz & Mattis
     1961; Pfeuty 1970). O(n^3) time and no 2**n-sized array."""
     bidiagonal = np.diag(np.full(n, float(h))) + np.diag(np.full(n - 1, float(J)), 1)
-    return -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
+    energy = -float(np.linalg.svd(bidiagonal, compute_uv=False).sum())
+    if not math.isfinite(energy):  # finite couplings near the float limit overflow the sum
+        raise ValueError(f"non-finite TFIM ground energy {energy!r} for J={J!r}, h={h!r}")
+    return energy
 
 
 def build_schwinger(n: int, x: float, mu: float, l: float) -> PauliSum:

@@ -29,7 +29,7 @@ from vqebench.estimators import (
     stein_metric_2eval,
     stein_metric_3eval,
 )
-from vqebench.optimizers import OptimizerConfig, Problem, regularize_metric, run
+from vqebench.optimizers import OptimizerConfig, regularize_metric, run
 from vqebench.pauli import (
     build_schwinger,
     build_tfim,
@@ -157,8 +157,7 @@ def test_criterion_3_bias_and_variance_scaling():
 def test_criterion_4_circuit_count_accounting():
     """Charged evaluations per step and sample are exactly QNSPSA 6,
     QNSTEIN2 4, QNSTEIN3 5, SPSA 2, STEIN 2, as integers."""
-    ham = build_tfim(2, -1.0, -2.0)
-    problem = Problem(hardware_efficient(2, 1), ham, exact_ground_energy(ham))
+    problem = bench.build_problem(replace(bench.preset_config("tfim-fig2"), sizes=(2,), layers=1), 2)
     per_sample = {"QNSPSA": 6, "QNSTEIN2": 4, "QNSTEIN3": 5, "SPSA": 2, "STEIN": 2}
     for n in (1, 5, 10):
         config = OptimizerConfig(samples=n, shots=32, blocking=False, max_steps=2)

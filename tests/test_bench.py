@@ -459,9 +459,10 @@ def test_the_tfim_never_reaches_the_dense_path(monkeypatch, capsys):
     "argv, expected",
     [
         (["exact", "tfim", "--qubits", "4", "--J", "nan", "--h", "1"], "error: J must be finite, got nan"),
+        (["exact", "tfim", "--qubits", "6", "--J", "1e308", "--h", "1e308"], "error: non-finite TFIM ground energy -inf"),
         (["metric-check", "--seed", "-1"], "error: seed must be >= 0, got -1"),
     ],
-    ids=["exact-J-nan", "metric-check-seed"],
+    ids=["exact-J-nan", "exact-tfim-overflow", "metric-check-seed"],
 )
 def test_cli_flags_go_through_the_config_check(argv, expected, capsys):
     _assert_one_error_line(argv, expected, capsys)

@@ -21,13 +21,12 @@ from vqebench.optimizers import (
     shot_noise_scale,
     step,
 )
-from vqebench.pauli import PauliString, PauliSum, build_tfim, exact_ground_energy
+from vqebench.pauli import PauliString, PauliSum
 from vqebench.simulator import Circuit, Gate
 
 
-def tfim_problem(n=2, layers=1, J=-1.0, h=-2.0):
-    ham = build_tfim(n, J, h)
-    return Problem(hardware_efficient(n, layers), ham, exact_ground_energy(ham))
+def tfim_problem(n=2, layers=1):
+    return build_problem(replace(preset_config("tfim-fig2"), sizes=(n,), layers=layers), n)
 
 
 def test_regularize_zero_matrix():

@@ -72,15 +72,14 @@ def test_from_terms_checks_a_term_it_would_prune():
 
 
 def test_sum_rejects_a_repeated_axes_string_that_from_terms_merges():
-    # invariant reads one coefficient per axes string: this sum, with ZII twice, was
-    # taken for reversal-symmetric, and its ground energy came out -3.35577250663599.
+    # The canonical form has one term per axes string: the constructor rejects this
+    # sum, with ZII twice, and from_terms merges the repeat.
     terms = [PauliString(-1.0, a) for a in ("XII", "IIX", "IXI")]
     terms += [PauliString(0.5, a) for a in ("ZII", "IIZ", "ZII")]
     with pytest.raises(ValueError, match="^term 'ZII' is repeated; PauliSum.from_terms merges repeats$"):
         PauliSum(tuple(terms), 3)
     h = PauliSum.from_terms(terms, 3)
     assert terms_dict(h) == {"IIX": -1.0, "IIZ": 0.5, "IXI": -1.0, "XII": -1.0, "ZII": 1.0}
-    assert not h.invariant(True, False)
     assert exact_ground_energy(h) == pytest.approx(-3.53224755112299, abs=1e-12)
     assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
 
@@ -284,7 +283,7 @@ def test_dense_is_real_exactly_when_every_phase_is():
     assert to_dense(odd).dtype == np.complex128
 
 
-# (-1, 0) has no field, so both spin-flip sectors hold the degenerate ground state;
+# (-1, 0) has no field, so its ground state is twofold degenerate;
 # (0, -2) has no bonds. n <= 10 keeps each whole solve near 0.1 s.
 @pytest.mark.parametrize("J, h", [(-1.0, -2.0), (0.7, 0.3), (-1.0, 0.0), (0.0, -2.0)])
 @pytest.mark.parametrize("n", range(2, 11))
@@ -299,98 +298,7 @@ def test_tfim_ground_energy_is_even_in_the_field(n, J, h):
     assert tfim_ground_energy(n, J, h) == pytest.approx(tfim_ground_energy(n, J, -h), rel=1e-12, abs=0)
 
 
-def _random_sum(rng, n):
-    terms = [PauliString(float(rng.normal()), "".join(rng.choice(list("IXYZ"), n))) for _ in range(6)]
-    return PauliSum.from_terms(terms, n)
-
-
-def _symmetric_random_sum(rng, n):
-    """Random terms with an even number of Y and Z factors each."""
-    terms = []
-    while len(terms) < 6:
-        axes = "".join(rng.choice(list("IXYZ"), n))
-        if (axes.count("Y") + axes.count("Z")) % 2 == 0:
-            terms.append(PauliString(float(rng.normal()), axes))
-    return PauliSum.from_terms(terms, n)
-
-
-def _reversal(n):
-    """The basis permutation of the site reversal: b with its n bits reversed."""
-    return np.array([int(format(b, f"0{n}b")[::-1], 2) for b in range(2**n)])
-
-
-def _reversal_random_sum(rng, n, reverse):
-    """Six random strings, each with its reversed string carrying its coefficient times
-    reverse per Y or Z factor: a sum the reversal R (reverse = 1) or FR (reverse = -1)
-    leaves unchanged. The coefficients are quarters, so entries the symmetry maps onto
-    each other are sums of the same values in another order, and equal exactly."""
-    terms = []
-    while len(terms) < 12:
-        axes = "".join(rng.choice(list("IXYZ"), n))
-        parity = (axes.count("Y") + axes.count("Z")) % 2
-        c = float(rng.integers(1, 9)) / 4
-        terms += [PauliString(c, axes), PauliString(c * reverse**parity, axes[::-1])]
-    return PauliSum.from_terms(terms, n)
-
-
-def _symmetry_flags(sums):
-    """invariant(reverse, flip) for F, R and FR on each sum, checked against the matrix
-    under that basis permutation."""
-    flags = {(False, True): [], (True, False): [], (True, True): []}  # F, R, FR
-    for h in sums:
-        m, r = to_dense(h), _reversal(h.qubit_count)
-        for (reverse, flip), held in flags.items():
-            g = (r if reverse else np.arange(len(m)))[:: -1 if flip else 1]
-            held.append(h.invariant(reverse, flip))
-            assert held[-1] == np.array_equal(m[g][:, g], m), ([t.axes for t in h.terms], reverse, flip)
-    return flags
-
-
-def test_spin_flip_rule_agrees_with_the_matrix():
-    rng = np.random.default_rng(17)
-    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
-    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (2, 4, 6)]
-    sums += [build_schwinger(4, 1.0, 0.0, 0.0)]  # no single-Z terms: F holds
-    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    sums += [_symmetric_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    sums += [_complex_centrosymmetric_sum()]  # complex, and F holds
-    flags = _symmetry_flags(sums)[False, True]
-    assert any(flags) and not all(flags)
-
-
-def test_reversal_rule_agrees_with_the_matrix():
-    rng = np.random.default_rng(23)
-    sums = [build_tfim(n, -1.0, -2.0) for n in (2, 3, 6)]
-    sums += [build_schwinger(n, 1.0, 0.5, 0.25) for n in (4, 6)]
-    sums += [_random_sum(rng, int(rng.integers(1, 6))) for _ in range(20)]
-    sums += [_reversal_random_sum(rng, int(rng.integers(2, 6)), reverse) for reverse in (1, -1) for _ in range(10)]
-    sums += [PauliSum.from_terms([PauliString(0.5, "Z"), PauliString(0.3, "Y")], 1)]
-    flags = _symmetry_flags(sums)
-    for reverse_flags in (flags[True, False], flags[True, True]):  # R, FR
-        assert any(reverse_flags) and not all(reverse_flags)
-    for h in sums[3:5]:  # Schwinger: none of F, R or FR holds
-        assert not any(h.invariant(reverse, flip) for reverse, flip in flags)
-    # At n = 1 the reversal is the identity: it holds.
-    assert sums[-1].invariant(True, False)
-
-
-def _complex_centrosymmetric_sum():
-    # Each term has an even Y + Z count but an odd number of Y's: complex and symmetric.
-    return PauliSum.from_terms(
-        [PauliString(1.0, "YZ"), PauliString(0.5, "ZY"), PauliString(0.3, "XX"), PauliString(-0.7, "XI")], 2
-    )
-
-
 def test_ground_energy_of_one_qubit():
     h = PauliSum.from_terms([PauliString(0.3, "X"), PauliString(0.5, "I")], 1)
-    assert h.invariant(False, True)
     assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])
     assert exact_ground_energy(h) == pytest.approx(0.2, abs=1e-15)
-
-
-@pytest.mark.parametrize("n", [4, 6])
-def test_schwinger_ground_energy_is_the_full_solve(n):
-    # Single-Z terms break the spin-flip symmetry; like every sum, it is diagonalized whole.
-    h = build_schwinger(n, 1.0, 0.5, 0.0)
-    assert not h.invariant(False, True)
-    assert exact_ground_energy(h) == float(np.linalg.eigvalsh(to_dense(h))[0])

@@ -1,21 +1,22 @@
 import itertools
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from vqebench import ansatz, estimators, optimizers, pauli, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
+from vqebench.bench import build_problem, preset_config
 from vqebench.estimators import exact_metric
-from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig, Problem
+from vqebench.optimizers import OPTIMIZER_KINDS, OptimizerConfig
 from vqebench.pauli import (
     PauliString,
     PauliSum,
     build_schwinger,
     _outcome_probabilities,
     build_tfim,
-    exact_ground_energy,
     to_dense,
 )
 from vqebench.simulator import (
@@ -429,10 +430,9 @@ def test_whole_runs_match_the_reference_kernels(monkeypatch):
     # Three steps of every optimizer kind, with sampled losses and overlaps
     # (shots) and exact references (GD, QNG), on TFIM and on Schwinger.
     config = OptimizerConfig(samples=3, shots=256, max_steps=3)
-    tfim, schwinger = build_tfim(4, -1.0, -2.0), build_schwinger(4, 1.0, 0.5, 0.0)
     problems = (
-        Problem(hardware_efficient(4, 2), tfim, exact_ground_energy(tfim)),
-        Problem(schwinger_ansatz(4, 1), schwinger, exact_ground_energy(schwinger)),
+        build_problem(replace(preset_config("tfim-fig2"), sizes=(4,), layers=2), 4),
+        build_problem(replace(preset_config("schwinger-fig5"), sizes=(4,), layers=1), 4),
     )
     jobs = [(kind, problem) for problem in problems for kind in OPTIMIZER_KINDS]
     got = [optimizers.run(kind, problem, config, seed=11) for kind, problem in jobs]
