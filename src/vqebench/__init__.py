@@ -60,7 +60,6 @@ from .optimizers import (
     RunRecord,
     RunResult,
     average_metric,
-    blocking_check,
     natural_step,
     regularize_metric,
     run,

@@ -136,10 +136,6 @@ def _cmd_exact(args) -> int:
     return 0
 
 
-def _format_matrix_row(matrix: np.ndarray) -> str:
-    return "  ".join(f"{v: .6f}" for v in matrix.reshape(-1))
-
-
 def _cmd_metric_check(args) -> int:
     # A run's own checks of c, b, samples, shots and seed, made before the exact
     # and shift-rule metrics spend their O(d^2) circuits.
@@ -151,12 +147,12 @@ def _cmd_metric_check(args) -> int:
     theta = rng.uniform(-np.pi, np.pi, d)
     exact = exact_metric(circuit, theta)
     estimates = [("exact", exact), ("parameter-shift", parameter_shift_metric(circuit, theta, args.shots, rng))]
+    fid = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)  # shared: building draws nothing
     for name, estimator in (
         ("stein-2eval", stein_metric_2eval),
         ("stein-3eval", stein_metric_3eval),
         ("spsa", spsa_metric),
     ):
-        fid = displacement_fidelity_oracle(circuit, theta, shots=args.shots, rng=rng)
         estimates.append((name, estimator(fid, theta, args.c, args.samples, rng)))
     print(f"ansatz={args.ansatz} qubits={circuit.qubit_count} d={d} "
           f"samples={args.samples} c={args.c} b={args.b} shots={args.shots}")
@@ -165,8 +161,8 @@ def _cmd_metric_check(args) -> int:
     print(f"{'method':<16}{'overlap evals':>14}  max|diff vs exact|  {header}")
     for name, est in estimates:
         dev = np.max(np.abs(est.matrix - exact.matrix))
-        shown = est.matrix if show_entries else np.diag(est.matrix)
-        print(f"{name:<16}{est.raw_evals:>14}  {dev:>18.6f}  {_format_matrix_row(shown)}")
+        shown = (est.matrix if show_entries else np.diag(est.matrix)).reshape(-1)
+        print(f"{name:<16}{est.raw_evals:>14}  {dev:>18.6f}  " + "  ".join(f"{v: .6f}" for v in shown))
     return 0
 
 

@@ -160,20 +160,13 @@ def natural_step(theta: np.ndarray, grad: np.ndarray, metric_reg: np.ndarray, et
     return theta - eta * x
 
 
-def blocking_check(loss_candidate: float, loss_current: float, tol: float) -> bool:
-    """Accept the candidate iff its loss is at most the current loss plus tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    return loss_candidate <= loss_current + tol
-
-
 def shot_noise_scale(h: PauliSum, shots: int) -> float:
     """Per-evaluation loss noise scale sqrt(sum of squared non-constant coefficients) / sqrt(shots).
 
     Identity terms are added exactly by the sampler and contribute no noise.
+    The norm never overflows: past the float range it is inf.
     """
-    ssq = sum(t.coefficient**2 for t in h.terms if not t.is_identity)
-    return math.sqrt(ssq) / math.sqrt(shots)
+    return math.hypot(*(t.coefficient for t in h.terms if not t.is_identity)) / math.sqrt(shots)
 
 
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
@@ -262,12 +255,10 @@ def step(
         )
         state.add_circuits(1)
         tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
-        if blocking_check(candidate_loss, state.loss_current, tol):
-            state.theta = candidate
+        blocked = not candidate_loss <= state.loss_current + tol  # a NaN loss is blocked
+        if not blocked:
             state.loss_current = candidate_loss
-        else:
-            blocked = True
-    else:
+    if not blocked:
         state.theta = candidate
 
     # The metric estimate carries local-geometry information regardless of

@@ -13,7 +13,6 @@ from vqebench.optimizers import (
     OptimizerState,
     Problem,
     average_metric,
-    blocking_check,
     exact_parameter_shift_gradient,
     natural_step,
     regularize_metric,
@@ -104,19 +103,13 @@ def test_natural_step_rejects_non_pd():
         natural_step(np.zeros(2), np.ones(2), np.diag([1.0, -1.0]), 0.1)
 
 
-def test_blocking_check():
-    assert blocking_check(1.0, 1.0, 0.0)
-    assert not blocking_check(1.0 + 2 * 0.05, 1.0, 0.05)
-    assert blocking_check(np.inf, 1.0, np.inf)
-    with pytest.raises(ValueError):
-        blocking_check(0.0, 0.0, -1.0)
-
-
 def test_shot_noise_scale_ignores_constants():
     h = PauliSum.from_terms(
         [PauliString(3.0, "II"), PauliString(-1.0, "ZZ"), PauliString(2.0, "XI")], 2
     )
     assert shot_noise_scale(h, 100) == pytest.approx(np.sqrt(5.0) / 10.0)
+    huge = PauliSum.from_terms([PauliString(1e200, "ZI"), PauliString(1e200, "IZ")], 2)
+    assert shot_noise_scale(huge, 100) == pytest.approx(1e200 * np.sqrt(2.0) / 10.0)
 
 
 def test_exact_gradient_rejects_shared_parameter_index():
@@ -249,6 +242,9 @@ def test_blocked_step_keeps_parameters():
     for prev, cur in zip(result.records, result.records[1:]):
         if cur.blocked:
             assert cur.energy == prev.energy
+    # A candidate is accepted at equality: under a constant loss nothing is blocked.
+    constant = Problem(problem.circuit, PauliSum.from_terms([PauliString(2.5, "II")], 2), 2.5)
+    assert not any(rec.blocked for rec in run("SPSA", constant, config, seed=5).records)
 
 
 @pytest.mark.parametrize("update_metric_on_block", [True, False])
