@@ -2,10 +2,11 @@
 
 Two circuit families: a hardware-efficient RY+CNOT ladder for the Ising
 benchmark, and a brick-wall circuit of two-qubit SO(4) blocks for the
-Schwinger benchmark. The fidelity evaluator returns the overlap
+Schwinger benchmark. The fidelity evaluator samples the overlap
 |<psi(theta)|psi(theta')>|^2 for a reference state psi(theta) prepared once by
-the caller: exactly from the forward state psi(theta'), or sampled as the
-all-zeros frequency of the compute-uncompute state U(theta')^dagger psi(theta).
+the caller, as the all-zeros frequency of the compute-uncompute state
+U(theta')^dagger psi(theta); exact overlaps come from forward-state blocks
+(`estimators.displacement_fidelity_oracle`).
 """
 
 from __future__ import annotations
@@ -144,21 +145,13 @@ def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Cir
     return Circuit(gates=tuple(gates), qubit_count=n, param_count=p)
 
 
-def fidelity(
-    circuit: Circuit,
-    psi: np.ndarray,
-    theta_prime,
-    shots: int | None = None,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Overlap |<psi|psi(theta')>|^2 with a prepared reference state, exact or shot-sampled.
+def fidelity(circuit: Circuit, psi: np.ndarray, theta_prime, shots: int, rng: np.random.Generator | None = None) -> float:
+    """Shot-sampled overlap |<psi|psi(theta')>|^2 with a prepared reference state.
 
-    `psi` is the reference state U(theta)|0>, prepared once by the caller. Exact
-    when shots is None, clamped to at most 1. Sampled, it is the all-zeros
-    frequency of the compute-uncompute state U(theta')^dag psi (doubled depth).
+    `psi` is the reference state U(theta)|0>, prepared once by the caller. The
+    value is the all-zeros frequency of the compute-uncompute state
+    U(theta')^dag psi (doubled depth).
     """
-    if shots is None:
-        return min(1.0, float(abs(np.vdot(psi, apply_circuit(circuit, theta_prime))) ** 2))
     if rng is None:
         raise ValueError("sampled fidelity needs a random generator")
     return sampled_zero_probability(apply_adjoint_circuit(circuit, theta_prime, psi), shots, rng)

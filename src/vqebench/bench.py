@@ -468,9 +468,10 @@ def aggregate_rows(runs) -> list[str]:
         errs = np.array([r.records[k].energy_error for r in surviving])
         charged = np.array([r.records[k].circuits_charged for r in surviving], dtype=float)
         raw = np.array([r.records[k].circuits_raw for r in surviving], dtype=float)
+        e = np.frexp(np.abs(errs).max())[1]  # the std of errs / 2**e, times 2**e: exact, and no square overflows
         rows.append(
             f"{surviving[0].records[k].step},{len(surviving)},{_fmt(errs.mean())},"
-            f"{_fmt(errs.std(ddof=0))},{_fmt(charged.mean())},{_fmt(raw.mean())}"
+            f"{_fmt(np.ldexp(np.ldexp(errs, -e).std(ddof=0), e))},{_fmt(charged.mean())},{_fmt(raw.mean())}"
         )
     return rows
 

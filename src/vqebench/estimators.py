@@ -233,12 +233,20 @@ def displacement_fidelity_oracle(
 ) -> RowOracle:
     """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2.
 
-    psi(theta) is prepared once, here, and each row is one `fidelity` query.
+    psi(theta) is prepared once, here. Sampled, each row is one `fidelity` query. Exact, rows
+    run through `apply_circuit` in blocks of at most 64 KiB of states (one row at n >= 12), with
+    one `vecdot` against psi per block and the per-row formula's scalar `abs`, clamped to 1.
     """
     theta = np.asarray(theta, dtype=float)
-    psi = apply_circuit(circuit, theta)
+    psi, block = apply_circuit(circuit, theta), max(1, 4096 >> circuit.qubit_count)
+    if shots is not None:
+        return RowOracle(lambda deltas: [fidelity(circuit, psi, theta + delta, shots, rng) for delta in deltas])
     return RowOracle(
-        lambda deltas: [fidelity(circuit, psi, theta + delta, shots=shots, rng=rng) for delta in deltas]
+        lambda deltas: [
+            min(1.0, float(abs(v) ** 2))
+            for i in range(0, len(deltas), block)
+            for v in np.vecdot(psi, apply_circuit(circuit, theta + deltas[i : i + block]))
+        ]
     )
 
 

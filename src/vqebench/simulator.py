@@ -13,8 +13,9 @@ a (B, 2**n) block to a new array: a maximal run of X, CNOT, S and Sdg is one
 gather `x[perm]`, times phases in {1, i, -1, -i} unless all are 1; H, RX and
 RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
-once from the cosines and sines of its half angles. The adjoint plan is the
-compiled `inverse_gates` list, run at -theta. Energies read the stacked
+once from the cosines and sines of its half angles; a (B, d) array of angle
+rows gives (B, 1) columns of entries, one state per row. The adjoint plan is
+the compiled `inverse_gates` list, run at -theta. Energies read the stacked
 term tables of a `PauliSum`: one gather applies every string, and
 `PauliSum.outcome_distributions` (the measurement pass, which owns the
 rotation tables) gives the measured terms' rows; this module only draws.
@@ -163,21 +164,22 @@ class _Plan:
     def run(self, x: np.ndarray | None, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
-        With x None, the pass starts from |0...0>.
+        With x None, the pass starts from |0...0>, as B rows for a (B, d) array of angles.
         With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
         rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
         """
-        half = theta / 2.0
+        half = theta.T / 2.0  # (d,), or (d, B) for B rows: coef is then (slots, 2, B, 1), each entry a column
         cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
-        coef = np.concatenate((cos, sin, -sin, np.zeros(cos.size))).take(self.entries).view(complex)
+        coef = np.concatenate((cos, sin, -sin, np.zeros(cos.shape))).take(self.entries, axis=0)
+        coef = coef.view(complex) if theta.ndim == 1 else np.moveaxis(coef, 2, 1).copy().view(complex).mT[..., None]
         if x is None:
-            x = np.zeros(self.size, dtype=complex)
-            x[0] = 1.0
+            x = np.zeros((*theta.shape[:-1], self.size), dtype=complex)
+            x[..., 0] = 1.0
         else:
             x = np.array(x, dtype=complex)
         for kind, index, table, k, p in self.ops:
-            if kind == "RZ":
-                x = coef[k].take(index) * x  # coefficient first: see the module docstring
+            if kind == "RZ":  # the diagonal first: see the module docstring
+                x = (coef[k].take(index) if coef.ndim == 2 else np.where(index, coef[k, 1], coef[k, 0])) * x
             elif kind == "gather":
                 x = x.take(index, axis=-1)
                 if table is not None:
@@ -224,9 +226,9 @@ def _compile(n: int, gates) -> _Plan:
     return _Plan(tuple(ops), np.array(params, dtype=np.intp), codes, 2**n)
 
 
-def _check_theta(c: Circuit, theta: np.ndarray) -> np.ndarray:
+def _check_theta(c: Circuit, theta: np.ndarray, rows: bool = False) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (c.param_count,):
+    if theta.shape[-1:] != (c.param_count,) or theta.ndim > 1 + rows:
         raise ValueError(f"expected {c.param_count} parameters, got shape {theta.shape}")
     return theta
 
@@ -242,8 +244,8 @@ def _check_state(state, n: int | None = None) -> np.ndarray:
 
 
 def apply_circuit(c: Circuit, theta) -> np.ndarray:
-    """Return U(theta)|0...0>."""
-    return c._plan.run(None, _check_theta(c, theta))
+    """Return U(theta)|0...0>; for a (B, d) array of angle rows, the (B, 2**n) block of those states."""
+    return c._plan.run(None, _check_theta(c, theta, rows=True))
 
 
 def apply_adjoint_circuit(c: Circuit, theta, state) -> np.ndarray:

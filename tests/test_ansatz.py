@@ -11,6 +11,7 @@ from vqebench.ansatz import (
     single_qubit_ry,
     so4_block_gates,
 )
+from vqebench.estimators import displacement_fidelity_oracle
 from vqebench.pauli import PauliString, PauliSum, build_schwinger, build_tfim, to_dense
 from vqebench.simulator import (
     Gate,
@@ -166,19 +167,20 @@ def test_fidelity_identical_parameters():
     theta = rng.uniform(-np.pi, np.pi, c.param_count)
     psi = apply_circuit(c, theta)
     # Exact: the inner product of two equal forward states, 1 to rounding.
-    assert fidelity(c, psi, theta) == min(1.0, abs(np.vdot(psi, psi)) ** 2)
+    exact = displacement_fidelity_oracle(c, theta)(np.zeros((1, c.param_count)))
+    assert exact[0] == min(1.0, abs(np.vdot(psi, psi)) ** 2)
     sampled = fidelity(c, psi, theta, shots=64, rng=rng)
     assert sampled == 1.0
 
 
 def test_fidelity_orthogonal_states():
     c = single_qubit_ry()
-    assert fidelity(c, apply_circuit(c, [0.0]), np.array([np.pi])) < 1e-12
+    assert displacement_fidelity_oracle(c, [0.0])(np.array([[np.pi]]))[0] < 1e-12
 
 
 def test_fidelity_closed_form():
     c = single_qubit_ry()
-    got = fidelity(c, apply_circuit(c, [0.0]), np.array([0.1]))
+    got = displacement_fidelity_oracle(c, [0.0])(np.array([[0.1]]))[0]
     assert got == pytest.approx(np.cos(0.05) ** 2, abs=1e-12)
     assert got == pytest.approx(0.997502, abs=1e-6)
 
@@ -189,8 +191,8 @@ def test_fidelity_symmetry_and_bounds():
     for _ in range(20):
         a = rng.uniform(-np.pi, np.pi, c.param_count)
         b = rng.uniform(-np.pi, np.pi, c.param_count)
-        fab = fidelity(c, apply_circuit(c, a), b)
-        fba = fidelity(c, apply_circuit(c, b), a)
+        fab = displacement_fidelity_oracle(c, a)([b - a])[0]
+        fba = displacement_fidelity_oracle(c, b)([a - b])[0]
         assert fab == pytest.approx(fba, abs=1e-10)
         assert 0.0 <= fab <= 1.0
         sampled = fidelity(c, apply_circuit(c, a), b, shots=32, rng=rng)
@@ -202,16 +204,29 @@ _OVERLAP_CIRCUITS = pytest.mark.parametrize(
 )
 
 
-@_OVERLAP_CIRCUITS
+@pytest.mark.parametrize(
+    "circuit",
+    [hardware_efficient(3, 2), schwinger_ansatz(4, 1), hardware_efficient(7, 1)],
+    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q"],
+)
 def test_exact_fidelity_is_the_forward_inner_product(circuit):
+    """The oracle's block passes give each row's per-row value bit for bit: at n = 7 a
+    block holds 32 rows, so the 40 rows span two blocks."""
     rng = np.random.default_rng(23)
-    for _ in range(20):
-        a, b = rng.uniform(-np.pi, np.pi, (2, circuit.param_count))
-        got = fidelity(circuit, apply_circuit(circuit, a), b)
-        assert got == min(1.0, abs(np.vdot(apply_circuit(circuit, a), apply_circuit(circuit, b))) ** 2)
-        # The compute-uncompute circuit gives the same overlap to rounding.
-        round_trip = abs(apply_adjoint_circuit(circuit, b, apply_circuit(circuit, a))[0]) ** 2
-        assert abs(got - round_trip) < 1e-14
+    theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
+    rows = rng.uniform(-np.pi, np.pi, (40, circuit.param_count))
+    rows[1, 0] = np.nan
+    rows[32] = -0.0
+    rows[39] = -theta
+    psi = apply_circuit(circuit, theta)
+    got = displacement_fidelity_oracle(circuit, theta)(rows)
+    want = [min(1.0, abs(np.vdot(psi, apply_circuit(circuit, theta + row))) ** 2) for row in rows]
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    for value, row in zip(got, rows):
+        if not np.isnan(row).any():
+            # The compute-uncompute circuit gives the same overlap to rounding.
+            round_trip = abs(apply_adjoint_circuit(circuit, theta + row, psi)[0]) ** 2
+            assert abs(value - round_trip) < 1e-14
 
 
 @_OVERLAP_CIRCUITS

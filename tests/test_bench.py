@@ -24,7 +24,7 @@ from vqebench.bench import (
     serialize_config,
 )
 from vqebench.cli import main
-from vqebench.optimizers import OptimizerConfig
+from vqebench.optimizers import OptimizerConfig, RunRecord, RunResult
 from vqebench.pauli import build_tfim
 
 SMALL_CONFIG = """
@@ -270,6 +270,16 @@ def test_run_benchmark_aggregate_is_arithmetic_mean(tmp_path, monkeypatch):
             errs = [r.records[k].energy_error for r in runs]
             assert float(fields[2]) == pytest.approx(np.mean(errs), rel=1e-12)
             assert float(fields[3]) == pytest.approx(np.std(errs), rel=1e-12, abs=1e-15)
+
+
+def test_aggregate_std_does_not_overflow_at_huge_errors():
+    # The squares of +-1e200 overflow; the std is taken of the errors over a power of two.
+    runs = [
+        RunResult("GD", seed, (RunRecord(0, 0.0, 0.0, err, 2, 2, False, 0.0),), False)
+        for seed, err in enumerate((1e200, -1e200))
+    ]
+    (row,) = bench.aggregate_rows(runs)
+    assert row == "0,2,0.0,1e+200,2.0,2.0"
 
 
 def test_emit_csv_files_and_schema(tmp_path, monkeypatch):

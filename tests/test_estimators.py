@@ -342,12 +342,14 @@ def test_estimators_match_per_sample_loop_reference(estimator, base):
 @pytest.mark.parametrize(
     "shots, passes",
     # (estimators.apply_circuit, ansatz.apply_circuit, ansatz.apply_adjoint_circuit)
-    # for N = 12 samples, N + 1 overlap rows.
-    [(None, (1, 13, 0)), (1024, (1, 0, 13))],
+    # for N = 12 samples, N + 1 overlap rows: one block pass (a block holds 512 rows
+    # at n = 3) when exact, one pass per row when sampled.
+    [(None, (2, 0, 0)), (1024, (1, 0, 13))],
     ids=["exact", "sampled"],
 )
 def test_overlap_oracle_prepares_reference_state_once(monkeypatch, shots, passes):
-    """psi(theta) is one forward pass per oracle; each overlap row is one more circuit pass."""
+    """psi(theta) is one forward pass per oracle; then each block of exact rows, or each
+    sampled row, is one more circuit pass."""
     calls = {}
 
     def counted(module, name):

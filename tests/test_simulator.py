@@ -164,6 +164,8 @@ def _ref_expectation(state, h):
 
 
 def _ref_apply_circuit(c, theta):
+    if np.ndim(theta) == 2:  # a (B, d) array of angle rows: the per-row states, stacked
+        return np.array([_ref_apply_circuit(c, row) for row in theta])
     state = np.zeros(2**c.qubit_count, dtype=complex)
     state[0] = 1.0
     _ref_apply_gates(state, c.qubit_count, c.gates, np.asarray(theta, dtype=float))
@@ -399,12 +401,13 @@ def _pinned_quantities(c, h, seed):
     """Bytes of every loss, overlap and metric query on c, and of the next draw."""
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi, np.pi, c.param_count)
-    theta_prime = theta + rng.normal(0.0, 0.1, c.param_count)
+    step = rng.normal(0.0, 0.1, c.param_count)
+    theta_prime = theta + step
     values = [
         loss(c, h, theta),
         loss(c, h, theta, shots=512, rng=rng),
         fidelity(c, ansatz.apply_circuit(c, theta), theta_prime, shots=512, rng=rng),
-        fidelity(c, ansatz.apply_circuit(c, theta), theta_prime),
+        estimators.displacement_fidelity_oracle(c, theta)(step[None]),
         ansatz.sampled_expectation(ansatz.apply_circuit(c, theta_prime), h, 512, rng),
         exact_metric(c, theta).matrix,
         rng.random(),
@@ -457,10 +460,28 @@ def test_derivative_states_match_finite_differences():
             assert np.max(np.abs(block[i + 1] - fd)) < 1e-8
 
 
+def test_angle_rows_run_as_one_block_bit_for_bit():
+    # Every gate kind, with NaN, -0.0 and negated rows: each row of the block is its own pass.
+    rng = np.random.default_rng(45)
+    for n in (1, 3, 5):
+        c = random_circuit(rng, n, 24)
+        rows = rng.uniform(-np.pi, np.pi, (6, c.param_count))
+        rows[1, 0], rows[2], rows[3] = np.nan, -0.0, -rows[0]
+        block = apply_circuit(c, rows)
+        assert block.shape == (6, 2**n)
+        assert block.tobytes() == np.array([apply_circuit(c, row) for row in rows]).tobytes()
+
+
 def test_parameter_length_mismatch():
     c = Circuit((Gate("RY", (0,), 0),), 1, 1)
-    with pytest.raises(ValueError):
-        apply_circuit(c, [0.1, 0.2])
+    for theta in ([0.1, 0.2], np.zeros((2, 2)), np.zeros((1, 1, 1))):
+        with pytest.raises(ValueError, match="^expected 1 parameters"):
+            apply_circuit(c, theta)
+    # Only the forward pass takes rows of angles.
+    with pytest.raises(ValueError, match="^expected 1 parameters"):
+        derivative_states(c, np.zeros((2, 1)))
+    with pytest.raises(ValueError, match="^expected 1 parameters"):
+        apply_adjoint_circuit(c, np.zeros((2, 1)), [1.0, 0.0])
 
 
 def test_gate_validation():
