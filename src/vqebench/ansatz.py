@@ -20,6 +20,7 @@ from .simulator import (
     MAX_QUBITS,
     Circuit,
     Gate,
+    _check_theta,
     apply_adjoint_circuit,
     apply_circuit,
     expectation,
@@ -145,7 +146,13 @@ def schwinger_ansatz(n: int, layers: int, bond_order: str = "even_first") -> Cir
     return Circuit(gates=tuple(gates), qubit_count=n, param_count=p)
 
 
-def fidelity(circuit: Circuit, psi: np.ndarray, theta_prime, shots: int, rng: np.random.Generator | None = None) -> float:
+def fidelity(
+    circuit: Circuit,
+    psi: np.ndarray,
+    theta_prime,
+    shots: int,
+    rng: np.random.Generator | None = None,
+) -> float:
     """Shot-sampled overlap |<psi|psi(theta')>|^2 with a prepared reference state.
 
     `psi` is the reference state U(theta)|0>, prepared once by the caller. The
@@ -165,7 +172,7 @@ def loss(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Energy <0|U(theta)^dag H U(theta)|0>, exact or shot-sampled."""
-    state = apply_circuit(circuit, theta)
+    state = apply_circuit(circuit, _check_theta(circuit, theta))  # one state: rows of angles are refused
     if shots is None:
         return expectation(state, h)
     if rng is None:

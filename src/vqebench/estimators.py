@@ -27,6 +27,7 @@ from .ansatz import fidelity
 from .pauli import PauliSum
 from .simulator import (
     Circuit,
+    _check_theta,
     apply_circuit,
     derivative_states,
     require_one_gate_per_parameter,
@@ -237,8 +238,9 @@ def displacement_fidelity_oracle(
     run through `apply_circuit` in blocks of at most 64 KiB of states (one row at n >= 12), with
     one `vecdot` against psi per block and the per-row formula's scalar `abs`, clamped to 1.
     """
-    theta = np.asarray(theta, dtype=float)
-    psi, block = apply_circuit(circuit, theta), max(1, 4096 >> circuit.qubit_count)
+    theta = _check_theta(circuit, theta)
+    psi = apply_circuit(circuit, theta)
+    block = max(1, 4096 >> circuit.qubit_count)  # rows per pass: 64 KiB of states
     if shots is not None:
         return RowOracle(lambda deltas: [fidelity(circuit, psi, theta + delta, shots, rng) for delta in deltas])
     return RowOracle(

@@ -168,10 +168,13 @@ class _Plan:
         With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
         rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
         """
-        half = theta.T / 2.0  # (d,), or (d, B) for B rows: coef is then (slots, 2, B, 1), each entry a column
-        cos, sin = np.cos(half)[self.params], np.sin(half)[self.params]
-        coef = np.concatenate((cos, sin, -sin, np.zeros(cos.shape))).take(self.entries, axis=0)
-        coef = coef.view(complex) if theta.ndim == 1 else np.moveaxis(coef, 2, 1).copy().view(complex).mT[..., None]
+        half = theta / 2.0
+        cos, sin = np.cos(half).take(self.params, axis=-1), np.sin(half).take(self.params, axis=-1)
+        coef = np.concatenate((cos, sin, -sin, np.zeros(cos.shape)), axis=-1).take(self.entries, axis=-1)
+        # Slot k's entries (a, b) are diag[k], (2,) or (B, 2) for B rows of angles. Entry j is cols[k, ..., j]:
+        # a (B, 1) column, or for one state a 0-d view, which numpy multiplies without a broadcast.
+        diag = coef.view(complex).swapaxes(0, -2)
+        cols = diag.reshape(diag.shape[:-1] + (1,) * (theta.ndim - 1) + (2,))
         if x is None:
             x = np.zeros((*theta.shape[:-1], self.size), dtype=complex)
             x[..., 0] = 1.0
@@ -179,14 +182,13 @@ class _Plan:
             x = np.array(x, dtype=complex)
         for kind, index, table, k, p in self.ops:
             if kind == "RZ":  # the diagonal first: see the module docstring
-                x = (coef[k].take(index) if coef.ndim == 2 else np.where(index, coef[k, 1], coef[k, 0])) * x
+                x = diag[k].take(index, axis=-1) * x
             elif kind == "gather":
                 x = x.take(index, axis=-1)
                 if table is not None:
                     x *= table
             else:  # a x + b y, y the copy of x with the site flipped (and, for RY, signed)
-                # 0-d views (not coef[k, 0]), which numpy multiplies without converting a scalar
-                a, b = (table, _H) if kind == "H" else (coef[k, 0, ...], coef[k, 1, ...])
+                a, b = (table, _H) if kind == "H" else (cols[k, ..., 0], cols[k, ..., 1])
                 y = x.take(index, axis=-1)
                 if kind == "RY":
                     y *= table

@@ -268,6 +268,17 @@ def test_loss_matches_expectation():
     )
 
 
+def test_loss_and_oracle_refuse_rows_of_angles():
+    # apply_circuit maps (B, d) rows to a block; a loss or an oracle's reference is one state.
+    c = hardware_efficient(2, 1)
+    h = build_tfim(2, -1.0, -2.0)
+    for shots, rng in ((None, None), (16, np.random.default_rng(0))):
+        with pytest.raises(ValueError, match=r"^expected 2 parameters, got shape \(2, 2\)$"):
+            loss(c, h, np.zeros((2, 2)), shots=shots, rng=rng)
+        with pytest.raises(ValueError, match=r"^expected 2 parameters, got shape \(2, 2\)$"):
+            displacement_fidelity_oracle(c, np.zeros((2, 2)), shots=shots, rng=rng)
+
+
 def test_sampled_queries_need_a_random_generator():
     c = single_qubit_ry()
     h = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
