@@ -164,6 +164,15 @@ def fidelity(
     return sampled_zero_probability(apply_adjoint_circuit(circuit, theta_prime, psi), shots, rng)
 
 
+def energy(state, h: PauliSum, shots: int | None, rng: np.random.Generator | None) -> float:
+    """<s|H|s> of a prepared state, exact or shot-sampled."""
+    if shots is None:
+        return expectation(state, h)
+    if rng is None:
+        raise ValueError("sampled loss needs a random generator")
+    return sampled_expectation(state, h, shots, rng)
+
+
 def loss(
     circuit: Circuit,
     h: PauliSum,
@@ -172,9 +181,4 @@ def loss(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Energy <0|U(theta)^dag H U(theta)|0>, exact or shot-sampled."""
-    state = apply_circuit(circuit, _check_theta(circuit, theta))  # one state: rows of angles are refused
-    if shots is None:
-        return expectation(state, h)
-    if rng is None:
-        raise ValueError("sampled loss needs a random generator")
-    return sampled_expectation(state, h, shots, rng)
+    return energy(apply_circuit(circuit, _check_theta(circuit, theta)), h, shots, rng)  # rows of angles are refused

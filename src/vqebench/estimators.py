@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import fidelity
+from .ansatz import energy, fidelity
 from .pauli import PauliSum
 from .simulator import (
     Circuit,
@@ -226,6 +226,17 @@ def spsa_metric(f, theta, c: float, samples: int, rng: np.random.Generator) -> M
     return MetricEstimate(-0.5 * hess, raw_evals=4 * samples, charged_evals=4 * samples)
 
 
+def _state_blocks(circuit: Circuit, rows: np.ndarray):
+    """The states of a (B, d) array of angle rows, in passes of at most 64 KiB of states (one row at n >= 12)."""
+    block = max(1, 4096 >> circuit.qubit_count)
+    return (apply_circuit(circuit, rows[i : i + block]) for i in range(0, len(rows), block))
+
+
+def loss_oracle(circuit: Circuit, h: PauliSum, shots: int | None, rng: np.random.Generator | None) -> RowOracle:
+    """Oracle from parameter rows to their losses: each row's `energy`, in row order, from state blocks."""
+    return RowOracle(lambda rows: [energy(s, h, shots, rng) for states in _state_blocks(circuit, rows) for s in states])
+
+
 def displacement_fidelity_oracle(
     circuit: Circuit,
     theta,
@@ -234,20 +245,18 @@ def displacement_fidelity_oracle(
 ) -> RowOracle:
     """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2.
 
-    psi(theta) is prepared once, here. Sampled, each row is one `fidelity` query. Exact, rows
-    run through `apply_circuit` in blocks of at most 64 KiB of states (one row at n >= 12), with
-    one `vecdot` against psi per block and the per-row formula's scalar `abs`, clamped to 1.
+    psi(theta) is prepared once, here. Sampled, each row is one `fidelity` query. Exact, each
+    state block gives one `vecdot` against psi and the per-row formula's scalar `abs`, clamped to 1.
     """
     theta = _check_theta(circuit, theta)
     psi = apply_circuit(circuit, theta)
-    block = max(1, 4096 >> circuit.qubit_count)  # rows per pass: 64 KiB of states
     if shots is not None:
         return RowOracle(lambda deltas: [fidelity(circuit, psi, theta + delta, shots, rng) for delta in deltas])
-    return RowOracle(
+    return RowOracle(  # min(value, 1.0) keeps a NaN overlap NaN
         lambda deltas: [
-            min(1.0, float(abs(v) ** 2))
-            for i in range(0, len(deltas), block)
-            for v in np.vecdot(psi, apply_circuit(circuit, theta + deltas[i : i + block]))
+            min(float(abs(v) ** 2), 1.0)
+            for states in _state_blocks(circuit, theta + deltas)
+            for v in np.vecdot(psi, states)
         ]
     )
 

@@ -17,11 +17,11 @@ import numpy as np
 from .ansatz import loss
 from .estimators import (
     MetricEstimate,
-    RowOracle,
     _plus_minus_rows,
     displacement_fidelity_oracle,
     exact_gradient_and_metric,
     exact_metric,  # not called here; bound for the benchmark tracer, which wraps it by name
+    loss_oracle,
     spsa_gradient,
     spsa_metric,
     stein_gradient_2eval,
@@ -189,9 +189,7 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
         state.add_circuits(2 * problem.circuit.param_count)
         grad, metric = exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
         return grad, metric if kind == "QNG" else None
-    oracle = RowOracle(
-        lambda rows: [loss(problem.circuit, problem.hamiltonian, row, shots=config.shots, rng=rng) for row in rows]
-    )
+    oracle = loss_oracle(problem.circuit, problem.hamiltonian, shots=config.shots, rng=rng)
     gradient = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
     grad = gradient(oracle, state.theta, config.c, config.samples, rng)
     state.add_circuits(oracle.calls)

@@ -165,8 +165,8 @@ class _Plan:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
         With x None, the pass starts from |0...0>, as B rows for a (B, d) array of angles.
-        With `derivatives`, x is the block [psi, 0, ..., 0] and, after each
-        rotation on parameter p, row p + 1 gains (-i/2) P psi for its Pauli P.
+        With `derivatives`, x is the block [psi]; row p + 1 joins it, after zero rows for any index
+        skipped, at the first rotation on parameter p, and gains (-i/2) P psi for its Pauli P at each.
         """
         half = theta / 2.0
         cos, sin = np.cos(half).take(self.params, axis=-1), np.sin(half).take(self.params, axis=-1)
@@ -197,6 +197,8 @@ class _Plan:
                 x += y
             if derivatives and p is not None:
                 psi = x[0] if kind == "RZ" else x[0].take(index)
+                if p + 1 >= len(x):
+                    x = np.concatenate((x, np.zeros((p + 2 - len(x), self.size), dtype=complex)))
                 x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
         return x
 
@@ -259,15 +261,12 @@ def apply_adjoint_circuit(c: Circuit, theta, state) -> np.ndarray:
 def derivative_states(c: Circuit, theta) -> np.ndarray:
     """Block [psi, d_1 psi, ..., d_d psi] of psi = U(theta)|0...0>, shape (d + 1, 2**n).
 
-    One pass of the block through the plan: every op acts on all rows (the
-    chain rule's U d psi part), and after a rotation on parameter i, row
-    i + 1 gains (-i/2) P psi for that gate's Pauli P. A parameter shared by
-    several gates accumulates one such term per gate. Exact to rounding.
+    One pass from the block [|0...0>]: every op acts on the rows present (the chain
+    rule's U d psi part), and each rotation on parameter i adds (-i/2) P psi for its
+    Pauli P to row i + 1. That row joins the block at the first such rotation, after
+    zero rows for lower indices not yet reached. Exact to rounding.
     """
-    theta = _check_theta(c, theta)
-    block = np.zeros((c.param_count + 1, 2**c.qubit_count), dtype=complex)
-    block[0, 0] = 1.0
-    return c._plan.run(block, theta, derivatives=True)
+    return c._plan.run(np.eye(1, 2**c.qubit_count), _check_theta(c, theta), derivatives=True)
 
 
 def require_one_gate_per_parameter(c: Circuit) -> None:

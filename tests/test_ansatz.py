@@ -220,8 +220,9 @@ def test_exact_fidelity_is_the_forward_inner_product(circuit):
     rows[39] = -theta
     psi = apply_circuit(circuit, theta)
     got = displacement_fidelity_oracle(circuit, theta)(rows)
-    want = [min(1.0, abs(np.vdot(psi, apply_circuit(circuit, theta + row))) ** 2) for row in rows]
+    want = [min(abs(np.vdot(psi, apply_circuit(circuit, theta + row))) ** 2, 1.0) for row in rows]
     assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    assert np.isnan(got[1])  # a NaN overlap is not clamped to 1, as min(1.0, nan) would do
     for value, row in zip(got, rows):
         if not np.isnan(row).any():
             # The compute-uncompute circuit gives the same overlap to rounding.

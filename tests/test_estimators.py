@@ -9,13 +9,14 @@ import pytest
 
 import vqebench
 from vqebench import ansatz, estimators
-from vqebench.ansatz import hardware_efficient, schwinger_ansatz, single_qubit_ry
+from vqebench.ansatz import hardware_efficient, loss, schwinger_ansatz, single_qubit_ry
 from vqebench.estimators import (
     MetricEstimate,
     RowOracle,
     displacement_fidelity_oracle,
     exact_gradient_and_metric,
     exact_metric,
+    loss_oracle,
     parameter_shift_metric,
     spsa2_hessian,
     spsa_gradient,
@@ -373,6 +374,40 @@ def test_overlap_oracle_prepares_reference_state_once(monkeypatch, shots, passes
     stein_metric_2eval(fid, theta, 0.1, 12, rng)
     assert fid.calls == 13
     assert tuple(calls.values()) == passes
+
+
+@pytest.mark.parametrize("shots", [None, 512], ids=["exact", "sampled"])
+@pytest.mark.parametrize(
+    "circuit, h",
+    [
+        (hardware_efficient(4, 2), build_tfim(4, -1.0, -2.0)),
+        (schwinger_ansatz(4, 1), build_schwinger(4, 1.0, 0.5, 0.0)),
+        (hardware_efficient(7, 1), build_tfim(7, -1.0, -2.0)),
+    ],
+    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q"],
+)
+def test_loss_oracle_matches_the_per_row_loss_loop(circuit, h, shots):
+    """Each row's value is its own `loss` bit for bit, and the draws run in row order: at
+    n = 4 the 40 rows are one block, at n = 7 (32 rows a block) they span two."""
+    rows = np.random.default_rng(36).uniform(-np.pi, np.pi, (40, circuit.param_count))
+    rows[3] = -0.0
+    rows[35, 0] = np.nan
+    rng, loop_rng = np.random.default_rng(37), np.random.default_rng(37)
+    oracle = loss_oracle(circuit, h, shots, rng)
+    # A NaN state's distributions are refused by the draw, so sampled rows are the finite ones.
+    queried = rows if shots is None else rows[np.isfinite(rows).all(axis=1)]
+    got = oracle(queried)
+    want = [loss(circuit, h, row, shots, loop_rng) for row in queried]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert oracle.calls == len(queried)
+    if shots is None:
+        assert np.isnan(got[35]) and not np.isnan(got[:35]).any()
+    else:  # both refuse the NaN row after the rows before it have drawn
+        with pytest.raises(ValueError, match="NaN"):
+            oracle(rows)
+        with pytest.raises(ValueError, match="NaN"):
+            [loss(circuit, h, row, shots, loop_rng) for row in rows]
+    assert rng.random() == loop_rng.random()
 
 
 CONSTANT_FID_DIM = 3

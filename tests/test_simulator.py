@@ -331,6 +331,19 @@ def test_derivative_states_and_so4_gate_match_generic_update(n):
     assert np.array_equal(so4_gate(alpha), want.T)
 
 
+def test_derivative_rows_join_at_their_first_rotation_in_any_index_order():
+    # Index 3 comes first and is shared, and 0 comes after 1: rows join the block out of order.
+    gates = [("RY", (0,), 3), ("H", (1,), None), ("RX", (2,), 1), ("CNOT", (0, 1), None)]
+    gates += [("RZ", (1,), 3), ("RY", (2,), 0), ("RZ", (0,), 2)]
+    c = Circuit(tuple(Gate(*g) for g in gates), 3, 4)
+    rng = np.random.default_rng(66)
+    thetas = [*rng.uniform(-2 * np.pi, 2 * np.pi, (20, 4)), [-0.0, 0.4, -0.0, 1.1], [0.3, np.nan, -0.0, 0.9]]
+    for theta in thetas:
+        got, want = derivative_states(c, theta), _ref_derivative_states(c, theta)
+        assert got.shape == (5, 8) and np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got[1:]).all()  # every derivative row meets RX(nan), directly or through psi
+
+
 def fixed_run_circuit(rng, n, runs=6):
     """Long runs of X, CNOT (both directions), S and Sdg between single H or rotation gates."""
     gates, p = [], 0
