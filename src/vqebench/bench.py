@@ -445,15 +445,10 @@ def run_benchmark(cfg: RunConfig) -> BenchmarkResult:
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def run_rows(runs) -> list[str]:
     return [
-        f"{rec.step},{result.seed},{_fmt(rec.loss)},{_fmt(rec.energy)},"
-        f"{_fmt(rec.energy_error)},{rec.circuits_charged},{rec.circuits_raw},"
-        f"{int(rec.blocked)}"
+        f"{rec.step},{result.seed},{write_value('float', rec.loss)},{write_value('float', rec.energy)},"
+        f"{write_value('float', rec.energy_error)},{rec.circuits_charged},{rec.circuits_raw},{int(rec.blocked)}"
         for result in runs
         for rec in result.records
     ]
@@ -469,10 +464,9 @@ def aggregate_rows(runs) -> list[str]:
         charged = np.array([r.records[k].circuits_charged for r in surviving], dtype=float)
         raw = np.array([r.records[k].circuits_raw for r in surviving], dtype=float)
         e = np.frexp(np.abs(errs).max())[1]  # the std of errs / 2**e, times 2**e: exact, and no square overflows
-        rows.append(
-            f"{surviving[0].records[k].step},{len(surviving)},{_fmt(errs.mean())},"
-            f"{_fmt(np.ldexp(np.ldexp(errs, -e).std(ddof=0), e))},{_fmt(charged.mean())},{_fmt(raw.mean())}"
-        )
+        std = np.ldexp(np.ldexp(errs, -e).std(ddof=0), e)
+        values = ",".join(write_value("float", v) for v in (errs.mean(), std, charged.mean(), raw.mean()))
+        rows.append(f"{surviving[0].records[k].step},{len(surviving)},{values}")
     return rows
 
 

@@ -245,20 +245,23 @@ def displacement_fidelity_oracle(
 ) -> RowOracle:
     """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2.
 
-    psi(theta) is prepared once, here. Sampled, each row is one `fidelity` query. Exact, each
-    state block gives one `vecdot` against psi and the per-row formula's scalar `abs`, clamped to 1.
+    psi(theta) is prepared once, here, and rows of a width other than d are refused before any pass
+    or draw. Sampled, each row is one `fidelity` query. Exact, each state block gives one `vecdot`
+    against psi and the per-row formula's scalar `abs`, clamped to 1.
     """
     theta = _check_theta(circuit, theta)
     psi = apply_circuit(circuit, theta)
-    if shots is not None:
-        return RowOracle(lambda deltas: [fidelity(circuit, psi, theta + delta, shots, rng) for delta in deltas])
-    return RowOracle(  # min(value, 1.0) keeps a NaN overlap NaN
-        lambda deltas: [
-            min(float(abs(v) ** 2), 1.0)
-            for states in _state_blocks(circuit, theta + deltas)
-            for v in np.vecdot(psi, states)
+
+    def overlaps(deltas):
+        points = theta + _check_theta(circuit, deltas, rows=True)
+        if shots is not None:
+            return [fidelity(circuit, psi, row, shots, rng) for row in points]
+        # min(value, 1.0) keeps a NaN overlap NaN
+        return [
+            min(float(abs(v) ** 2), 1.0) for states in _state_blocks(circuit, points) for v in np.vecdot(psi, states)
         ]
-    )
+
+    return RowOracle(overlaps)
 
 
 def parameter_shift_metric(

@@ -13,8 +13,9 @@ a (B, 2**n) block to a new array: a maximal run of X, CNOT, S and Sdg is one
 gather `x[perm]`, times phases in {1, i, -1, -i} unless all are 1; H, RX and
 RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
-once from the cosines and sines of its half angles; a (B, d) array of angle
-rows gives (B, 1) columns of entries, one state per row. The adjoint plan is
+once from the cosines and sines of its half angles; B > 1 angle rows give
+(B, 1) columns of entries, one state per row, and one row shares 0-d entries
+across its amplitudes, whatever the rank of its array. The adjoint plan is
 the compiled `inverse_gates` list, run at -theta. Energies read the stacked
 term tables of a `PauliSum`: one gather applies every string, and
 `PauliSum.outcome_distributions` (the measurement pass, which owns the
@@ -165,16 +166,16 @@ class _Plan:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
         With x None, the pass starts from |0...0>, as B rows for a (B, d) array of angles.
-        With `derivatives`, x is the block [psi]; row p + 1 joins it, after zero rows for any index
-        skipped, at the first rotation on parameter p, and gains (-i/2) P psi for its Pauli P at each.
+        With `derivatives`, theta is one (1, d) row and x the block [psi]: row p + 1 joins it, after zero rows
+        for any skipped index, at the first rotation on parameter p, and gains (-i/2) P psi for its Pauli P at each.
         """
         half = theta / 2.0
         cos, sin = np.cos(half).take(self.params, axis=-1), np.sin(half).take(self.params, axis=-1)
         coef = np.concatenate((cos, sin, -sin, np.zeros(cos.shape)), axis=-1).take(self.entries, axis=-1)
         # Slot k's entries (a, b) are diag[k], (2,) or (B, 2) for B rows of angles. Entry j is cols[k, ..., j]:
-        # a (B, 1) column, or for one state a 0-d view, which numpy multiplies without a broadcast.
+        # a (B, 1) column for B != 1 rows, and for one row (a vector or a (1, d) block) a 0-d view, no broadcast.
         diag = coef.view(complex).swapaxes(0, -2)
-        cols = diag.reshape(diag.shape[:-1] + (1,) * (theta.ndim - 1) + (2,))
+        cols = diag.reshape((len(diag),) + (-1, 1) * (theta.size != theta.shape[-1]) + (2,))
         if x is None:
             x = np.zeros((*theta.shape[:-1], self.size), dtype=complex)
             x[..., 0] = 1.0
@@ -266,7 +267,7 @@ def derivative_states(c: Circuit, theta) -> np.ndarray:
     Pauli P to row i + 1. That row joins the block at the first such rotation, after
     zero rows for lower indices not yet reached. Exact to rounding.
     """
-    return c._plan.run(np.eye(1, 2**c.qubit_count), _check_theta(c, theta), derivatives=True)
+    return c._plan.run(None, _check_theta(c, theta)[None], derivatives=True)
 
 
 def require_one_gate_per_parameter(c: Circuit) -> None:

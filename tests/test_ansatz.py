@@ -206,12 +206,12 @@ _OVERLAP_CIRCUITS = pytest.mark.parametrize(
 
 @pytest.mark.parametrize(
     "circuit",
-    [hardware_efficient(3, 2), schwinger_ansatz(4, 1), hardware_efficient(7, 1)],
-    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q"],
+    [hardware_efficient(3, 2), schwinger_ansatz(4, 1), hardware_efficient(7, 1), hardware_efficient(12, 1)],
+    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q", "hardware_efficient_12q"],
 )
 def test_exact_fidelity_is_the_forward_inner_product(circuit):
     """The oracle's block passes give each row's per-row value bit for bit: at n = 7 a
-    block holds 32 rows, so the 40 rows span two blocks."""
+    block holds 32 rows, so the 40 rows span two blocks, and at n = 12 each row is a block."""
     rng = np.random.default_rng(23)
     theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
     rows = rng.uniform(-np.pi, np.pi, (40, circuit.param_count))

@@ -383,12 +383,14 @@ def test_overlap_oracle_prepares_reference_state_once(monkeypatch, shots, passes
         (hardware_efficient(4, 2), build_tfim(4, -1.0, -2.0)),
         (schwinger_ansatz(4, 1), build_schwinger(4, 1.0, 0.5, 0.0)),
         (hardware_efficient(7, 1), build_tfim(7, -1.0, -2.0)),
+        (hardware_efficient(12, 1), build_tfim(12, -1.0, -2.0)),
     ],
-    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q"],
+    ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q", "hardware_efficient_12q"],
 )
 def test_loss_oracle_matches_the_per_row_loss_loop(circuit, h, shots):
     """Each row's value is its own `loss` bit for bit, and the draws run in row order: at
-    n = 4 the 40 rows are one block, at n = 7 (32 rows a block) they span two."""
+    n = 4 the 40 rows are one block, at n = 7 (32 rows a block) they span two, and at
+    n = 12 each row is a one-row block."""
     rows = np.random.default_rng(36).uniform(-np.pi, np.pi, (40, circuit.param_count))
     rows[3] = -0.0
     rows[35, 0] = np.nan
@@ -408,6 +410,23 @@ def test_loss_oracle_matches_the_per_row_loss_loop(circuit, h, shots):
         with pytest.raises(ValueError, match="NaN"):
             [loss(circuit, h, row, shots, loop_rng) for row in rows]
     assert rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("shots", [None, 16], ids=["exact", "sampled"])
+def test_oracles_refuse_rows_whose_width_is_not_d(shots):
+    """A (B, 1) array would broadcast across all d parameters, and a (B, d + 1) array would reach
+    numpy's broadcast error: both oracles refuse each shape with the parameter-count message,
+    and a sampled refusal draws nothing."""
+    circuit = hardware_efficient(2, 1)
+    h = build_tfim(2, -1.0, -2.0)
+    theta = np.array([0.3, -0.2])
+    rng, twin = np.random.default_rng(38), np.random.default_rng(38)
+    oracles = [loss_oracle(circuit, h, shots, rng), displacement_fidelity_oracle(circuit, theta, shots, rng)]
+    for oracle in oracles:
+        for width in (1, 3):
+            with pytest.raises(ValueError, match=rf"^expected 2 parameters, got shape \(3, {width}\)$"):
+                oracle(np.full((3, width), 0.1))
+    assert rng.random() == twin.random()
 
 
 CONSTANT_FID_DIM = 3
