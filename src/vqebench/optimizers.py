@@ -1,9 +1,10 @@
 """Benchmark optimizers with the natural-gradient update rule.
 
 Seven optimizer kinds share one step loop: estimate a gradient, optionally
-estimate and regularize a metric tensor, take a (natural) gradient step,
-optionally apply loss blocking, and record the per-iteration trace with
-circuit-evaluation accounting in both raw-call and per-sample conventions.
+estimate and regularize a metric tensor, and take a (natural) gradient step.
+One rule takes a point, a run's first and every candidate: its state is prepared
+once for the sampled blocking loss and the exact energy of its trace row, which
+also carries the circuits charged in both raw-call and per-sample conventions.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .ansatz import loss
+from .ansatz import energy, loss
 from .estimators import (
     MetricEstimate,
     _plus_minus_rows,
@@ -29,7 +30,7 @@ from .estimators import (
     stein_metric_3eval,
 )
 from .pauli import PauliSum
-from .simulator import Circuit, require_one_gate_per_parameter
+from .simulator import Circuit, apply_circuit, require_one_gate_per_parameter
 from .values import check_value
 
 OPTIMIZER_KINDS = ("GD", "QNG", "SPSA", "QNSPSA", "STEIN", "QNSTEIN2", "QNSTEIN3")
@@ -203,21 +204,39 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
     return grad, estimate
 
 
-def _record(state, problem, config, blocked: bool, started: float) -> None:
-    """Append the trace row for the current state: exact energy plus cumulative costs."""
-    energy = loss(problem.circuit, problem.hamiltonian, state.theta)
+def _move(state, problem, config, theta, rng, started: float) -> bool:
+    """Take theta unless blocking refuses it (never at k = 0), append its trace row, return `blocked`.
+
+    One state of theta serves the sampled blocking loss and the exact readout. A
+    refused theta keeps the current point, whose state is prepared again. A
+    non-finite theta has no state to measure: taken unchecked, it ends the run failed.
+    """
+    psi = apply_circuit(problem.circuit, theta)
+    blocked = False
+    if config.blocking_active and np.isfinite(theta).all():
+        sampled = energy(psi, problem.hamiltonian, config.shots, rng)
+        state.add_circuits(1)
+        tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
+        blocked = state.k > 0 and not sampled <= state.loss_current + tol  # a NaN loss is blocked
+        if blocked:  # a fresh state has no trace row holding the kept point's energy
+            theta, psi = state.theta, apply_circuit(problem.circuit, state.theta)
+        else:
+            state.loss_current = sampled
+    state.theta = theta
+    exact = energy(psi, problem.hamiltonian, None, None)
     state.trace.append(
         RunRecord(
             step=state.k,
-            loss=state.loss_current if config.blocking_active else energy,
-            energy=energy,
-            energy_error=energy - problem.ground_energy,
+            loss=state.loss_current if config.blocking_active else exact,
+            energy=exact,
+            energy_error=exact - problem.ground_energy,
             circuits_charged=state.circuits_charged,
             circuits_raw=state.circuits_raw,
             blocked=blocked,
             wall_time=time.perf_counter() - started,
         )
     )
+    return blocked
 
 
 def _finite(record: RunRecord) -> bool:
@@ -245,28 +264,13 @@ def step(
     else:
         candidate = state.theta - config.eta * grad
 
-    # A non-finite candidate has no state to measure: taken unchecked, it ends the run failed.
-    blocked = False
-    if config.blocking_active and np.isfinite(candidate).all():
-        candidate_loss = loss(
-            problem.circuit, problem.hamiltonian, candidate, shots=config.shots, rng=rng
-        )
-        state.add_circuits(1)
-        tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
-        blocked = not candidate_loss <= state.loss_current + tol  # a NaN loss is blocked
-        if not blocked:
-            state.loss_current = candidate_loss
-    if not blocked:
-        state.theta = candidate
-
+    state.k += 1
+    blocked = _move(state, problem, config, candidate, rng, started)
     # The metric estimate carries local-geometry information regardless of
     # acceptance; by default it still enters the running average on a block.
     if metric_avg_candidate is not None and (not blocked or config.update_metric_on_block):
         state.metric_avg = metric_avg_candidate
         state.metric_count += 1
-
-    state.k += 1
-    _record(state, problem, config, blocked, started)
     return state
 
 
@@ -282,12 +286,7 @@ def run(kind: str, problem: Problem, config: OptimizerConfig, seed: int) -> RunR
     started = time.perf_counter()
     theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
     state = OptimizerState(theta0)
-    if config.blocking_active:
-        state.loss_current = loss(
-            problem.circuit, problem.hamiltonian, theta0, shots=config.shots, rng=rng
-        )
-        state.add_circuits(1)
-    _record(state, problem, config, False, started)
+    _move(state, problem, config, theta0, rng, started)
     while _finite(state.trace[-1]) and state.k < config.max_steps:
         step(kind, state, problem, config, rng)
     return RunResult(

@@ -158,28 +158,46 @@ def test_raw_vs_charged_conventions():
     assert r3.circuits_charged == 5 * 10
 
 
-def test_qng_step_makes_one_derivative_pass(monkeypatch):
-    # The gradient and the metric come from one derivative block, so the only
-    # losses a step queries are the blocking candidate's and the energy readout.
-    problem = tfim_problem(3, 2)
-    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+def count_passes(monkeypatch):
+    """Record, in call order, each derivative pass and each state pass that `optimizers` makes itself."""
     calls = []
+    for module, name in ((estimators, "derivative_states"), (optimizers, "apply_circuit")):
 
-    def counted(module, name):
-        fn = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append((name, kwargs.get("shots")))
-            return fn(*args, **kwargs)
+        def wrapper(*args, _fn=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
+    return calls
 
-    counted(estimators, "derivative_states")
-    counted(optimizers, "loss")
+
+def test_qng_step_makes_one_derivative_pass(monkeypatch):
+    # The gradient and the metric come from one derivative block, and the
+    # candidate's one state gives both its blocking loss and the energy readout.
+    problem = tfim_problem(3, 2)
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    calls = count_passes(monkeypatch)
     rng = np.random.default_rng(5)
-    state = OptimizerState(rng.uniform(-np.pi, np.pi, problem.circuit.param_count), loss_current=0.0)
+    state = OptimizerState(rng.uniform(-np.pi, np.pi, problem.circuit.param_count), loss_current=100.0)
     step("QNG", state, problem, config, rng)
-    assert calls == [("derivative_states", None), ("loss", 256), ("loss", None)]
+    assert not state.trace[-1].blocked
+    assert calls == ["derivative_states", "apply_circuit"]
+    assert state.circuits_raw == state.circuits_charged == 2 * problem.circuit.param_count + 1
+
+
+def test_a_blocked_step_on_a_fresh_state_reads_the_kept_point(monkeypatch):
+    # A fresh state has no trace row, so a refused candidate's row prepares the kept point again.
+    problem = tfim_problem(3, 2)
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    calls = count_passes(monkeypatch)
+    rng = np.random.default_rng(5)
+    theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
+    state = OptimizerState(theta0.copy(), loss_current=-100.0)
+    step("QNG", state, problem, config, rng)
+    row = state.trace[-1]
+    assert row.blocked and row.loss == -100.0 and np.array_equal(state.theta, theta0)
+    assert calls == ["derivative_states", "apply_circuit", "apply_circuit"]
+    assert row.energy == loss(problem.circuit, problem.hamiltonian, state.theta)
     assert state.circuits_raw == state.circuits_charged == 2 * problem.circuit.param_count + 1
 
 

@@ -183,6 +183,7 @@ def use_reference_kernels(monkeypatch):
     for module, name, ref in (
         (ansatz, "apply_circuit", _ref_apply_circuit),
         (estimators, "apply_circuit", _ref_apply_circuit),
+        (optimizers, "apply_circuit", _ref_apply_circuit),
         (ansatz, "apply_adjoint_circuit", _ref_apply_adjoint_circuit),
         (estimators, "derivative_states", _ref_derivative_states),
         (ansatz, "expectation", _ref_expectation),
