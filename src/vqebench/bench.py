@@ -24,7 +24,7 @@ from .optimizers import (
     RunResult,
     run,
 )
-from .pauli import MAX_DENSE_QUBITS, PauliSum, build_schwinger, build_tfim, exact_ground_energy, tfim_ground_energy
+from .pauli import MAX_DENSE_QUBITS, build_schwinger, build_tfim, exact_ground_energy, tfim_ground_energy
 from .values import check_value, read_value, write_value
 
 WORKERS_ENV_VAR = "VQEBENCH_WORKERS"
@@ -49,13 +49,14 @@ class OptimizerEntry:
     overrides: tuple[tuple[str, object], ...] = ()
 
 
-# Each problem kind's Hamiltonian builder, its parameter names in the builder's
-# argument order after the qubit count, and its ground-energy oracle, called with
-# the built sum and those parameters: the TFIM's closed form, and for Schwinger the
+# Each problem kind's Hamiltonian builder, cached so that the config check, build_problem
+# and `vqebench exact` share one build per (kind, size, parameters); its parameter names in
+# the builder's argument order after the qubit count; and its ground-energy oracle, called
+# with the built sum and those parameters: the TFIM's closed form, and for Schwinger the
 # dense solve (exact_ground_energy, looked up when called).
 PROBLEMS = {
-    "tfim": (build_tfim, ("J", "h"), lambda ham, J, h: tfim_ground_energy(ham.qubit_count, J, h)),
-    "schwinger": (build_schwinger, ("x", "mu", "l"), lambda ham, *_: exact_ground_energy(ham)),
+    "tfim": (functools.cache(build_tfim), ("J", "h"), lambda ham, J, h: tfim_ground_energy(ham.qubit_count, J, h)),
+    "schwinger": (functools.cache(build_schwinger), ("x", "mu", "l"), lambda ham, *_: exact_ground_energy(ham)),
 }
 
 # Labels name the output files, so they must be plain names.
@@ -91,7 +92,6 @@ class RunConfig:
             raise ConfigError(f"{self.problem_kind} takes parameters {expected}, got {names}")
         checks = [(key, "float", value) for key, value in self.problem_params]
         checks += [("qubits", "int", size) for size in self.sizes]
-        checks += [("layers", "int", self.layers)]
         checks += [("seeds", "int", seed) for seed in self.seeds]
         try:
             for check in checks:
@@ -103,9 +103,9 @@ class RunConfig:
             if not self.out_dir:
                 raise ValueError("out must not be empty")
             for size in self.sizes:
-                # The ansatz spec and the builder apply their own size rules (the builder: finite terms too).
+                # The ansatz spec applies its size and layer rules, the builder its size rule and finite terms.
                 AnsatzKind(self.ansatz_kind, size, self.layers, self.bond_order)
-                _hamiltonian(builder, size, *(float(value) for _, value in self.problem_params))
+                builder(size, *(float(value) for _, value in self.problem_params))
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         for entry in self.optimizers:
@@ -117,12 +117,6 @@ class RunConfig:
                 optimizer_config(self, entry)
             except (TypeError, ValueError) as exc:
                 raise ConfigError(f"invalid [optimizer.{entry.label}] values: {exc}") from exc
-
-
-@functools.cache
-def _hamiltonian(builder, size: int, *values: float) -> PauliSum:
-    """A model's Hamiltonian, built once per process for its config checks, replaces and build_problem."""
-    return builder(size, *values)
 
 
 def _require_distinct(key: str, values) -> None:
@@ -302,7 +296,7 @@ def optimizer_config(cfg: RunConfig, entry: OptimizerEntry) -> OptimizerConfig:
 def build_problem(cfg: RunConfig, size: int) -> Problem:
     builder, _, ground_energy = PROBLEMS[cfg.problem_kind]
     values = [float(value) for _, value in cfg.problem_params]
-    h = _hamiltonian(builder, size, *values)
+    h = builder(size, *values)
     circuit = build_ansatz(AnsatzKind(cfg.ansatz_kind, size, cfg.layers, cfg.bond_order))
     return Problem(circuit=circuit, hamiltonian=h, ground_energy=ground_energy(h, *values))
 

@@ -39,6 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run a benchmark config file")
     p_run.add_argument("config", help="path to a structured-text config")
     p_run.add_argument("--out", help="override the output directory")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_preset = sub.add_parser("preset", help="run a named preset")
     p_preset.add_argument("name", choices=sorted(bench.PRESETS))
@@ -56,8 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_preset.add_argument(
         "--dump-config", action="store_true", help="print the config text instead of running"
     )
+    p_preset.set_defaults(handler=_cmd_preset)
 
     p_exact = sub.add_parser("exact", help="print an exact ground energy")
+    p_exact.set_defaults(handler=_cmd_exact)
     exact_sub = p_exact.add_subparsers(dest="problem", required=True)
     for kind, (_, names, _) in bench.PROBLEMS.items():
         p_problem = exact_sub.add_parser(kind)
@@ -76,6 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_metric.add_argument("--b", type=float, default=1.0)
     p_metric.add_argument("--shots", type=int, default=None)
     p_metric.add_argument("--seed", type=int, default=0)
+    p_metric.set_defaults(handler=_cmd_metric_check)
     return parser
 
 
@@ -166,18 +170,10 @@ def _cmd_metric_check(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "preset": _cmd_preset,
-    "exact": _cmd_exact,
-    "metric-check": _cmd_metric_check,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](args)
+        code = args.handler(args)
         sys.stdout.flush()  # so a closed pipe shows here, not at interpreter exit
         return code
     except BrokenPipeError:

@@ -36,7 +36,7 @@ from .values import check_value
 
 
 class RowOracle:
-    """Callable from a (B, d) array of parameter rows to B real values; `calls` counts rows."""
+    """Callable from a (B, d) array of parameter rows to B real values; `calls` counts the rows it answered."""
 
     def __init__(self, fn):
         self._fn = fn
@@ -46,8 +46,9 @@ class RowOracle:
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2:
             raise ValueError(f"oracle takes a (B, d) array of rows, got shape {rows.shape}")
+        values = np.asarray(self._fn(rows), dtype=float).reshape(len(rows))
         self.calls += len(rows)
-        return np.asarray(self._fn(rows), dtype=float).reshape(len(rows))
+        return values
 
 
 @dataclass

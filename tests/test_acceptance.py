@@ -40,6 +40,7 @@ from vqebench.pauli import (
 )
 
 from dense_reference import pauli_string_matrix
+from estimator_moments import stein_metric_expectation
 
 SCHWINGER_4_GROUND = 0.20639550666515885  # dense-diagonalization fixture
 
@@ -134,6 +135,12 @@ def test_criterion_3_bias_and_variance_scaling():
     r1 = bias[0.2] / bias[0.1]
     r2 = bias[0.1] / bias[0.05]
     print(f"\ncriterion 3: bias ratios {float(r1)} and {float(r2)} (bounds [2, 8])")
+    # The same ratios from the exact expectations against the exact metric: no
+    # Monte Carlo noise and no finite reference c.
+    fid, exact = displacement_fidelity_oracle(circuit, theta), exact_metric(circuit, theta).matrix
+    exact_bias = {c: np.max(np.abs(stein_metric_expectation(fid, 2, c) - exact)) for c in (0.2, 0.1, 0.05)}
+    exact_ratios = (exact_bias[0.2] / exact_bias[0.1], exact_bias[0.1] / exact_bias[0.05])
+    print(f"criterion 3: exact bias ratios {float(exact_ratios[0])} and {float(exact_ratios[1])}")
     assert 2.0 <= r1 <= 8.0, (bias, r1)
     assert 2.0 <= r2 <= 8.0, (bias, r2)
 

@@ -1,3 +1,4 @@
+import functools
 import os
 import re
 import subprocess
@@ -77,14 +78,18 @@ def test_parse_small_config(tmp_path):
 
 def test_a_config_and_build_problem_share_one_build_per_size(monkeypatch):
     # The config check builds each size's Hamiltonian (its size rule and finite
-    # coefficients); every replace and build_problem reuse that build.
+    # coefficients) through the cached builder in its PROBLEMS entry; every
+    # replace, build_problem and `vqebench exact` reuse that build.
+    assert bench.PROBLEMS["tfim"][0](5, -1.0, -2.0) is build_problem(
+        replace(preset_config("tfim-fig2"), sizes=(5,)), 5
+    ).hamiltonian
     builds = []
 
     def counted(n, J, h):
         builds.append(n)
         return build_tfim(n, J, h)
 
-    monkeypatch.setitem(bench.PROBLEMS, "tfim", (counted, *bench.PROBLEMS["tfim"][1:]))
+    monkeypatch.setitem(bench.PROBLEMS, "tfim", (functools.cache(counted), *bench.PROBLEMS["tfim"][1:]))
     cfg = replace(preset_config("tfim-fig2"), sizes=(4, 6))
     cfg = replace(cfg, seeds=(0,))
     assert builds == [4, 6]

@@ -2,6 +2,7 @@ import itertools
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +36,9 @@ from vqebench.simulator import Circuit, Gate, apply_adjoint_circuit, apply_circu
 
 from estimator_moments import (
     gaussian_quadratic_form_moment,
+    spsa_metric_expectation,
     spsa_metric_variance,
+    stein_metric_expectation,
     stein_metric_variance,
 )
 
@@ -416,7 +419,7 @@ def test_loss_oracle_matches_the_per_row_loss_loop(circuit, h, shots):
 def test_oracles_refuse_rows_whose_width_is_not_d(shots):
     """A (B, 1) array would broadcast across all d parameters, and a (B, d + 1) array would reach
     numpy's broadcast error: both oracles refuse each shape with the parameter-count message,
-    and a sampled refusal draws nothing."""
+    and a refusal draws nothing and is not counted."""
     circuit = hardware_efficient(2, 1)
     h = build_tfim(2, -1.0, -2.0)
     theta = np.array([0.3, -0.2])
@@ -426,6 +429,7 @@ def test_oracles_refuse_rows_whose_width_is_not_d(shots):
         for width in (1, 3):
             with pytest.raises(ValueError, match=rf"^expected 2 parameters, got shape \(3, {width}\)$"):
                 oracle(np.full((3, width), 0.1))
+        assert oracle.calls == 0
     assert rng.random() == twin.random()
 
 
@@ -731,6 +735,29 @@ def test_metric_per_sample_variance_matches_closed_form(estimator, variance, see
     expected, se = variance(f), z.std(ddof=1) / np.sqrt(repeats)
     assert 4.0 * se <= expected / 10.0
     assert abs(z.mean() - expected) <= 4.0 * se, (z.mean(), expected, se)
+
+
+def test_stochastic_metrics_average_to_their_exact_expectations():
+    # Protocol, fixed before any result was seen: criterion 3's circuit and theta,
+    # c = 0.2, and per estimator 20 batches of 5,000 samples on one generator seeded
+    # as criterion 1 seeds its own. Every entry's batch mean lies within 4 SE of the
+    # exact expectation, and at c = 1e-3 each expectation is within 1e-5 relative
+    # (Frobenius) of the exact metric, its c -> 0 limit.
+    circuit = hardware_efficient(2, 1)
+    theta = np.random.default_rng(11).uniform(-np.pi, np.pi, 2)
+    fid = displacement_fidelity_oracle(circuit, theta)
+    exact = exact_metric(circuit, theta).matrix
+    for name, estimator, expectation in (
+        ("STEIN2", stein_metric_2eval, stein_metric_expectation),
+        ("STEIN3", stein_metric_3eval, stein_metric_expectation),
+        ("SPSA", spsa_metric, spsa_metric_expectation),
+    ):
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
+        stack = np.array([estimator(fid, theta, 0.2, 5000, rng).matrix for _ in range(20)])
+        se = stack.std(axis=0, ddof=1) / np.sqrt(20)
+        assert np.all(np.abs(stack.mean(axis=0) - expectation(fid, 2, 0.2)) <= 4.0 * se), name
+        limit = expectation(fid, 2, 1e-3)
+        assert np.linalg.norm(limit - exact) <= 1e-5 * np.linalg.norm(exact), name
 
 
 def test_package_reexports_the_block_gradient():
