@@ -54,9 +54,10 @@ class OptimizerEntry:
 # the builder's argument order after the qubit count; and its ground-energy oracle, called
 # with the built sum and those parameters: the TFIM's closed form, and for Schwinger the
 # dense solve (exact_ground_energy, looked up when called).
+_cached = functools.lru_cache(maxsize=None, typed=True)  # typed: 4.0 is not a hit for 4's build
 PROBLEMS = {
-    "tfim": (functools.cache(build_tfim), ("J", "h"), lambda ham, J, h: tfim_ground_energy(ham.qubit_count, J, h)),
-    "schwinger": (functools.cache(build_schwinger), ("x", "mu", "l"), lambda ham, *_: exact_ground_energy(ham)),
+    "tfim": (_cached(build_tfim), ("J", "h"), lambda ham, J, h: tfim_ground_energy(ham.qubit_count, J, h)),
+    "schwinger": (_cached(build_schwinger), ("x", "mu", "l"), lambda ham, *_: exact_ground_energy(ham)),
 }
 
 # Labels name the output files, so they must be plain names.

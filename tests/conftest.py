@@ -1,0 +1,20 @@
+import numpy as np
+import pytest
+
+from vqebench import simulator
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Every pass of a compiled plan, in call order, as (start, rows): start is "zero" from
+    |0...0>, "state" from a given state or block, or "derivative"; rows is the returned block's."""
+    calls = []
+    run = simulator._Plan.run
+
+    def counted(plan, x, theta, derivatives=False):
+        out = run(plan, x, theta, derivatives)
+        calls.append(("derivative" if derivatives else "zero" if x is None else "state", len(np.atleast_2d(out))))
+        return out
+
+    monkeypatch.setattr(simulator._Plan, "run", counted)
+    return calls

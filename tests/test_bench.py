@@ -89,7 +89,8 @@ def test_a_config_and_build_problem_share_one_build_per_size(monkeypatch):
         builds.append(n)
         return build_tfim(n, J, h)
 
-    monkeypatch.setitem(bench.PROBLEMS, "tfim", (functools.cache(counted), *bench.PROBLEMS["tfim"][1:]))
+    cached = functools.lru_cache(maxsize=None, typed=True)(counted)
+    monkeypatch.setitem(bench.PROBLEMS, "tfim", (cached, *bench.PROBLEMS["tfim"][1:]))
     cfg = replace(preset_config("tfim-fig2"), sizes=(4, 6))
     cfg = replace(cfg, seeds=(0,))
     assert builds == [4, 6]
@@ -97,6 +98,15 @@ def test_a_config_and_build_problem_share_one_build_per_size(monkeypatch):
     assert builds == [4, 6]
     assert problem.hamiltonian is build_problem(replace(cfg, problem_params=(("J", -1), ("h", -2))), 6).hamiltonian
     assert builds == [4, 6]
+
+
+@pytest.mark.parametrize("kind, params", [("tfim", (-1.0, -2.0)), ("schwinger", (1.0, 0.5, 0.0))])
+def test_a_cached_builder_refuses_a_float_size_after_its_int_build(kind, params):
+    # The cache keys each argument by type too, so a hit never skips the builder's own int check.
+    builder = bench.PROBLEMS[kind][0]
+    builder(4, *params)
+    with pytest.raises(ValueError, match="key 'n' expects int, got 4.0"):
+        builder(4.0, *params)
 
 
 def test_preset_tfim_fig2_values():

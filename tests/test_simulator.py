@@ -2,10 +2,12 @@ import itertools
 import re
 import tracemalloc
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import vqebench
 from vqebench import ansatz, estimators, optimizers, pauli, simulator
 from vqebench.ansatz import fidelity, hardware_efficient, loss, schwinger_ansatz, so4_block_gates
 from vqebench.bench import build_problem, preset_config
@@ -163,33 +165,34 @@ def _ref_expectation(state, h):
     return float(total)
 
 
-def _ref_apply_circuit(c, theta):
-    if np.ndim(theta) == 2:  # a (B, d) array of angle rows: the per-row states, stacked
-        return np.array([_ref_apply_circuit(c, row) for row in theta])
-    state = np.zeros(2**c.qubit_count, dtype=complex)
-    state[0] = 1.0
-    _ref_apply_gates(state, c.qubit_count, c.gates, np.asarray(theta, dtype=float))
-    return state
+class _ReferencePlan(NamedTuple):
+    """A circuit's plan, or its adjoint plan (inverse_gates, run at -theta), on the generic
+    update: `run` as `simulator._Plan.run`, one gate-by-gate loop per row."""
 
+    c: Circuit
+    adjoint: bool = False
 
-def _ref_apply_adjoint_circuit(c, theta, state):
-    out = np.array(_check_state(state, c.qubit_count), dtype=complex)
-    _ref_apply_gates(out, c.qubit_count, c.gates, np.asarray(theta, dtype=float), adjoint=True)
-    return out
+    def run(self, x, theta, derivatives=False):
+        if derivatives:  # theta is one (1, d) row
+            return _ref_derivative_states(self.c, theta[0])
+        n = self.c.qubit_count
+        if x is None:
+            x = np.zeros((*theta.shape[:-1], 2**n))
+            x[..., 0] = 1.0
+        out = np.array(x, dtype=complex)
+        rows = np.atleast_2d(out)
+        gates = inverse_gates(self.c.gates) if self.adjoint else self.c.gates
+        for amps, angles in zip(rows, np.broadcast_to(theta, (len(rows), self.c.param_count))):
+            _ref_apply_gates(amps, n, gates, angles)
+        return out
 
 
 def use_reference_kernels(monkeypatch):
-    """Route every circuit, overlap and readout query through the references above."""
-    for module, name, ref in (
-        (ansatz, "apply_circuit", _ref_apply_circuit),
-        (estimators, "apply_circuit", _ref_apply_circuit),
-        (optimizers, "apply_circuit", _ref_apply_circuit),
-        (ansatz, "apply_adjoint_circuit", _ref_apply_adjoint_circuit),
-        (estimators, "derivative_states", _ref_derivative_states),
-        (ansatz, "expectation", _ref_expectation),
-        (ansatz, "sampled_expectation", _ref_sampled_expectation),
-    ):
-        monkeypatch.setattr(module, name, ref)
+    """Run every circuit pass on the reference plan and every energy on the references above."""
+    monkeypatch.setattr(Circuit, "_plan", property(_ReferencePlan))
+    monkeypatch.setattr(Circuit, "_adjoint_plan", property(lambda c: _ReferencePlan(c, adjoint=True)))
+    monkeypatch.setattr(ansatz, "expectation", _ref_expectation)
+    monkeypatch.setattr(ansatz, "sampled_expectation", _ref_sampled_expectation)
 
 
 def random_circuit(rng, n, n_gates):
@@ -367,15 +370,14 @@ def test_plans_of_long_fixed_runs_match_generic_update(n):
         c = fixed_run_circuit(rng, n)
         theta = rng.uniform(-2 * np.pi, 2 * np.pi, c.param_count)
         block = rng.standard_normal((4, 2**n)) + 1j * rng.standard_normal((4, 2**n))
-        want = _ref_apply_circuit(c, theta)
-        assert np.array_equal(apply_circuit(c, theta), want)
+        assert np.array_equal(apply_circuit(c, theta), _ReferencePlan(c).run(None, theta))
         for adjoint in (False, True):
             got, ref = block.copy(), block.copy()
             _apply_gates(got, n, c.gates, theta, adjoint)
             _ref_apply_gates(ref, n, c.gates, theta, adjoint)
             assert np.array_equal(got, ref)
-        for row in block:
-            assert np.array_equal(apply_adjoint_circuit(c, theta, row), _ref_apply_adjoint_circuit(c, theta, row))
+        for row, want in zip(block, _ReferencePlan(c, adjoint=True).run(block, -theta)):
+            assert np.array_equal(apply_adjoint_circuit(c, theta, row), want)
         assert np.array_equal(derivative_states(c, theta), _ref_derivative_states(c, theta))
 
 
@@ -403,7 +405,7 @@ def test_equal_but_distinct_circuits_each_get_a_correct_plan():
     second = Circuit(first.gates, first.qubit_count, first.param_count)
     other = fixed_run_circuit(rng, 3)
     theta = rng.uniform(-np.pi, np.pi, first.param_count)
-    want = _ref_apply_circuit(first, theta)
+    want = _ReferencePlan(first).run(None, theta)
     assert second == first and second is not first
     assert np.array_equal(apply_circuit(first, theta), want)
     apply_circuit(other, rng.uniform(-np.pi, np.pi, other.param_count))
@@ -443,18 +445,39 @@ def test_queries_match_generic_update_bit_for_bit(monkeypatch, c, h):
     assert got == _pinned_quantities(c, h, 70)
 
 
-def test_whole_runs_match_the_reference_kernels(monkeypatch):
+def test_reference_kernels_take_every_pass_off_the_compiled_plan(monkeypatch, passes):
+    # Whatever binding a pass is made through, the reference plan runs it, with the compiled bits.
+    c = schwinger_ansatz(4, 1)
+    rows = np.random.default_rng(46).uniform(-np.pi, np.pi, (3, c.param_count))
+
+    def queries():
+        psi = simulator.apply_circuit(c, rows[0])
+        block = vqebench.apply_circuit(c, rows)
+        return [psi, block, apply_adjoint_circuit(c, rows[1], psi), derivative_states(c, rows[2])]
+
+    compiled = queries()
+    assert passes == [("zero", 1), ("zero", 3), ("state", 1), ("derivative", c.param_count + 1)]
+    use_reference_kernels(monkeypatch)
+    assert all(np.array_equal(got, want) for got, want in zip(queries(), compiled, strict=True))
+    assert len(passes) == 4  # the reference queries made no compiled pass
+
+
+@pytest.mark.parametrize("shots", [256, None], ids=["sampled", "exact"])
+def test_whole_runs_match_the_reference_kernels(monkeypatch, passes, shots):
     # Three steps of every optimizer kind, with sampled losses and overlaps
-    # (shots) and exact references (GD, QNG), on TFIM and on Schwinger.
-    config = OptimizerConfig(samples=3, shots=256, max_steps=3)
+    # (shots) or exact-mode loss and overlap blocks (None), and exact
+    # references (GD, QNG), on TFIM and on Schwinger.
+    config = OptimizerConfig(samples=3, shots=shots, max_steps=3)
     problems = (
         build_problem(replace(preset_config("tfim-fig2"), sizes=(4,), layers=2), 4),
         build_problem(replace(preset_config("schwinger-fig5"), sizes=(4,), layers=1), 4),
     )
     jobs = [(kind, problem) for problem in problems for kind in OPTIMIZER_KINDS]
     got = [optimizers.run(kind, problem, config, seed=11) for kind, problem in jobs]
+    compiled = len(passes)
     use_reference_kernels(monkeypatch)
     assert got == [optimizers.run(kind, problem, config, seed=11) for kind, problem in jobs]
+    assert len(passes) == compiled  # the reference runs made no compiled pass
     assert all(len(r.records) == 4 and not r.failed for r in got)
 
 
