@@ -39,6 +39,7 @@ from .estimators import (
     MetricEstimate,
     RowOracle,
     displacement_fidelity_oracle,
+    exact_gradient,
     exact_gradient_and_metric,
     exact_metric,
     parameter_shift_metric,

@@ -3,7 +3,7 @@
 Simultaneous-perturbation (Rademacher) gradient and Hessian estimators,
 Gaussian-smoothing Stein-identity gradient/Hessian estimators, the metric
 estimators built from them, the parameter-shift metric, and the exact metric and
-loss gradient from one block of analytic derivative states, exact to rounding.
+gradient (a derivative block) or gradient alone (an adjoint sweep), to rounding.
 
 All stochastic Hessian-family estimators draw standard-normal perturbation
 vectors u and displace parameters by c*u, so their target is the Hessian of
@@ -313,10 +313,20 @@ def exact_metric(circuit: Circuit, theta) -> MetricEstimate:
     return _block_metric(derivative_states(circuit, theta))
 
 
-def exact_gradient_and_metric(circuit: Circuit, h: PauliSum, theta) -> tuple[np.ndarray, MetricEstimate]:
-    """Exact loss gradient 2 Re <d_i psi|H|psi> (H psi over non-identity terms) and `exact_metric`, from one block."""
+def _h_psi(circuit: Circuit, h: PauliSum, psi: np.ndarray) -> np.ndarray:
     if h.qubit_count != circuit.qubit_count:
         raise ValueError(f"Hamiltonian on {h.qubit_count} qubits, circuit on {circuit.qubit_count}")
+    return np.array([0.0 if t.is_identity else t.coefficient for t in h.terms]) @ h.apply_terms(psi)
+
+
+def exact_gradient(circuit: Circuit, h: PauliSum, theta, psi=None) -> np.ndarray:
+    """Exact loss gradient 2 Re <d_i psi|H|psi> from one adjoint sweep over [psi, H psi], psi = U(theta)|0> if None."""
+    psi, grad = (apply_circuit(circuit, theta) if psi is None else psi), np.zeros(circuit.param_count)
+    circuit._adjoint_plan.run(np.stack([psi, _h_psi(circuit, h, psi)]), -_check_theta(circuit, theta), sweep=grad)
+    return grad
+
+
+def exact_gradient_and_metric(circuit: Circuit, h: PauliSum, theta) -> tuple[np.ndarray, MetricEstimate]:
+    """`exact_gradient` and `exact_metric` from one derivative block (QNG's pass; GD takes the sweep)."""
     block = derivative_states(circuit, theta)
-    h_psi = np.array([0.0 if t.is_identity else t.coefficient for t in h.terms]) @ h.apply_terms(block[0])
-    return 2.0 * np.real(block[1:].conj() @ h_psi), _block_metric(block)
+    return 2.0 * np.real(block[1:].conj() @ _h_psi(circuit, h, block[0])), _block_metric(block)

@@ -2,9 +2,9 @@
 
 Seven optimizer kinds share one step loop: estimate a gradient, optionally
 estimate and regularize a metric tensor, and take a (natural) gradient step.
-One rule takes a point, a run's first and every candidate: its state is prepared
-once for the sampled blocking loss and the exact energy of its trace row, which
-also carries the circuits charged in both raw-call and per-sample conventions.
+One rule takes a point, a run's first and every candidate: its state, prepared
+once and kept, gives the sampled blocking loss, the exact energy of its trace row
+(with the circuits charged in both conventions) and GD's adjoint-sweep gradient.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .estimators import (
     MetricEstimate,
     _plus_minus_rows,
     displacement_fidelity_oracle,
+    exact_gradient,
     exact_gradient_and_metric,
     exact_metric,  # not called here; bound for the benchmark tracer, which wraps it by name
     loss_oracle,
@@ -100,6 +101,7 @@ class OptimizerState:
 
     theta: np.ndarray
     loss_current: float = math.nan
+    psi: np.ndarray | None = None  # theta's state: `_move` sets both; None on a state built by hand
     metric_avg: np.ndarray | None = None
     metric_count: int = 0
     k: int = 0
@@ -173,10 +175,11 @@ def shot_noise_scale(h: PauliSum, shots: int) -> float:
 def exact_parameter_shift_gradient(problem: Problem, theta: np.ndarray) -> np.ndarray:
     """Analytic loss gradient from exact evaluations at +-pi/2 shifts.
 
-    The shift-rule reference that the tests hold `exact_gradient_and_metric`'s
-    gradient (GD's and QNG's) to; no step calls it, and the benchmark tracer
-    wraps it by name. Raises ValueError if a parameter index drives more than
-    one gate, where the shift rule does not hold.
+    The shift-rule reference that the tests hold GD's `exact_gradient` (one
+    adjoint sweep) and QNG's `exact_gradient_and_metric` (one derivative block)
+    to; no step calls it, and the benchmark tracer wraps it by name. Raises
+    ValueError if a parameter index drives more than one gate, where the shift
+    rule does not hold.
     """
     require_one_gate_per_parameter(problem.circuit)
     rows = _plus_minus_rows(theta, np.eye(len(theta)) * (np.pi / 2.0))
@@ -188,8 +191,9 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
     """Gradient and (natural kinds only) metric estimate at state.theta; charges every circuit it queries."""
     if kind in ("GD", "QNG"):  # exact references, charged as 2d shifted losses
         state.add_circuits(2 * problem.circuit.param_count)
-        grad, metric = exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
-        return grad, metric if kind == "QNG" else None
+        if kind == "QNG":
+            return exact_gradient_and_metric(problem.circuit, problem.hamiltonian, state.theta)
+        return exact_gradient(problem.circuit, problem.hamiltonian, state.theta, state.psi), None
     oracle = loss_oracle(problem.circuit, problem.hamiltonian, shots=config.shots, rng=rng)
     gradient = spsa_gradient if kind in ("SPSA", "QNSPSA") else stein_gradient_2eval
     grad = gradient(oracle, state.theta, config.c, config.samples, rng)
@@ -207,8 +211,8 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
 def _move(state, problem, config, theta, rng, started: float) -> bool:
     """Take theta unless blocking refuses it (never at k = 0), append its trace row, return `blocked`.
 
-    One state of theta serves the sampled blocking loss and the exact readout. A
-    refused theta keeps the current point, whose state is prepared again. A
+    One state of theta serves the sampled blocking loss and the exact readout, and is
+    kept with it. A refused theta keeps the current point and reads its kept state. A
     non-finite theta has no state to measure: taken unchecked, it ends the run failed.
     """
     psi = apply_circuit(problem.circuit, theta)
@@ -219,10 +223,10 @@ def _move(state, problem, config, theta, rng, started: float) -> bool:
         tol = config.blocking_multiplier * shot_noise_scale(problem.hamiltonian, config.shots)
         blocked = state.k > 0 and not sampled <= state.loss_current + tol  # a NaN loss is blocked
         if blocked:  # a fresh state has no trace row holding the kept point's energy
-            theta, psi = state.theta, apply_circuit(problem.circuit, state.theta)
+            theta, psi = state.theta, (apply_circuit(problem.circuit, state.theta) if state.psi is None else state.psi)
         else:
             state.loss_current = sampled
-    state.theta = theta
+    state.theta, state.psi = theta, psi
     exact = energy(psi, problem.hamiltonian, None, None)
     state.trace.append(
         RunRecord(

@@ -15,14 +15,14 @@ RY are `a x + b y`, y being x with the site's bit flipped (for RY, signed);
 RZ is one multiply by its diagonal. A pass fills every rotation's entries at
 once from the cosines and sines of its half angles; B > 1 angle rows give
 (B, 1) columns of entries, one state per row, and one row shares 0-d entries
-across its amplitudes, whatever the rank of its array. The adjoint plan is
-the compiled `inverse_gates` list, run at -theta. Energies read the stacked
-term tables of a `PauliSum`: one gather applies every string, and
+across its amplitudes, whatever the rank of its array. The adjoint plan is the
+compiled `inverse_gates` list, run at -theta; its sweep over [psi, H psi] sums
+the loss gradient, a term per rotation (the adjoint method). Energies read the
+stacked term tables of a `PauliSum`: one gather applies every string, and
 `PauliSum.outcome_distributions` (the measurement pass, which owns the
-rotation tables) gives the measured terms' rows; this module only draws.
-
-A compiled plan holds only its ops and tables: it keeps no state between
-passes, so every pass from |0...0> runs the whole plan.
+rotation tables) gives the measured terms' rows; this module only draws. A
+compiled plan holds only its ops and tables: it keeps no state between passes,
+so every pass from |0...0> runs the whole plan.
 
 The bits are those of the plain 2x2 update and of the per-term loops, up to
 the sign of zero amplitudes. A gather multiplies only by 0, +-1 and +-i, which
@@ -162,12 +162,13 @@ class _Plan:
     entries: np.ndarray
     size: int  # amplitudes, 2**n
 
-    def run(self, x: np.ndarray | None, theta: np.ndarray, derivatives: bool = False) -> np.ndarray:
+    def run(self, x: np.ndarray | None, theta: np.ndarray, derivatives: bool = False, sweep=None) -> np.ndarray:
         """The plan applied to x, a state or a (B, 2**n) block, as a new array.
 
         With x None, the pass starts from |0...0>, as B rows for a (B, d) array of angles.
         With `derivatives`, theta is one (1, d) row and x the block [psi]: row p + 1 joins it, after zero rows
-        for any skipped index, at the first rotation on parameter p, and gains (-i/2) P psi for its Pauli P at each.
+        for any skipped index, at the first rotation on parameter p, and gains (-i/2) P psi for its Pauli P at each;
+        with a `sweep` array, x is [psi, lam], and there sweep[p] gains 2 Re <lam|(-i/2) P psi> instead.
         """
         half = theta / 2.0
         cos, sin = np.cos(half).take(self.params, axis=-1), np.sin(half).take(self.params, axis=-1)
@@ -196,11 +197,15 @@ class _Plan:
                 y *= b
                 x = x * a
                 x += y
-            if derivatives and p is not None:
+            if (derivatives or sweep is not None) and p is not None:
                 psi = x[0] if kind == "RZ" else x[0].take(index)
+                term = _GENERATORS[kind] * (psi if table is None else table * psi)
+                if sweep is not None:
+                    sweep[p] += 2.0 * np.vdot(x[1], term).real
+                    continue
                 if p + 1 >= len(x):
                     x = np.concatenate((x, np.zeros((p + 2 - len(x), self.size), dtype=complex)))
-                x[p + 1] += _GENERATORS[kind] * (psi if table is None else table * psi)
+                x[p + 1] += term
         return x
 
 

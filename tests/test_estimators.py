@@ -15,6 +15,7 @@ from vqebench.estimators import (
     MetricEstimate,
     RowOracle,
     displacement_fidelity_oracle,
+    exact_gradient,
     exact_gradient_and_metric,
     exact_metric,
     loss_oracle,
@@ -518,7 +519,8 @@ def test_shared_parameter_index():
     # RY(t) RY(t) = RY(2t): the metric in t is 4 * 1/4, but the +-pi/2 shift
     # rule assumes one gate per parameter and would return 0. With H = Z,
     # <Z> = cos 2t, so the gradient at t = 0.3 is -2 sin(0.6): the derivative
-    # block sums one term per gate, while the shift-rule gradient refuses.
+    # block and the adjoint sweep sum one term per gate, while the shift-rule
+    # gradient refuses.
     circuit = Circuit((Gate("RY", (0,), 0), Gate("RY", (0,), 0)), 1, 1)
     theta = np.array([0.3])
     assert abs(exact_metric(circuit, theta).matrix[0, 0] - 1.0) < 1e-12
@@ -527,10 +529,11 @@ def test_shared_parameter_index():
     z = PauliSum((PauliString(1.0, "Z"),), 1)
     grad, metric = exact_gradient_and_metric(circuit, z, theta)
     assert abs(grad[0] + 2.0 * np.sin(0.6)) < 1e-12
+    assert abs(exact_gradient(circuit, z, theta, apply_circuit(circuit, theta))[0] + 2.0 * np.sin(0.6)) < 1e-12
     assert np.array_equal(metric.matrix, exact_metric(circuit, theta).matrix)
     with pytest.raises(ValueError, match="parameter index 0"):
         exact_parameter_shift_gradient(Problem(circuit, z, -1.0), theta)
-    # GD reads the same block, charged as 2d shifted losses.
+    # GD takes the sweep, charged as 2d shifted losses.
     config = OptimizerConfig()
     state = step("GD", OptimizerState(theta.copy()), Problem(circuit, z, -1.0), config, np.random.default_rng(0))
     assert abs(state.theta[0] - (0.3 + config.eta * 2.0 * np.sin(0.6))) < 1e-15
@@ -553,24 +556,31 @@ _GRADIENT_CASES = {
 }
 
 
-@pytest.mark.parametrize("h_qubits", [6, 2, 3])
-def test_block_gradient_refuses_a_hamiltonian_on_another_register(h_qubits):
+@pytest.mark.parametrize(
+    "h_qubits, gradient",
+    [pytest.param(q, exact_gradient_and_metric, id=str(q)) for q in (6, 2, 3)]
+    + [pytest.param(q, exact_gradient, id=f"sweep-{q}") for q in (6, 2, 3)],
+)
+def test_block_gradient_refuses_a_hamiltonian_on_another_register(h_qubits, gradient):
     circuit = hardware_efficient(4, 1)
     theta = np.zeros(circuit.param_count)
     with pytest.raises(ValueError, match=f"Hamiltonian on {h_qubits} qubits, circuit on 4"):
-        exact_gradient_and_metric(circuit, build_tfim(h_qubits, -1.0, -2.0), theta)
+        gradient(circuit, build_tfim(h_qubits, -1.0, -2.0), theta)
 
 
 @pytest.mark.parametrize("circuit, h", _GRADIENT_CASES.values(), ids=_GRADIENT_CASES.keys())
 def test_block_gradient_matches_the_shift_rule(circuit, h):
-    # grad_i = 2 Re <d_i psi|H|psi> from the derivative block against the 2d
-    # exact shifted losses; the metric from the same block is exact_metric's.
+    # grad_i = 2 Re <d_i psi|H|psi> from the derivative block (QNG's) and from
+    # the adjoint sweep (GD's) against the 2d exact shifted losses; the metric
+    # from the same block is exact_metric's.
     rng = np.random.default_rng(circuit.param_count)
     for _ in range(3):
         theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
         grad, metric = exact_gradient_and_metric(circuit, h, theta)
+        swept = exact_gradient(circuit, h, theta, apply_circuit(circuit, theta))
         shift = exact_parameter_shift_gradient(Problem(circuit, h, 0.0), theta)
         assert np.max(np.abs(grad - shift)) <= 1e-12 * np.max(np.abs(shift))
+        assert np.max(np.abs(swept - shift)) <= 1e-12 * np.max(np.abs(shift))
         assert np.array_equal(metric.matrix, exact_metric(circuit, theta).matrix)
         assert metric.raw_evals == metric.charged_evals == 0
 
@@ -579,7 +589,7 @@ _BLOCK_DIGESTS = """
 import hashlib
 import numpy as np
 from vqebench.ansatz import hardware_efficient, schwinger_ansatz
-from vqebench.estimators import exact_gradient_and_metric
+from vqebench.estimators import exact_gradient, exact_gradient_and_metric
 from vqebench.pauli import build_schwinger, build_tfim
 for circuit, h in (
     (schwinger_ansatz(6, 2), build_schwinger(6, 1.0, 0.5, 0.0)),
@@ -587,15 +597,16 @@ for circuit, h in (
 ):
     theta = np.random.default_rng(circuit.param_count).uniform(-np.pi, np.pi, circuit.param_count)
     grad, metric = exact_gradient_and_metric(circuit, h, theta)
-    print(circuit.param_count, hashlib.sha256(grad.tobytes() + metric.matrix.tobytes()).hexdigest())
+    swept = exact_gradient(circuit, h, theta)
+    print(circuit.param_count, hashlib.sha256(grad.tobytes() + metric.matrix.tobytes() + swept.tobytes()).hexdigest())
 """
 
 
 def test_block_gradient_and_metric_do_not_depend_on_blas_threads():
-    # A seeded QNG run's bytes must not depend on the BLAS thread count. Its
-    # gradient and metric (Schwinger n = 6, d = 60; TFIM n = 12, d = 36) are
-    # computed in two processes, one with one BLAS thread and one with two, and
-    # must be equal bit for bit.
+    # A seeded GD or QNG run's bytes must not depend on the BLAS thread count.
+    # QNG's block gradient and metric and GD's swept gradient (Schwinger n = 6,
+    # d = 60; TFIM n = 12, d = 36) are computed in two processes, one with one
+    # BLAS thread and one with two, and must be equal bit for bit.
     outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
@@ -745,3 +756,4 @@ def test_stochastic_metrics_average_to_their_exact_expectations():
 
 def test_package_reexports_the_block_gradient():
     assert vqebench.exact_gradient_and_metric is estimators.exact_gradient_and_metric
+    assert vqebench.exact_gradient is estimators.exact_gradient

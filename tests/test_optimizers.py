@@ -1,9 +1,12 @@
 import math
+import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from vqebench import optimizers
 from vqebench.ansatz import hardware_efficient, loss
 from vqebench.bench import build_problem, optimizer_config, preset_config
 from vqebench.optimizers import (
@@ -19,8 +22,9 @@ from vqebench.optimizers import (
     shot_noise_scale,
     step,
 )
-from vqebench.pauli import PauliString, PauliSum
-from vqebench.simulator import Circuit, Gate
+from vqebench.estimators import exact_gradient
+from vqebench.pauli import PauliString, PauliSum, build_tfim
+from vqebench.simulator import Circuit, Gate, apply_circuit, expectation
 
 
 def tfim_problem(n=2, layers=1):
@@ -171,7 +175,7 @@ def test_qng_step_makes_one_derivative_pass(passes):
 
 
 def test_a_blocked_step_on_a_fresh_state_reads_the_kept_point(passes):
-    # A fresh state has no trace row, so a refused candidate's row prepares the kept point again.
+    # A state built by hand keeps no state for its point, so a refused candidate's row prepares it.
     problem = tfim_problem(3, 2)
     config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
     rng = np.random.default_rng(5)
@@ -183,6 +187,83 @@ def test_a_blocked_step_on_a_fresh_state_reads_the_kept_point(passes):
     assert passes == [("derivative", problem.circuit.param_count + 1), ("zero", 1), ("zero", 1)]
     assert row.energy == loss(problem.circuit, problem.hamiltonian, state.theta)
     assert state.circuits_raw == state.circuits_charged == 2 * problem.circuit.param_count + 1
+
+
+def _state_as_run_builds_it(problem, config, rng):
+    """A state whose first point went through `_move`, as `run`'s does, so it keeps that point's state."""
+    theta0 = rng.uniform(-np.pi, np.pi, problem.circuit.param_count)
+    state = OptimizerState(theta0)
+    optimizers._move(state, problem, config, theta0, rng, time.perf_counter())
+    assert np.array_equal(state.psi, apply_circuit(problem.circuit, theta0))
+    return state
+
+
+@pytest.mark.parametrize("built_by", ["run", "hand"])
+def test_gd_step_sweeps_the_kept_state(passes, built_by):
+    # GD's gradient is one adjoint sweep over [psi, H psi], on the state the
+    # run kept for its point; a state built by hand has none, so its psi is
+    # prepared once. Then the candidate's one state gives its blocking loss
+    # and readout. The charge stays 2d shifted losses.
+    problem = tfim_problem(3, 2)
+    d = problem.circuit.param_count
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    rng = np.random.default_rng(5)
+    if built_by == "run":
+        state = _state_as_run_builds_it(problem, config, rng)
+        passes.clear()
+    else:
+        state = OptimizerState(rng.uniform(-np.pi, np.pi, d))
+    theta = state.theta.copy()
+    raw = state.circuits_raw
+    state.loss_current = 100.0
+    step("GD", state, problem, config, rng)
+    assert not state.trace[-1].blocked
+    assert passes == [("zero", 1)] * (built_by == "hand") + [("sweep", 2), ("zero", 1)]
+    assert state.circuits_raw - raw == 2 * d + 1
+    assert np.array_equal(state.psi, apply_circuit(problem.circuit, state.theta))
+    want = exact_parameter_shift_gradient(problem, theta)
+    assert np.max(np.abs((theta - state.theta) / config.eta - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("kind", ["GD", "QNG"])
+def test_a_blocked_step_on_a_run_state_reads_the_kept_state(passes, kind):
+    # The refused candidate's row reads the state kept for the current point:
+    # no second pass prepares it.
+    problem = tfim_problem(3, 2)
+    d = problem.circuit.param_count
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    rng = np.random.default_rng(5)
+    state = _state_as_run_builds_it(problem, config, rng)
+    theta0, psi0 = state.theta.copy(), state.psi
+    passes.clear()
+    state.loss_current = -100.0
+    step(kind, state, problem, config, rng)
+    row = state.trace[-1]
+    assert row.blocked and row.loss == -100.0 and np.array_equal(state.theta, theta0) and state.psi is psi0
+    gradient = ("sweep", 2) if kind == "GD" else ("derivative", d + 1)
+    assert passes == [gradient, ("zero", 1)]
+    assert row.energy == loss(problem.circuit, problem.hamiltonian, theta0)
+
+
+def test_gd_gradient_holds_a_few_states_whatever_d_is():
+    # At n = 14 (d = 42) the derivative block peaks at 32 MiB. GD's gradient on
+    # a prepared psi holds H psi's term block, as the exact energy does, then
+    # [psi, H psi] and the sweep's temporaries: at most two states more than the
+    # energy's peak on the same psi.
+    n = 14
+    circuit, h = hardware_efficient(n, 3), build_tfim(n, -1.0, -2.0)
+    theta = np.linspace(-1.0, 1.0, circuit.param_count)
+    psi = apply_circuit(circuit, theta)
+    exact_gradient(circuit, h, theta, psi)  # builds the term tables and compiles the adjoint plan
+    peaks = []
+    for query in (lambda: expectation(psi, h), lambda: exact_gradient(circuit, h, theta, psi)):
+        tracemalloc.start()
+        try:
+            query()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2 * psi.nbytes
 
 
 def test_run_zero_steps_initial_row_only():

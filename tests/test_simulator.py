@@ -165,6 +165,18 @@ def _ref_expectation(state, h):
     return float(total)
 
 
+def _ref_sweep(gates, n, block, theta, grad):
+    """The gates one by one on the block [psi, lam]; after each rotation on p, grad[p] gains
+    2 Re <lam|(-i/2) P psi>, with (-i/2) P psi from the generator's 2x2 matrix."""
+    for g in gates:
+        _ref_apply_gates(block, n, (g,), theta)
+        if g.param_index is not None:
+            term = block[0].copy()
+            _ref_apply_single(term, n, _GENERATOR_MATRICES[g.kind], g.sites[0])
+            grad[g.param_index] += 2.0 * np.vdot(block[1], term).real
+    return block
+
+
 class _ReferencePlan(NamedTuple):
     """A circuit's plan, or its adjoint plan (inverse_gates, run at -theta), on the generic
     update: `run` as `simulator._Plan.run`, one gate-by-gate loop per row."""
@@ -172,16 +184,18 @@ class _ReferencePlan(NamedTuple):
     c: Circuit
     adjoint: bool = False
 
-    def run(self, x, theta, derivatives=False):
+    def run(self, x, theta, derivatives=False, sweep=None):
         if derivatives:  # theta is one (1, d) row
             return _ref_derivative_states(self.c, theta[0])
         n = self.c.qubit_count
+        gates = inverse_gates(self.c.gates) if self.adjoint else self.c.gates
+        if sweep is not None:  # x is [psi, lam], theta one row of angles
+            return _ref_sweep(gates, n, np.array(x, dtype=complex), theta, sweep)
         if x is None:
             x = np.zeros((*theta.shape[:-1], 2**n))
             x[..., 0] = 1.0
         out = np.array(x, dtype=complex)
         rows = np.atleast_2d(out)
-        gates = inverse_gates(self.c.gates) if self.adjoint else self.c.gates
         for amps, angles in zip(rows, np.broadcast_to(theta, (len(rows), self.c.param_count))):
             _ref_apply_gates(amps, n, gates, angles)
         return out
@@ -335,6 +349,24 @@ def test_derivative_states_and_so4_gate_match_generic_update(n):
     assert np.array_equal(so4_gate(alpha), want.T)
 
 
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_gradient_sweep_matches_generic_update(n):
+    # Every gate kind, a shared index and fused gathers: the adjoint plan's sweep
+    # over [psi, H psi] gives the reference's rows and gradient bit for bit, and
+    # the derivative block's gradient to rounding.
+    rng = np.random.default_rng(70 + n)
+    h = PauliSum.from_terms([PauliString(float(c), "".join(rng.choice(list("IXYZ"), n))) for c in (0.7, -1.3, 0.4)], n)
+    for c in (edge_site_circuit(n), random_circuit(rng, n, 24), fixed_run_circuit(rng, n)):
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, c.param_count)
+        psi = apply_circuit(c, theta)
+        block = np.stack([psi, estimators._h_psi(c, h, psi)])
+        got, want = np.zeros(c.param_count), np.zeros(c.param_count)
+        rows = c._adjoint_plan.run(block, -theta, sweep=got)
+        assert np.array_equal(rows, _ref_sweep(inverse_gates(c.gates), n, block.copy(), -theta, want))
+        assert np.array_equal(got, want)
+        assert np.allclose(got, estimators.exact_gradient_and_metric(c, h, theta)[0], rtol=0, atol=1e-12)
+
+
 def test_derivative_rows_join_at_their_first_rotation_in_any_index_order():
     # Index 3 comes first and is shared, and 0 comes after 1: rows join the block out of order.
     gates = [("RY", (0,), 3), ("H", (1,), None), ("RX", (2,), 1), ("CNOT", (0, 1), None)]
@@ -447,19 +479,20 @@ def test_queries_match_generic_update_bit_for_bit(monkeypatch, c, h):
 
 def test_reference_kernels_take_every_pass_off_the_compiled_plan(monkeypatch, passes):
     # Whatever binding a pass is made through, the reference plan runs it, with the compiled bits.
-    c = schwinger_ansatz(4, 1)
+    c, h = schwinger_ansatz(4, 1), build_schwinger(4, 1.0, 0.5, 0.0)
     rows = np.random.default_rng(46).uniform(-np.pi, np.pi, (3, c.param_count))
 
     def queries():
         psi = simulator.apply_circuit(c, rows[0])
         block = vqebench.apply_circuit(c, rows)
-        return [psi, block, apply_adjoint_circuit(c, rows[1], psi), derivative_states(c, rows[2])]
+        adjoint, derivatives = apply_adjoint_circuit(c, rows[1], psi), derivative_states(c, rows[2])
+        return [psi, block, adjoint, derivatives, estimators.exact_gradient(c, h, rows[0], psi)]
 
     compiled = queries()
-    assert passes == [("zero", 1), ("zero", 3), ("state", 1), ("derivative", c.param_count + 1)]
+    assert passes == [("zero", 1), ("zero", 3), ("state", 1), ("derivative", c.param_count + 1), ("sweep", 2)]
     use_reference_kernels(monkeypatch)
     assert all(np.array_equal(got, want) for got, want in zip(queries(), compiled, strict=True))
-    assert len(passes) == 4  # the reference queries made no compiled pass
+    assert len(passes) == 5  # the reference queries made no compiled pass
 
 
 @pytest.mark.parametrize("shots", [256, None], ids=["sampled", "exact"])
