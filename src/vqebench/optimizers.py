@@ -202,7 +202,7 @@ def _estimate(kind, state, problem, config, rng) -> tuple[np.ndarray, MetricEsti
     metric = {"QNSPSA": spsa_metric, "QNSTEIN2": stein_metric_2eval, "QNSTEIN3": stein_metric_3eval}.get(kind)
     if metric is None:
         return grad, None
-    fid = displacement_fidelity_oracle(problem.circuit, state.theta, shots=config.shots, rng=rng)
+    fid = displacement_fidelity_oracle(problem.circuit, state.theta, config.shots, rng, state.psi)
     estimate = metric(fid, state.theta, config.c, config.samples, rng)
     state.add_circuits(estimate.raw_evals, estimate.charged_evals)
     return grad, estimate

@@ -204,11 +204,14 @@ _OVERLAP_CIRCUITS = pytest.mark.parametrize(
 )
 
 
-@pytest.mark.parametrize(
+_BLOCK_CIRCUITS = pytest.mark.parametrize(
     "circuit",
     [hardware_efficient(3, 2), schwinger_ansatz(4, 1), hardware_efficient(7, 1), hardware_efficient(12, 1)],
     ids=["hardware_efficient", "schwinger_so4", "hardware_efficient_7q", "hardware_efficient_12q"],
 )
+
+
+@_BLOCK_CIRCUITS
 def test_exact_fidelity_is_the_forward_inner_product(circuit):
     """The oracle's block passes give each row's per-row value bit for bit: at n = 7 a
     block holds 32 rows, so the 40 rows span two blocks, and at n = 12 each row is a block."""
@@ -228,6 +231,37 @@ def test_exact_fidelity_is_the_forward_inner_product(circuit):
             # The compute-uncompute circuit gives the same overlap to rounding.
             round_trip = abs(apply_adjoint_circuit(circuit, theta + row, psi)[0]) ** 2
             assert abs(value - round_trip) < 1e-14
+
+
+@_BLOCK_CIRCUITS
+def test_sampled_fidelity_blocks_match_the_per_row_fidelity_loop(circuit):
+    """The sampled oracle's compute-uncompute blocks give each row the value and the draws of
+    its own `fidelity` query, in row order: at n = 7 the 40 rows span two 32-row blocks, and
+    at n = 12 each row is a one-row block. The schwinger_so4 case takes S, Sdg, H, RZ and RX
+    through the adjoint plan."""
+    rng = np.random.default_rng(23)
+    theta = rng.uniform(-np.pi, np.pi, circuit.param_count)
+    rows = rng.uniform(-np.pi, np.pi, (40, circuit.param_count))
+    rows[32] = -0.0
+    rows[39] = -theta
+    psi = apply_circuit(circuit, theta)
+    gen, loop_gen = np.random.default_rng(37), np.random.default_rng(37)
+    oracle = displacement_fidelity_oracle(circuit, theta, shots=256, rng=gen)
+    got = oracle(rows)
+    want = [fidelity(circuit, psi, theta + row, 256, loop_gen) for row in rows]
+    assert got.tobytes() == np.array(want, dtype=float).tobytes()
+    assert got[32] == 1.0
+    assert gen.random() == loop_gen.random()
+    # A NaN row raises at its own draw, after every row before it drew (at n = 7, the whole
+    # first block and the second block's first row), as the loop does.
+    rows[33, 0] = np.nan
+    with pytest.raises(ValueError, match="contains NaNs"):
+        oracle(rows)
+    with pytest.raises(ValueError, match="contains NaNs"):
+        for row in rows:
+            fidelity(circuit, psi, theta + row, 256, loop_gen)
+    assert gen.random() == loop_gen.random()
+    assert np.array_equal(psi, apply_circuit(circuit, theta))  # the blocks leave the reference as it was
 
 
 @_OVERLAP_CIRCUITS
@@ -285,6 +319,8 @@ def test_sampled_queries_need_a_random_generator():
     h = PauliSum.from_terms([PauliString(1.0, "Z")], 1)
     with pytest.raises(ValueError, match="^sampled fidelity needs a random generator$"):
         fidelity(c, apply_circuit(c, [0.0]), [0.1], shots=16)
+    with pytest.raises(ValueError, match="^sampled fidelity needs a random generator$"):
+        displacement_fidelity_oracle(c, [0.0], shots=16)  # refused when built, before any pass
     with pytest.raises(ValueError, match="^sampled loss needs a random generator$"):
         loss(c, h, [0.1], shots=16)
 

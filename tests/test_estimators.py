@@ -347,13 +347,14 @@ def test_estimators_match_per_sample_loop_reference(estimator, base):
 @pytest.mark.parametrize(
     "shots, want",
     # For N = 12 samples, N + 1 overlap rows: one block pass (a block holds 512 rows at
-    # n = 3) when exact, one adjoint pass from psi(theta) per row when sampled.
-    [(None, [("zero", 1), ("zero", 13)]), (1024, [("zero", 1)] + [("state", 1)] * 13)],
+    # n = 3), forward from |0...0> when exact, and when sampled one adjoint pass over 13
+    # copies of psi(theta), whose compute-uncompute rows then draw one by one.
+    [(None, [("zero", 1), ("zero", 13)]), (1024, [("zero", 1), ("state", 13)])],
     ids=["exact", "sampled"],
 )
 def test_overlap_oracle_prepares_reference_state_once(passes, shots, want):
-    """psi(theta) is one forward pass per oracle; then each block of exact rows, or each
-    sampled row, is one more circuit pass."""
+    """psi(theta) is one forward pass per oracle; then each block of rows, exact or
+    sampled, is one more circuit pass."""
     circuit = hardware_efficient(3, 1)
     theta = np.random.default_rng(34).uniform(-np.pi, np.pi, circuit.param_count)
     rng = np.random.default_rng(35)

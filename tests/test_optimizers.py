@@ -225,6 +225,27 @@ def test_gd_step_sweeps_the_kept_state(passes, built_by):
     assert np.max(np.abs((theta - state.theta) / config.eta - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("built_by", ["run", "hand"])
+def test_qnspsa_overlaps_read_the_kept_state(passes, built_by):
+    # The overlap oracle's reference is the state the run kept for its point,
+    # so between the loss block and the overlap block no pass prepares it; a
+    # state built by hand has none, so one pass does. 4N = 40 overlap rows are
+    # one adjoint block at n = 3.
+    problem = tfim_problem(3, 2)
+    config = OptimizerConfig(shots=256, blocking=True, max_steps=1)
+    rng = np.random.default_rng(5)
+    if built_by == "run":
+        state = _state_as_run_builds_it(problem, config, rng)
+        passes.clear()
+    else:
+        state = OptimizerState(rng.uniform(-np.pi, np.pi, problem.circuit.param_count))
+    state.loss_current = 100.0
+    step("QNSPSA", state, problem, config, rng)
+    assert not state.trace[-1].blocked
+    reference = [("zero", 1)] * (built_by == "hand")
+    assert passes == [("zero", 2 * config.samples), *reference, ("state", 4 * config.samples), ("zero", 1)]
+
+
 @pytest.mark.parametrize("kind", ["GD", "QNG"])
 def test_a_blocked_step_on_a_run_state_reads_the_kept_state(passes, kind):
     # The refused candidate's row reads the state kept for the current point:
